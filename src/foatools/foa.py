@@ -211,6 +211,10 @@ class SphereGrid:
         self.unit_vectors = np.column_stack(
             [np.cos(self.azimuths) * ce, np.sin(self.azimuths) * ce, np.sin(self.elevations)]
         )
+        # Power at cell u is b M b^T with b = (1, u); the 16 products b_i b_j
+        # per cell turn that quadratic form into one row-times-column product.
+        basis = np.column_stack([np.ones(self.n_cells), self.unit_vectors])
+        self.quadratic_features = (basis[:, :, None] * basis[:, None, :]).reshape(-1, 16).T
 
     @property
     def n_cells(self) -> int:
@@ -219,15 +223,6 @@ class SphereGrid:
     def direction(self, cell: int) -> Direction:
         """Direction of one cell center."""
         return Direction(float(self.azimuths[cell]), float(self.elevations[cell]))
-
-    def cells(self):
-        """Iterate (Direction, area_weight, samples_in_band) per cell."""
-        for i in range(self.n_cells):
-            yield (
-                self.direction(i),
-                float(self.weights[i]),
-                self.samples_per_band[self.band_index[i]],
-            )
 
     def nearest_cell(self, direction: Direction) -> int:
         """Index of the cell whose center is closest by great-circle angle."""
@@ -325,6 +320,22 @@ def _resolve_window(window, n_samples: int) -> tuple:
     return start, end
 
 
+def block_moments(samples: np.ndarray, length: int) -> np.ndarray:
+    """Summed 4x4 second moments of each whole ``length``-sample block of
+    ``samples`` (4, L), as (n_blocks, 4, 4). The blocks are a strided view,
+    so neither memory layout is copied."""
+    n_blocks = samples.shape[1] // length
+    row, col = samples.strides
+    blocks = np.lib.stride_tricks.as_strided(samples, (n_blocks, 4, length), (col * length, row, col))
+    return blocks @ blocks.transpose(0, 2, 1)
+
+
+def power_maps(grid: SphereGrid, moments: np.ndarray) -> np.ndarray:
+    """Power-mode cell energies, clamped at 0, for a stack of mean second
+    moments (n, 4, 4); one (n, 16) @ (16, cells) product gives (n, cells)."""
+    return np.maximum(moments.reshape(-1, 16) @ grid.quadratic_features, 0.0)
+
+
 def energy_map(
     clip: FoaClip,
     grid: SphereGrid,
@@ -347,13 +358,11 @@ def energy_map(
         raise ValueError(f"mode must be one of {ENERGY_MODES}, got {mode!r}")
     start, end = _resolve_window(window, clip.n_samples)
     segment = clip.samples[:, start:end]
-    basis = np.concatenate([np.ones((grid.n_cells, 1)), grid.unit_vectors], axis=1)
     if mode == ENERGY_MODE_POWER:
-        moments = (segment @ segment.T) / segment.shape[1]
-        values = np.einsum("ci,ij,cj->c", basis, moments, basis)
-        values = np.maximum(values, 0.0)
+        values = power_maps(grid, block_moments(segment, end - start) / (end - start))[0]
     else:
-        values = basis @ segment.mean(axis=1)
+        # The first four feature rows are 1 * b_j, the basis itself.
+        values = segment.mean(axis=1) @ grid.quadratic_features[:4]
     return EnergyMap(grid=grid, values=values, window=(start, end), mode=mode)
 
 

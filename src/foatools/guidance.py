@@ -236,16 +236,3 @@ class TablePredictor:
                 if code != self.vocab_size:
                     logits[row, code] = self.PEAK
         return logits
-
-
-class UniformPredictor:
-    """All-zero logits over a fixed vocabulary; counts how often it is queried."""
-
-    def __init__(self, n_rows: int, vocab_size: int):
-        self.n_rows = n_rows
-        self.vocab_size = vocab_size
-        self.n_queries = 0
-
-    def __call__(self, prefix: np.ndarray, variant: str) -> np.ndarray:
-        self.n_queries += 1
-        return np.zeros((self.n_rows, self.vocab_size))

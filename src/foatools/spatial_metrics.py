@@ -20,7 +20,7 @@ from .errors import (
     NoUsableWindowsError,
     UndefinedMetricError,
 )
-from .foa import ENERGY_MODE_POWER, EnergyMap, FoaClip, SphereGrid, energy_map
+from .foa import EnergyMap, FoaClip, SphereGrid, block_moments, power_maps
 
 GRANULARITIES = ("all", "1fps", "5fps")
 
@@ -59,6 +59,18 @@ def _check_grids(gen: EnergyMap, gt: EnergyMap) -> SphereGrid:
     return gen.grid
 
 
+def correlation_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Area-weighted Pearson correlation of each row pair of (n, cells) maps;
+    NaN where either map is constant or has zero weighted variance."""
+    dx = gen - (gen @ weights)[:, None]
+    dy = gt - (gt @ weights)[:, None]
+    var_x = (dx * dx) @ weights
+    var_y = (dy * dy) @ weights
+    ok = (np.ptp(gen, axis=1) > 0.0) & (np.ptp(gt, axis=1) > 0.0) & (var_x > 0.0) & (var_y > 0.0)
+    cc = ((dx * dy) @ weights) / np.sqrt(np.where(ok, var_x * var_y, 1.0))
+    return np.where(ok, np.clip(cc, -1.0, 1.0), np.nan)
+
+
 def correlation(gen: EnergyMap, gt: EnergyMap) -> float:
     """Area-weighted Pearson correlation of two maps on the same grid.
 
@@ -66,26 +78,50 @@ def correlation(gen: EnergyMap, gt: EnergyMap) -> float:
     decide whether to skip the window.
     """
     grid = _check_grids(gen, gt)
-    x, y, w = gen.values, gt.values, grid.weights
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    if np.ptp(gen.values) == 0.0 or np.ptp(gt.values) == 0.0:
         raise UndefinedMetricError("correlation undefined for a constant map")
-    dx = x - w @ x
-    dy = y - w @ y
-    cov = w @ (dx * dy)
-    var_x = w @ (dx * dx)
-    var_y = w @ (dy * dy)
-    if var_x <= 0.0 or var_y <= 0.0:
+    cc = correlation_rows(gen.values[None], gt.values[None], grid.weights)[0]
+    if np.isnan(cc):
         raise UndefinedMetricError("correlation undefined for zero weighted variance")
-    return float(min(1.0, max(-1.0, cov / np.sqrt(var_x * var_y))))
+    return float(cc)
 
 
-def _weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Smallest value whose weighted CDF reaches q/100."""
-    order = np.argsort(values, kind="stable")
-    csum = np.cumsum(weights[order])
-    csum /= csum[-1]
-    idx = min(int(np.searchsorted(csum, q / 100.0, side="left")), values.size - 1)
-    return float(values[order[idx]])
+def auc_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray, percentile: float) -> np.ndarray:
+    """ROC AUC of each row pair of (n, cells) maps, as ``auc`` defines it.
+
+    A row whose reference map gives no fixation split (a constant map
+    among them) reads NaN. Neither sort needs to be stable: tied gt values
+    fall on one side of the threshold, and tied gen scores share one ROC
+    segment.
+    """
+    if not 0.0 < percentile < 100.0:
+        raise ValueError("fixation_percentile must lie in (0, 100)")
+    n_rows, n_cells = gt.shape
+    rows = np.arange(n_rows)
+    # Threshold: the smallest gt value whose weighted CDF reaches q/100.
+    order = np.argsort(gt, axis=1)
+    cdf = np.cumsum(weights[order], axis=1)
+    cdf /= cdf[:, -1:]
+    idx = np.minimum(np.sum(cdf < percentile / 100.0, axis=1), n_cells - 1)
+    positive = gt >= gt[rows, order[rows, idx]][:, None]
+    total = (positive @ weights) * (~positive @ weights)
+
+    # ROC over descending gen scores. Each negative cell counts the positive
+    # weight ranked above its tie group plus half of the group's own, which
+    # is the trapezoid of the group's segment.
+    order = np.argsort(-gen, axis=1)
+    flat = order + (rows * n_cells)[:, None]
+    scores = gen.take(flat)
+    w_sorted = weights[order]
+    pos = np.where(positive.take(flat), w_sorted, 0.0)
+    tp = np.cumsum(pos, axis=1)
+    starts = np.diff(scores, axis=1, prepend=np.inf) != 0.0
+    ends = np.roll(starts, -1, axis=1)
+    above = np.maximum.accumulate(np.where(starts, tp - pos, 0.0), axis=1)
+    through = np.minimum.accumulate(np.where(ends, tp, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    area = np.sum((w_sorted - pos) * (above + through), axis=1) / 2.0
+    ok = total > 0.0
+    return np.where(ok, np.clip(area / np.where(ok, total, 1.0), 0.0, 1.0), np.nan)
 
 
 def auc(
@@ -101,38 +137,28 @@ def auc(
     trapezoidal segment over each tie group).
     """
     grid = _check_grids(gen, gt)
-    if not 0.0 < fixation_percentile < 100.0:
-        raise ValueError("fixation_percentile must lie in (0, 100)")
-    w = grid.weights
     if np.ptp(gt.values) == 0.0:
         raise UndefinedMetricError("fixations undefined for a constant reference map")
-    threshold = _weighted_percentile(gt.values, w, fixation_percentile)
-    positive = gt.values >= threshold
-    pos_w = np.where(positive, w, 0.0)
-    neg_w = np.where(positive, 0.0, w)
-    total_pos = pos_w.sum()
-    total_neg = neg_w.sum()
-    if total_pos <= 0.0 or total_neg <= 0.0:
+    roc = auc_rows(gen.values[None], gt.values[None], grid.weights, fixation_percentile)[0]
+    if np.isnan(roc):
         raise UndefinedMetricError("reference map yields no usable fixation split")
-
-    order = np.argsort(-gen.values, kind="stable")
-    scores = gen.values[order]
-    # Tie groups share one ROC segment; group ends are where the score changes.
-    group_end = np.append(np.nonzero(np.diff(scores))[0], scores.size - 1)
-    tp = np.cumsum(pos_w[order])[group_end]
-    fp = np.cumsum(neg_w[order])[group_end]
-    tp_prev = np.concatenate([[0.0], tp[:-1]])
-    fp_prev = np.concatenate([[0.0], fp[:-1]])
-    area = np.sum((fp - fp_prev) * (tp + tp_prev) / 2.0)
-    return float(min(1.0, max(0.0, area / (total_pos * total_neg))))
+    return float(roc)
 
 
-def _window_lengths(n_samples: int, sample_rate: int) -> dict:
-    return {
-        "all": n_samples,
-        "1fps": sample_rate,
-        "5fps": max(1, sample_rate // 5),
-    }
+def _window_moments(clip: FoaClip) -> tuple:
+    """Mean second moments of every window, whole clip first, then the
+    1000 ms and the 200 ms windows; and the window count of each."""
+    samples, rate, n = clip.samples, clip.sample_rate, clip.n_samples
+    length = max(1, rate // 5)
+    blocks = block_moments(samples, length)
+    tail = samples[:, blocks.shape[0] * length :]
+    whole = blocks.sum(axis=0) + tail @ tail.T
+    if rate % 5 == 0:
+        seconds = blocks[: 5 * (n // rate)].reshape(-1, 5, 4, 4).sum(axis=1)
+    else:
+        seconds = block_moments(samples, rate)
+    moments = np.concatenate([whole[None] / n, seconds / rate, blocks / length])
+    return moments, (1, seconds.shape[0], blocks.shape[0])
 
 
 def evaluate_windows(
@@ -143,12 +169,15 @@ def evaluate_windows(
 ) -> SpatialReport:
     """Windowed correlation/AUC between two clips at all three granularities.
 
-    Power-mode energy maps are computed per window (whole clip, 1000 ms and
-    200 ms, trailing partial windows dropped) and each granularity reports
-    the mean metric over its usable windows. Windows where either metric is
-    undefined (a silent or otherwise constant map) are counted in
-    ``windows_skipped``; a granularity with no usable window raises
-    NoUsableWindowsError.
+    The whole-clip window keeps every sample; the 1000 ms and 200 ms
+    windows tile the clip from its start and drop a trailing partial
+    window. All power-mode maps come from one pass: summed second moments
+    of every 200 ms block (1000 ms windows add up five of them when the
+    rate divides by 5), then one product for every window's map, then CC
+    and AUC row by row. Each granularity reports the mean metric over its
+    usable windows. Windows where either metric is undefined (a silent or
+    otherwise constant map) are counted in ``windows_skipped``; a
+    granularity with no usable window raises NoUsableWindowsError.
     """
     if gen.n_samples != gt.n_samples or gen.sample_rate != gt.sample_rate:
         raise IncompatibleClipsError(
@@ -156,39 +185,23 @@ def evaluate_windows(
             f"{gt.n_samples}@{gt.sample_rate}"
         )
 
-    cc_means, auc_means, used, skipped = {}, {}, {}, {}
-    for name, length in _window_lengths(gen.n_samples, gen.sample_rate).items():
-        n_windows = gen.n_samples // length
-        cc_vals, auc_vals = [], []
-        n_skipped = 0
-        for k in range(n_windows):
-            window = (k * length, (k + 1) * length)
-            gen_map = energy_map(gen, grid, window, ENERGY_MODE_POWER)
-            gt_map = energy_map(gt, grid, window, ENERGY_MODE_POWER)
-            try:
-                cc = correlation(gen_map, gt_map)
-                roc = auc(gen_map, gt_map, fixation_percentile)
-            except UndefinedMetricError:
-                n_skipped += 1
-                continue
-            cc_vals.append(cc)
-            auc_vals.append(roc)
-        if not cc_vals:
-            raise NoUsableWindowsError(
-                f"no usable {name} window out of {n_windows}"
-            )
-        cc_means[name] = float(np.mean(cc_vals))
-        auc_means[name] = float(np.mean(auc_vals))
-        used[name] = len(cc_vals)
-        skipped[name] = n_skipped
+    gen_moments, counts = _window_moments(gen)
+    gen_maps = power_maps(grid, gen_moments)
+    gt_maps = power_maps(grid, _window_moments(gt)[0])
+    if not (np.all(np.isfinite(gen_maps)) and np.all(np.isfinite(gt_maps))):
+        raise ValueError("energy values must be finite")
+    cc = correlation_rows(gen_maps, gt_maps, grid.weights)
+    roc = auc_rows(gen_maps, gt_maps, grid.weights, fixation_percentile)
+    usable = ~(np.isnan(cc) | np.isnan(roc))
 
-    return SpatialReport(
-        cc_all=cc_means["all"],
-        cc_1fps=cc_means["1fps"],
-        cc_5fps=cc_means["5fps"],
-        auc_all=auc_means["all"],
-        auc_1fps=auc_means["1fps"],
-        auc_5fps=auc_means["5fps"],
-        windows_used=used,
-        windows_skipped=skipped,
-    )
+    means, used, skipped = {}, {}, {}
+    bounds = np.cumsum((0,) + counts)
+    for name, lo, hi in zip(GRANULARITIES, bounds[:-1], bounds[1:]):
+        ok = usable[lo:hi]
+        if not ok.any():
+            raise NoUsableWindowsError(f"no usable {name} window out of {hi - lo}")
+        means[f"cc_{name}"] = float(np.mean(cc[lo:hi][ok]))
+        means[f"auc_{name}"] = float(np.mean(roc[lo:hi][ok]))
+        used[name] = int(ok.sum())
+        skipped[name] = int(hi - lo) - used[name]
+    return SpatialReport(**means, windows_used=used, windows_skipped=skipped)

@@ -19,7 +19,8 @@ Code matrix file
 WAV
     Canonical RIFF/WAVE with a single data chunk, channels interleaved
     frame-major. 16-bit PCM (format 1, scaled by 32767) and 32-bit float
-    (format 3) are supported; ambisonic files carry 4 channels in
+    (format 3) are supported, also as WAVE_FORMAT_EXTENSIBLE (0xFFFE) with
+    a PCM or IEEE-float subformat GUID; ambisonic files carry 4 channels in
     W, X, Y, Z order.
 
 Energy map exports
@@ -68,6 +69,9 @@ _PATTERNS_BY_ID = {v: k for k, v in _PATTERN_IDS.items()}
 
 WAV_ENCODINGS = ("float32", "pcm16")
 _PCM_SCALE = 32767.0
+_WAVE_EXTENSIBLE = 0xFFFE
+# The PCM and IEEE-float subformat GUIDs of WAVE_FORMAT_EXTENSIBLE, as stored.
+_SUBFORMATS = {struct.pack("<IHH", t, 0, 0x10) + bytes.fromhex("800000aa00389b71"): t for t in (1, 3)}
 
 
 @contextmanager
@@ -268,6 +272,14 @@ def read_wav(path):
             if size < 16:
                 raise WavFormatError(f"{path}: fmt chunk at byte {offset} too short")
             fmt = struct.unpack_from("<HHIIHH", blob, body_start)
+            if fmt[0] == _WAVE_EXTENSIBLE:
+                tag = _SUBFORMATS.get(blob[body_start + 24 : body_start + min(size, 40)])
+                if tag is None:
+                    raise WavFormatError(
+                        f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk at byte {offset} has an "
+                        "unsupported subformat (need PCM or IEEE float)"
+                    )
+                fmt = (tag,) + fmt[1:]
         elif cid == b"data" and data is None:
             data = (body_start, size)
         offset = body_start + size + (size & 1)
@@ -299,7 +311,9 @@ def read_wav(path):
     if frames < 1:
         raise WavFormatError(f"{path}: data chunk holds no frames")
     raw = np.frombuffer(blob, dtype=dtype, count=frames * channels, offset=start)
-    samples = raw.reshape(frames, channels).T.astype(np.float64) / scale
+    samples = raw.reshape(frames, channels).T.astype(np.float64)
+    if scale != 1.0:
+        samples /= scale
     return samples, int(sample_rate)
 
 

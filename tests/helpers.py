@@ -33,6 +33,29 @@ def encoded_noise(rng, direction, n_samples=2205, sample_rate=44100):
     return encode_mono(rng.normal(size=n_samples), direction, sample_rate)
 
 
+def grid_cells(grid):
+    """Iterate (Direction, area_weight, samples_in_band) per grid cell."""
+    for i in range(grid.n_cells):
+        yield (
+            grid.direction(i),
+            float(grid.weights[i]),
+            grid.samples_per_band[grid.band_index[i]],
+        )
+
+
+class UniformPredictor:
+    """All-zero logits over a fixed vocabulary; counts how often it is queried."""
+
+    def __init__(self, n_rows, vocab_size):
+        self.n_rows = n_rows
+        self.vocab_size = vocab_size
+        self.n_queries = 0
+
+    def __call__(self, prefix, variant):
+        self.n_queries += 1
+        return np.zeros((self.n_rows, self.vocab_size))
+
+
 def nearest_cell_bruteforce(grid, direction):
     """Closest grid cell by great-circle angle, via an explicit loop."""
     u = direction.unit_vector()
@@ -99,6 +122,37 @@ def auc_bruteforce(gen_map, gt_map, percentile=95.0):
     threshold = weighted_percentile_bruteforce(list(gt_map.values), w, percentile)
     positives = [v >= threshold for v in gt_map.values]
     return roc_auc_bruteforce(list(gen_map.values), positives, w)
+
+
+def evaluate_windows_bruteforce(gen, gt, grid, percentile=95.0):
+    """The windowed evaluation as a plain loop over every window.
+
+    Maps come from per-cell decoding, CC and AUC from the direct-summation
+    oracles. A window is skipped when either map is constant or the
+    reference gives no fixation split. Returns the ``SpatialReport.to_dict``
+    layout.
+    """
+    rate, n = gen.sample_rate, gen.n_samples
+    weights = list(grid.weights)
+    report = {"windows_used": {}, "windows_skipped": {}}
+    for name, length in (("all", n), ("1fps", rate), ("5fps", max(1, rate // 5))):
+        ccs, aucs, skipped = [], [], 0
+        for k in range(n // length):
+            window = (k * length, (k + 1) * length)
+            x = list(energy_map_bruteforce(gen, grid, window))
+            y = list(energy_map_bruteforce(gt, grid, window))
+            threshold = weighted_percentile_bruteforce(y, weights, percentile)
+            positives = [v >= threshold for v in y]
+            if min(x) == max(x) or min(y) == max(y) or all(positives) or not any(positives):
+                skipped += 1
+                continue
+            ccs.append(weighted_pearson_bruteforce(x, y, weights))
+            aucs.append(roc_auc_bruteforce(x, positives, weights))
+        report[f"cc_{name}"] = sum(ccs) / len(ccs) if ccs else None
+        report[f"auc_{name}"] = sum(aucs) / len(aucs) if aucs else None
+        report["windows_used"][name] = len(ccs)
+        report["windows_skipped"][name] = skipped
+    return report
 
 
 def patch_scores_bruteforce(emb, spatial_window, temporal_window):

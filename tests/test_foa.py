@@ -19,6 +19,7 @@ from foatools.errors import InvalidRotationError, InvalidWindowError
 from helpers import (
     encoded_noise,
     energy_map_bruteforce,
+    grid_cells,
     nearest_cell_bruteforce,
     random_clip,
     random_direction,
@@ -197,7 +198,7 @@ class TestSphereGrid:
 
     def test_band_sampling_rule(self):
         grid = SphereGrid(16, 48)
-        for direction, _, samples_in_band in grid.cells():
+        for direction, _, samples_in_band in grid_cells(grid):
             assert samples_in_band == max(1, round(48 * math.cos(direction.elevation)))
 
     def test_invalid_resolution(self):

@@ -3,8 +3,8 @@ import pytest
 
 from foatools import CodeMatrix, GuidanceConfig, Pattern, TablePredictor, combine, generate, sample_step
 from foatools._util import softmax
-from foatools.guidance import UniformPredictor
 from foatools.code_pattern import pattern_steps
+from helpers import UniformPredictor
 
 
 def variant_logits(rng, rows=4, vocab=6):

@@ -15,6 +15,7 @@ from foatools import (
     evaluate_windows,
     rotate,
 )
+from foatools.spatial_metrics import auc_rows, correlation_rows
 from foatools.errors import (
     GridMismatchError,
     IncompatibleClipsError,
@@ -24,6 +25,7 @@ from foatools.errors import (
 from helpers import (
     auc_bruteforce,
     encoded_noise,
+    evaluate_windows_bruteforce,
     random_direction,
     random_rotation,
     weighted_pearson_bruteforce,
@@ -220,3 +222,114 @@ class TestEvaluateWindows:
             "windows_used",
             "windows_skipped",
         }
+
+
+class TestEvaluateWindowsOracle:
+    @pytest.mark.parametrize("sr", [4410, 4411])  # 1 s = five 200 ms blocks, and not
+    def test_matches_per_window_loop(self, sr):
+        rng = np.random.default_rng(18)
+        n = 3 * sr + 777  # trailing partial second
+        gt = encode_mono(rng.normal(size=n), Direction(0.7, 0.3), sr).samples.copy()
+        gen = encode_mono(rng.normal(size=n), Direction(1.1, 0.1), sr).samples.copy()
+        gen += 0.3 * rng.normal(size=gen.shape)
+        gen[:, sr : 2 * sr] = 0.0  # a silent second
+        gt[1:, 2 * sr : 3 * sr] = 0.0  # W only: a constant reference map
+        gen_clip, gt_clip = FoaClip(gen, sr), FoaClip(gt, sr)
+        grid = SphereGrid(8, 16)
+        got = evaluate_windows(gen_clip, gt_clip, grid).to_dict()
+        want = evaluate_windows_bruteforce(gen_clip, gt_clip, grid)
+        assert got["windows_used"] == want["windows_used"]
+        assert got["windows_skipped"] == want["windows_skipped"]
+        assert want["windows_skipped"]["1fps"] == 2
+        for key in ("cc_all", "cc_1fps", "cc_5fps", "auc_all", "auc_1fps", "auc_5fps"):
+            assert got[key] == pytest.approx(want[key], abs=1e-9)
+
+    def test_interleaved_layout_gives_same_report(self):
+        # WAV reads hand back channel-interleaved (Fortran-order) samples.
+        rng = np.random.default_rng(19)
+        sr = 4410
+        gt = encoded_noise(rng, Direction(2.0, -0.3), n_samples=2 * sr + 100, sample_rate=sr)
+        gen = FoaClip(gt.samples + 0.2 * rng.normal(size=gt.samples.shape), sr)
+        fortran = FoaClip(np.asfortranarray(gen.samples), sr)
+        got = evaluate_windows(fortran, gt, GRID).to_dict()
+        want = evaluate_windows(gen, gt, GRID).to_dict()
+        assert got["windows_used"] == want["windows_used"]
+        for key in ("cc_all", "cc_1fps", "cc_5fps", "auc_all", "auc_1fps", "auc_5fps"):
+            assert got[key] == pytest.approx(want[key], abs=1e-12)
+
+    def test_bad_percentile(self):
+        rng = np.random.default_rng(20)
+        clip = encoded_noise(rng, Direction(0.0, 0.0), n_samples=4410, sample_rate=4410)
+        with pytest.raises(ValueError):
+            evaluate_windows(clip, clip, GRID, fixation_percentile=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_maps_raise(self):
+        clip = FoaClip(np.full((4, 4410), 1e200), 4410)  # squares overflow
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_windows(clip, clip, GRID)
+
+
+def one_map(values):
+    return EnergyMap(GRID, values, (0, 1))
+
+
+class TestRowKernels:
+    def batch(self, seed):
+        # Quantized values give many ties; some rows are undefined on purpose.
+        rng = np.random.default_rng(seed)
+        gen = np.round(rng.random((12, GRID.n_cells)) * 6) / 6
+        gt = np.round(rng.random((12, GRID.n_cells)) * 4) / 4
+        gen[1] = 0.5  # constant candidate
+        gt[2] = 0.25  # constant reference
+        gt[3] = 0.0
+        gt[3, :2] = 1.0  # below 5% of the weight is nonzero: no fixation split
+        gen[4] = gt[4]  # self comparison
+        gen[5] = 1.0 - gt[5]  # reversed ranking
+        return gen, gt
+
+    def test_correlation_rows_match_one_map_function(self):
+        gen, gt = self.batch(21)
+        rows = correlation_rows(gen, gt, GRID.weights)
+        for x, y, got in zip(gen, gt, rows):
+            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                assert np.isnan(got)
+                with pytest.raises(UndefinedMetricError):
+                    correlation(one_map(x), one_map(y))
+                continue
+            assert got == pytest.approx(correlation(one_map(x), one_map(y)), abs=1e-12)
+            want = weighted_pearson_bruteforce(list(x), list(y), list(GRID.weights))
+            assert got == pytest.approx(want, abs=1e-9)
+        assert np.isnan(rows[[1, 2]]).all()
+
+    def test_auc_rows_match_one_map_function(self):
+        gen, gt = self.batch(22)
+        rows = auc_rows(gen, gt, GRID.weights, 95.0)
+        assert np.isnan(rows[[2, 3]]).all()
+        assert rows[4] == pytest.approx(1.0, abs=1e-12)
+        assert rows[1] == pytest.approx(0.5, abs=1e-12)
+        for x, y, got in zip(gen, gt, rows):
+            if np.isnan(got):
+                with pytest.raises(UndefinedMetricError):
+                    auc(one_map(x), one_map(y))
+                continue
+            assert got == pytest.approx(auc(one_map(x), one_map(y)), abs=1e-12)
+            assert got == pytest.approx(auc_bruteforce(one_map(x), one_map(y)), abs=1e-9)
+
+    def test_auc_rows_other_percentile(self):
+        gen, gt = self.batch(23)
+        rows = auc_rows(gen, gt, GRID.weights, 60.0)
+        for x, y, got in zip(gen, gt, rows):
+            if not np.isnan(got):
+                assert got == pytest.approx(auc_bruteforce(one_map(x), one_map(y), 60.0), abs=1e-9)
+
+    def test_threshold_at_exact_cdf_boundary(self):
+        grid = SphereGrid(1, 4)  # four cells of weight 1/4: the CDF hits 0.5 exactly
+        gen, gt = np.array([[0.4, 0.1, 0.3, 0.2]]), np.array([[0.1, 0.2, 0.3, 0.4]])
+        want = auc_bruteforce(EnergyMap(grid, gen[0], (0, 1)), EnergyMap(grid, gt[0], (0, 1)), 50.0)
+        assert auc_rows(gen, gt, grid.weights, 50.0)[0] == pytest.approx(want, abs=1e-12)
+
+    def test_no_split_message(self):
+        _, gt = self.batch(24)
+        with pytest.raises(UndefinedMetricError, match="no usable fixation split"):
+            auc(one_map(np.linspace(0.0, 1.0, GRID.n_cells)), one_map(gt[3]))

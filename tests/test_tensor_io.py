@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,65 @@ class TestWav:
         write_wav(samples, 44100, a)
         write_wav(samples, 44100, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def extensible_wav(frames, sample_rate, subformat, bits, payload):
+    """A WAVE_FORMAT_EXTENSIBLE (0xFFFE) file, built by hand from its fields."""
+    channels = frames.shape[1]
+    block_align = channels * bits // 8
+    fmt = struct.pack(
+        "<HHIIHHHHI", 0xFFFE, channels, sample_rate, sample_rate * block_align,
+        block_align, bits, 22, bits, 0x33,  # extension size, valid bits, channel mask
+    )
+    fmt += struct.pack("<IHH", subformat, 0x0000, 0x0010) + bytes.fromhex("800000aa00389b71")
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+class TestWavExtensible:
+    def test_float_four_channels(self, tmp_path):
+        rng = np.random.default_rng(8)
+        frames = rng.normal(size=(300, 4)).astype("<f4")
+        path = tmp_path / "ext_float.wav"
+        path.write_bytes(extensible_wav(frames, 48000, 3, 32, frames.tobytes()))
+        clip = read_foa_wav(path)
+        assert clip.sample_rate == 48000
+        assert np.array_equal(clip.samples, frames.T.astype(np.float64))
+
+    def test_pcm16(self, tmp_path):
+        frames = np.array([[0, 32767, -32767, 16384]] * 5, dtype="<i2")
+        path = tmp_path / "ext_pcm.wav"
+        path.write_bytes(extensible_wav(frames, 44100, 1, 16, frames.tobytes()))
+        samples, rate = read_wav(path)
+        assert rate == 44100
+        assert np.array_equal(samples, frames.T / 32767.0)
+
+    def test_unsupported_subformat_names_file(self, tmp_path):
+        frames = np.zeros((4, 4), dtype="<i2")
+        path = tmp_path / "ext_adpcm.wav"
+        path.write_bytes(extensible_wav(frames, 44100, 2, 16, frames.tobytes()))
+        with pytest.raises(WavFormatError, match="ext_adpcm.wav.*subformat"):
+            read_wav(path)
+
+    def test_nonstandard_guid_tail(self, tmp_path):
+        frames = np.zeros((4, 4), dtype="<f4")
+        blob = bytearray(extensible_wav(frames, 44100, 3, 32, frames.tobytes()))
+        blob[20 + 39] ^= 0xFF  # last GUID byte; the fmt body starts at byte 20
+        path = tmp_path / "ext_guid.wav"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WavFormatError, match="ext_guid.wav"):
+            read_wav(path)
+
+    def test_short_extensible_fmt_chunk(self, tmp_path):
+        frames = np.zeros((4, 4), dtype="<f4")
+        fmt = struct.pack("<HHIIHHH", 0xFFFE, 4, 44100, 44100 * 16, 16, 32, 0)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", frames.nbytes) + frames.tobytes()
+        path = tmp_path / "ext_short.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(WavFormatError, match="ext_short.wav.*subformat"):
+            read_wav(path)
 
 
 class TestExportsAndAtomicity:
