@@ -455,7 +455,10 @@ def _load_manifest(path, required) -> list:
 
 def _curate_one(record, args, grid) -> dict:
     clip = read_foa_wav(record["path"])
-    amplitude_ok = curation.amplitude_gate(clip, args.amplitude_threshold)
+    # A clip with no whole second has no second that passed the gate.
+    amplitude_ok = clip.n_samples >= clip.sample_rate and curation.amplitude_gate(
+        clip, args.amplitude_threshold
+    )
     mask = curation.segment_mask(clip, args.rms_threshold)
     windows = (
         [[w.start_second, w.end_second] for w in curation.select_windows(mask)]

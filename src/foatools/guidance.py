@@ -120,9 +120,10 @@ def sample_step(
 ) -> np.ndarray:
     """Draw one code per logit row.
 
-    Each row goes through softmax(logits / temperature), top-p truncation
-    (boundary ties kept) and a categorical draw from ``rng``; with
-    ``argmax`` the most likely code is taken and no randomness is consumed.
+    Each row goes through softmax(logits / temperature) and top-p truncation
+    (boundary ties kept); then one ``rng.random(rows)`` call draws every row
+    by inverse CDF over the kept mass, in row order. With ``argmax`` the
+    most likely code is taken and no randomness is consumed.
     """
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 2:
@@ -138,12 +139,14 @@ def sample_step(
     if rng is None:
         raise ValueError("sampling requires a seeded numpy Generator")
     probs = softmax(arr / temperature, axis=1)
-    codes = np.empty(arr.shape[0], dtype=np.int64)
-    for row in range(arr.shape[0]):
-        p = probs[row] * top_p_mask(probs[row], top_p)
-        p /= p.sum()
-        codes[row] = rng.choice(arr.shape[1], p=p)
-    return codes
+    probs *= top_p_mask(probs, top_p)
+    cdf = np.cumsum(probs, axis=1)
+    total = cdf[:, -1:]
+    draws = rng.random((arr.shape[0], 1)) * total
+    codes = np.sum(cdf <= draws, axis=1)
+    # A draw that rounds up to the total must still land on a kept code:
+    # the last one, where the CDF first reaches the total.
+    return np.minimum(codes, np.argmax(cdf == total, axis=1))
 
 
 def generate(
@@ -162,33 +165,36 @@ def generate(
     At each sequential step the predictor is queried once per conditioning
     variant the guidance mode needs, the variants are combined, and codes
     are sampled only for the rows the schedule activates at that step.
-    The finished schedule is unpacked to a raw (4N x L) matrix with no
-    padding left.
+    The predictor sees a read-only view of the generated columns, and the
+    finished schedule is unpacked to a raw (4N x L) matrix without padding.
     """
     pattern = Pattern(pattern)
     n = int(n_codebooks_per_channel)
     table = _step_table(pattern, n, int(n_frames))
     n_steps = pattern_steps(pattern, n, int(n_frames))
     rng = np.random.default_rng(seed)
+    active = np.zeros((n_steps, 4 * n), dtype=bool)
+    active[table - 1, np.arange(4 * n)[:, None]] = True
 
-    buffer = np.full((4 * n, n_steps), -1, dtype=np.int64)
+    # Filled with the pad value once the predictor reveals the vocabulary.
+    buffer = np.empty((4 * n, n_steps), dtype=np.int64)
+    generated = buffer.view()
+    generated.flags.writeable = False
     vocab_size = None
-    for step in range(1, n_steps + 1):
-        prefix = buffer[:, : step - 1].copy()
-        if vocab_size is not None:
-            prefix[prefix == -1] = vocab_size
+    for step, rows in enumerate(map(np.flatnonzero, active), start=1):
         variant_logits = {}
         for variant in guidance.variants:
-            logits = np.asarray(predictor(prefix, variant), dtype=np.float64)
+            logits = np.asarray(predictor(generated[:, : step - 1], variant), dtype=np.float64)
             if logits.ndim != 2 or logits.shape[0] != 4 * n:
                 raise ValueError(
                     f"predictor returned shape {logits.shape}, expected ({4 * n}, V)"
                 )
             if vocab_size is None:
                 vocab_size = logits.shape[1]
+                buffer.fill(vocab_size)
             elif logits.shape[1] != vocab_size:
                 raise ValueError("predictor changed vocabulary size between calls")
-            variant_logits[variant] = logits
+            variant_logits[variant] = _checked(variant, logits, None)[rows]
         combined = combine(
             guidance.mode,
             variant_logits.get("full"),
@@ -198,14 +204,8 @@ def generate(
             omega=guidance.omega,
             omega2=guidance.omega2,
         )
-        active_rows = np.nonzero(np.any(table == step, axis=1))[0]
-        if active_rows.size:
-            codes = sample_step(
-                combined[active_rows], temperature, top_p, rng=rng, argmax=argmax
-            )
-            buffer[active_rows, step - 1] = codes
+        buffer[rows, step - 1] = sample_step(combined, temperature, top_p, rng=rng, argmax=argmax)
 
-    buffer[buffer == -1] = vocab_size
     reorg = ReorgMatrix(buffer, pattern, n, vocab_size)
     return unpack(reorg)
 
@@ -232,7 +232,6 @@ class TablePredictor:
         logits = np.zeros((self._packed.shape[0], self.vocab_size))
         if step <= self._packed.shape[1]:
             column = self._packed[:, step - 1]
-            for row, code in enumerate(column):
-                if code != self.vocab_size:
-                    logits[row, code] = self.PEAK
+            rows = np.flatnonzero(column != self.vocab_size)
+            logits[rows, column[rows]] = self.PEAK
         return logits

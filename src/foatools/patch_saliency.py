@@ -109,8 +109,5 @@ def energy_from_scores(
     flat_t = t.reshape(n_time, -1)
     averaged = (softmax(flat_s / temperature, axis=1) + softmax(flat_t / temperature, axis=1)) / 2.0
 
-    energy = np.empty_like(averaged)
-    for i in range(n_time):
-        kept = averaged[i] * top_p_mask(averaged[i], top_p)
-        energy[i] = kept / kept.sum()
-    return energy.reshape(n_time, n_rows, n_cols)
+    kept = averaged * top_p_mask(averaged, top_p)
+    return (kept / kept.sum(axis=1, keepdims=True)).reshape(n_time, n_rows, n_cols)

@@ -188,6 +188,22 @@ def patch_scores_bruteforce(emb, spatial_window, temporal_window):
     return spatial, temporal
 
 
+def top_p_mask_bruteforce(probs, top_p):
+    """Nucleus of one probability vector: walk it in descending order until
+    the running mass reaches ``top_p``, then keep every entry at or above
+    the boundary entry (all of them if the mass never gets there)."""
+    order = sorted(range(len(probs)), key=lambda k: -probs[k])
+    acc, boundary = 0.0, None
+    for k in order:
+        acc += probs[k]
+        if acc >= top_p:
+            boundary = probs[k]
+            break
+    if boundary is None:
+        boundary = probs[order[-1]]
+    return np.array([p >= boundary for p in probs], dtype=bool)
+
+
 def patch_energy_bruteforce(spatial, temporal, temperature, top_p):
     """Step-by-step softmax/average/top-p/renormalize, one frame at a time."""
     n_time = spatial.shape[0]
@@ -200,16 +216,7 @@ def patch_energy_bruteforce(spatial, temporal, temperature, top_p):
         pt = np.exp(q - q.max())
         pt /= pt.sum()
         avg = (ps + pt) / 2.0
-        order = sorted(range(avg.size), key=lambda k: -avg[k])
-        acc, boundary = 0.0, None
-        for k in order:
-            acc += avg[k]
-            if acc >= top_p:
-                boundary = avg[k]
-                break
-        if boundary is None:
-            boundary = avg[order[-1]]
-        kept = np.where(avg >= boundary, avg, 0.0)
+        kept = np.where(top_p_mask_bruteforce(avg, top_p), avg, 0.0)
         out[t] = (kept / kept.sum()).reshape(spatial.shape[1:])
     return out
 

@@ -360,6 +360,33 @@ class TestCurate:
         assert lines[1]["amplitude_ok"] is False
         assert lines[1]["fov_center"] is None
 
+    def test_sub_second_clip_keeps_its_row(self, capsys, tmp_path):
+        rng = np.random.default_rng(12)
+        sr = 1000
+        direction = Direction(0.5, 0.1)
+        paths = []
+        for i, n_samples in enumerate((sr // 2, 6 * sr)):
+            paths.append(tmp_path / f"c{i}.wav")
+            write_foa_wav(encode_mono(0.2 * rng.normal(size=n_samples), direction, sr), paths[-1])
+        manifest = tmp_path / "in.ndjson"
+        manifest.write_text("".join(json.dumps({"path": str(p)}) + "\n" for p in paths))
+        out_path = tmp_path / "out.ndjson"
+        code, _, _ = run(
+            capsys, "curate", "--manifest", manifest, "--out", out_path,
+            "--rms-threshold", "0.01", "--grid", "8x16",
+        )
+        assert code == 0
+        short, long = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
+        assert short["path"] == str(paths[0]) and long["path"] == str(paths[1])
+        # No whole second, so no second passed the gate; the rest is computed as usual.
+        assert short["amplitude_ok"] is False
+        assert short["valid_seconds"] == 0
+        assert short["windows"] == []
+        assert short["keep"] is False
+        assert short["fov_center"]["azimuth"] == pytest.approx(0.5, abs=0.25)
+        assert long["amplitude_ok"] is True
+        assert long["keep"] is True
+
     def test_mixed_scores_rejected(self, capsys, tmp_path):
         sr = 1000
         path = tmp_path / "c.wav"

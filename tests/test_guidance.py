@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from foatools import CodeMatrix, GuidanceConfig, Pattern, TablePredictor, combine, generate, sample_step
-from foatools._util import softmax
+from foatools._util import softmax, top_p_mask
 from foatools.code_pattern import pattern_steps
-from helpers import UniformPredictor
+from helpers import UniformPredictor, top_p_mask_bruteforce
 
 
 def variant_logits(rng, rows=4, vocab=6):
@@ -110,7 +112,96 @@ class TestGuidanceConfig:
         }
 
 
+@st.composite
+def probability_rows(draw):
+    """(rows x cols) probability matrices; quantized weights give exact ties."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 40)))
+    if draw(st.booleans()):
+        elements = st.integers(0, 3).map(float)
+    else:
+        elements = st.floats(0.0, 1.0)
+    weights = draw(hnp.arrays(np.float64, shape, elements=elements))
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestTopPMask:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        probs=probability_rows(),
+        top_p=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    def test_rows_match_oracle(self, probs, top_p):
+        mask = top_p_mask(probs, top_p)
+        assert mask.shape == probs.shape
+        for row, row_mask in zip(probs, mask):
+            assert np.array_equal(row_mask, top_p_mask_bruteforce(row, top_p))
+            assert np.array_equal(top_p_mask(row, top_p), row_mask)
+
+    def test_boundary_ties_kept(self):
+        probs = np.array([[0.4, 0.3, 0.3], [0.25, 0.25, 0.5]])
+        assert top_p_mask(probs, 0.5).tolist() == [[True, True, True], [False, False, True]]
+
+    def test_full_mass_and_one_column(self):
+        probs = np.array([[0.5, 0.25, 0.25, 0.0]])
+        assert top_p_mask(probs, 1.0).tolist() == [[True, True, True, False]]
+        assert top_p_mask(np.ones((3, 1)), 0.2).tolist() == [[True]] * 3
+        assert top_p_mask(np.array([0.1, 0.6, 0.3]), 0.6).tolist() == [False, True, False]
+
+
+class EdgeRng:
+    """Stands in for a Generator whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
 class TestSampleStep:
+    def test_frequencies_match_nucleus(self):
+        logits = np.log([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
+        temperature, top_p, n = 0.8, 0.75, 20000
+        probs = softmax(logits / temperature)
+        want = np.where(top_p_mask(probs, top_p), probs, 0.0)
+        want /= want.sum()
+        assert np.count_nonzero(want) == 3
+        rng = np.random.default_rng(13)
+        codes = np.concatenate([
+            sample_step(np.tile(logits, (n // 20, 1)), temperature, top_p, rng=rng)
+            for _ in range(20)
+        ])
+        freq = np.bincount(codes, minlength=logits.size) / n
+        # Five binomial standard errors per code; codes outside the nucleus get 0.
+        assert np.all(np.abs(freq - want) <= 5.0 * np.sqrt(want * (1.0 - want) / n))
+
+    def test_masked_and_zero_mass_codes_never_drawn(self):
+        # exp underflows to exactly 0 at -1e4, so the trailing columns and the
+        # second row's first column carry no mass.
+        logits = np.array([[2.0, 1.0, 0.5, -1e4, -1e4], [-1e4, 3.0, 0.0, 1.0, -1e4]])
+        probs = softmax(logits, axis=1)
+        rows = np.repeat([0, 1], 5000)
+        for top_p in (1.0, 0.6):
+            allowed = top_p_mask(probs, top_p) & (probs > 0.0)
+            codes = sample_step(logits[rows], top_p=top_p, rng=np.random.default_rng(14))
+            assert np.all(allowed[rows, codes])
+            # Draws at both ends of [0, total] land on the first and last code
+            # with mass, never on a zero-mass neighbour.
+            first, last = np.argmax(allowed, axis=1), 4 - np.argmax(allowed[:, ::-1], axis=1)
+            assert sample_step(logits, top_p=top_p, rng=EdgeRng(0.0)).tolist() == first.tolist()
+            assert sample_step(logits, top_p=top_p, rng=EdgeRng(1.0)).tolist() == last.tolist()
+
+    def test_argmax_unchanged_and_draws_nothing(self):
+        logits = np.random.default_rng(15).normal(size=(40, 17))
+        logits[3, [2, 9]] = 10.0  # a tie goes to the lower code
+        rng = np.random.default_rng(16)
+        state = rng.bit_generator.state
+        codes = sample_step(logits, top_p=0.5, rng=rng, argmax=True)
+        assert np.array_equal(codes, np.argmax(logits, axis=1))
+        assert codes[3] == 2
+        assert rng.bit_generator.state == state
+
     def test_argmax_mode(self):
         logits = np.array([[0.0, 3.0, 1.0], [5.0, 0.0, 0.0]])
         assert sample_step(logits, argmax=True).tolist() == [1, 0]
@@ -202,3 +293,31 @@ class TestGenerate:
         assert final.shape == (8, 4)
         assert np.all((final == 5) | ((final >= 0) & (final < 5)))
         assert np.any(final == 5)
+
+    def test_prefix_is_read_only_view(self):
+        seen = []
+
+        class Recorder(UniformPredictor):
+            def __call__(self, prefix, variant):
+                seen.append((prefix.shape, prefix.flags.writeable))
+                with pytest.raises(ValueError, match="read-only"):
+                    prefix[...] = 0
+                return super().__call__(prefix, variant)
+
+        generate(Recorder(8, 5), 2, 2, Pattern.PROPOSED, GuidanceConfig("dual", 1.0, 1.0), seed=0)
+        assert seen[0] == ((8, 0), False)
+        assert [shape for shape, _ in seen[::4]] == [(8, step) for step in range(5)]
+        assert not any(writeable for _, writeable in seen)
+
+    @pytest.mark.parametrize("mode", ["none", "dual"])
+    def test_non_finite_logits_in_inactive_row_raise(self, mode):
+        def predictor(prefix, variant):
+            logits = np.zeros((4, 3))
+            if prefix.shape[1] == 0 and variant == GuidanceConfig(mode).variants[-1]:
+                logits[3, 0] = np.nan
+            return logits
+
+        # Step 1 of the proposed pattern activates only row 0 (the primary omni
+        # code), so the NaN sits in a row that is not sampled.
+        with pytest.raises(ValueError, match="finite"):
+            generate(predictor, 1, 2, Pattern.PROPOSED, GuidanceConfig(mode))
