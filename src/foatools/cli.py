@@ -6,7 +6,9 @@ given identical inputs and an explicit ``--seed`` wherever sampling is
 involved. Exit codes: 0 success, 1 usage error, 2 data error (the
 diagnostic names the offending file, with a byte offset when the parser
 knows one). Output files are written atomically, so failures never leave
-partial files behind.
+partial files behind. A manifest run writes one row per record, in input
+order: a record that fails a data check gets an ``error`` row and the run
+exits 2, but every good row is still written and the output file is complete.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import curation, guidance, patch_saliency, semantic_metrics, spatial_metrics
 from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pack, pattern_steps, unpack
-from .errors import FoaToolsError
+from .errors import FoaToolsError, IncompatibleClipsError, NoUsableWindowsError
 from .foa import (
     ENERGY_MODE_POWER,
     ENERGY_MODES,
@@ -51,6 +54,9 @@ from .tensor_io import (
 )
 
 SCHEMA_VERSION = 1
+
+# The data errors: exit code 2, or an error row in a manifest run.
+_DATA_ERRORS = (FoaToolsError, ValueError, OSError)
 
 SPATIAL_CSV_COLUMNS = ("cc_all", "cc_1fps", "cc_5fps", "auc_all", "auc_1fps", "auc_5fps")
 
@@ -218,39 +224,81 @@ def cmd_energy_map(args) -> int:
     return 0
 
 
-def _spatial_one(gen_path, gt_path, grid, fixation_percentile) -> dict:
-    report = spatial_metrics.evaluate_windows(
-        read_foa_wav(gen_path), read_foa_wav(gt_path), grid, fixation_percentile
-    )
-    return report.to_dict()
+def _load_manifest(path, required, optional=()) -> list:
+    """Read NDJSON object records; the ``required`` and ``optional`` keys hold paths."""
+    records = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise FoaToolsError(f"{path}:{lineno}: bad JSON record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise FoaToolsError(f"{path}:{lineno}: record is not a JSON object")
+            for key in (*required, *optional):
+                if key in required and key not in record:
+                    raise FoaToolsError(f"{path}:{lineno}: record misses {key!r}")
+                if key in record and not isinstance(record[key], str):
+                    raise FoaToolsError(f"{path}:{lineno}: {key!r} must be a path string")
+            records.append(record)
+    if not records:
+        raise FoaToolsError(f"{path}: manifest holds no records")
+    return records
+
+
+def _run_manifest(args, one, summarize, required, optional=()) -> int:
+    """Write ``one(record)`` for every manifest record, mapped on ``args.jobs`` threads.
+
+    A record that raises a data error gets the row ``{<its path keys>, "error"}``.
+    ``summarize(records, rows)`` may complete the rows or raise before the write,
+    and returns the stdout summary. Returns 2 if any record failed, else 0.
+    """
+    if not args.out:
+        raise UsageError("--manifest mode needs --out for the NDJSON results")
+    records = _load_manifest(args.manifest, required, optional)
+
+    def row_or_error(record):
+        try:
+            return one(record), None
+        except _DATA_ERRORS as exc:
+            keys = {key: record[key] for key in (*required, *optional) if key in record}
+            return {**keys, "error": {"message": str(exc), "type": type(exc).__name__}}, exc
+
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows, errors = zip(*pool.map(row_or_error, records))
+    summary = summarize(records, rows)
+    lines = [json.dumps({"schema_version": SCHEMA_VERSION, **row}, sort_keys=True) for row in rows]
+    _write_text(args.out, "\n".join(lines) + "\n")
+    for exc in filter(None, errors):
+        print(f"error: {exc}", file=sys.stderr)
+    _print_json({**summary, "output": args.out})
+    return 2 if any(errors) else 0
+
+
+def _spatial_one(record, grid, fixation_percentile) -> dict:
+    gen, gt = record["gen"], record["gt"]
+    gen_clip, gt_clip = read_foa_wav(gen), read_foa_wav(gt)
+    try:
+        report = spatial_metrics.evaluate_windows(gen_clip, gt_clip, grid, fixation_percentile)
+    except (IncompatibleClipsError, NoUsableWindowsError) as exc:
+        raise type(exc)(f"{gen} vs {gt}: {exc}") from exc
+    return {"gen": gen, "gt": gt, **report.to_dict()}
 
 
 def cmd_eval_spatial(args) -> int:
     grid = _parse_grid(args.grid)
+    one = partial(_spatial_one, grid=grid, fixation_percentile=args.fixation_percentile)
     if args.manifest:
         if args.gen or args.gt:
             raise UsageError("give either a gen/gt pair or --manifest, not both")
-        if not args.out:
-            raise UsageError("--manifest mode needs --out for the NDJSON results")
-        records = _load_manifest(args.manifest, required=("gen", "gt"))
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(
-                pool.map(
-                    lambda r: _spatial_one(r["gen"], r["gt"], grid, args.fixation_percentile),
-                    records,
-                )
-            )
-        lines = []
-        for record, report in zip(records, reports):
-            row = {"schema_version": SCHEMA_VERSION, "gen": record["gen"], "gt": record["gt"]}
-            row.update(report)
-            lines.append(json.dumps(row, sort_keys=True))
-        _write_text(args.out, "\n".join(lines) + "\n")
-        _print_json({"n_pairs": len(records), "output": args.out})
-        return 0
+        return _run_manifest(args, one, lambda _, rows: {"n_pairs": len(rows)}, ("gen", "gt"))
     if not (args.gen and args.gt):
         raise UsageError("need generated and reference WAV paths (or --manifest)")
-    report = _spatial_one(args.gen, args.gt, grid, args.fixation_percentile)
+    report = one({"gen": args.gen, "gt": args.gt})
+    del report["gen"], report["gt"]
     if args.csv:
         row = ",".join(f"{report[c]:.17g}" for c in SPATIAL_CSV_COLUMNS)
         _write_text(args.csv, row + "\n")
@@ -272,56 +320,49 @@ def _mean_kld(gen_path, gt_path, epsilon) -> float:
         raise FoaToolsError(
             f"{gen_path} and {gt_path} hold mismatched shapes {gen.shape} vs {gt.shape}"
         )
-    if gen.ndim == 1:
-        return semantic_metrics.kld(gen, gt, epsilon)
-    if gen.ndim == 2:
-        values = [
-            semantic_metrics.kld(gen[i], gt[i], epsilon) for i in range(gen.shape[0])
-        ]
-        return float(np.mean(values))
-    raise FoaToolsError(f"{gen_path}: probability tensors must be 1-D or 2-D")
+    if gen.ndim > 2:
+        raise FoaToolsError(f"{gen_path}: probability tensors must be 1-D or 2-D")
+    pairs = zip(np.atleast_2d(gen), np.atleast_2d(gt))
+    return float(np.mean([semantic_metrics.kld(g, t, epsilon) for g, t in pairs]))
+
+
+_SEMANTIC_KEYS = ("gen_features", "gt_features", "gen_probs", "gt_probs")
 
 
 def _semantic_one(record, epsilon) -> dict:
-    row = {}
-    if "gen_features" in record or "gt_features" in record:
-        stats_gen = semantic_metrics.gaussian_stats(_features_2d(record["gen_features"]))
-        stats_gt = semantic_metrics.gaussian_stats(_features_2d(record["gt_features"]))
-        row["fad"] = semantic_metrics.frechet_distance(stats_gen, stats_gt)
-    if "gen_probs" in record or "gt_probs" in record:
-        row["kld"] = _mean_kld(record["gen_probs"], record["gt_probs"], epsilon)
-    if not row:
+    for kind in ("features", "probs"):
+        gen, gt = record.get(f"gen_{kind}"), record.get(f"gt_{kind}")
+        if (gen is None) != (gt is None):
+            raise FoaToolsError(f"{gen or gt}: gen_{kind} and gt_{kind} go together")
+    if "gen_features" not in record and "gen_probs" not in record:
         raise FoaToolsError("manifest record carries neither features nor probabilities")
+    row = dict(record)
+    if "gen_features" in record:
+        row["fad"] = semantic_metrics.frechet_distance(
+            semantic_metrics.gaussian_stats(_features_2d(record["gen_features"])),
+            semantic_metrics.gaussian_stats(_features_2d(record["gt_features"])),
+        )
+    if "gen_probs" in record:
+        row["kld"] = _mean_kld(record["gen_probs"], record["gt_probs"], epsilon)
     return row
 
 
 def cmd_eval_semantic(args) -> int:
+    one = partial(_semantic_one, epsilon=args.epsilon)
     if args.manifest:
-        if not args.out:
-            raise UsageError("--manifest mode needs --out for the NDJSON results")
-        records = _load_manifest(args.manifest, required=())
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda r: _semantic_one(r, args.epsilon), records))
-        lines = []
-        for record, row in zip(records, rows):
-            payload = {"schema_version": SCHEMA_VERSION, **record, **row}
-            lines.append(json.dumps(payload, sort_keys=True))
-        _write_text(args.out, "\n".join(lines) + "\n")
-        _print_json({"n_records": len(records), "output": args.out})
-        return 0
-    result = {}
+        return _run_manifest(
+            args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS
+        )
     if bool(args.gen_features) != bool(args.gt_features):
         raise UsageError("--gen-features and --gt-features go together")
     if bool(args.gen_probs) != bool(args.gt_probs):
         raise UsageError("--gen-probs and --gt-probs go together")
     if not (args.gen_features or args.gen_probs or args.channels):
         raise UsageError("nothing to evaluate; pass feature, probability or channel inputs")
-    if args.gen_features:
-        stats_gen = semantic_metrics.gaussian_stats(_features_2d(args.gen_features))
-        stats_gt = semantic_metrics.gaussian_stats(_features_2d(args.gt_features))
-        result["fad"] = semantic_metrics.frechet_distance(stats_gen, stats_gt)
-    if args.gen_probs:
-        result["kld"] = _mean_kld(args.gen_probs, args.gt_probs, args.epsilon)
+    record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
+    result = {}
+    if record:
+        result = {key: value for key, value in one(record).items() if key not in record}
     if args.channels:
         with open(args.channels, "r", encoding="utf-8") as handle:
             try:
@@ -375,27 +416,19 @@ def cmd_pattern(args) -> int:
     if args.action == "pack":
         if not isinstance(matrix, CodeMatrix):
             raise FoaToolsError(f"{args.input}: already pattern-scheduled; unpack it first")
-        reorg = pack(matrix, Pattern(args.pattern))
+        raw, reorg = matrix, pack(matrix, Pattern(args.pattern))
         write_code_matrix(reorg, args.output)
-        _print_json(
-            {
-                "n_frames": matrix.n_frames,
-                "n_steps": reorg.n_steps,
-                "output": args.output,
-                "pattern": reorg.pattern.value,
-            }
-        )
-        return 0
-    if not isinstance(matrix, ReorgMatrix):
-        raise FoaToolsError(f"{args.input}: not pattern-scheduled; nothing to unpack")
-    raw = unpack(matrix)
-    write_code_matrix(raw, args.output)
+    else:
+        if not isinstance(matrix, ReorgMatrix):
+            raise FoaToolsError(f"{args.input}: not pattern-scheduled; nothing to unpack")
+        raw, reorg = unpack(matrix), matrix
+        write_code_matrix(raw, args.output)
     _print_json(
         {
             "n_frames": raw.n_frames,
-            "n_steps": matrix.n_steps,
+            "n_steps": reorg.n_steps,
             "output": args.output,
-            "pattern": matrix.pattern.value,
+            "pattern": reorg.pattern.value,
         }
     )
     return 0
@@ -433,26 +466,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_manifest(path, required) -> list:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FoaToolsError(f"{path}:{lineno}: bad JSON record: {exc}") from exc
-            for key in required:
-                if key not in record:
-                    raise FoaToolsError(f"{path}:{lineno}: record misses {key!r}")
-            records.append(record)
-    if not records:
-        raise FoaToolsError(f"{path}: manifest holds no records")
-    return records
-
-
 def _curate_one(record, args, grid) -> dict:
     clip = read_foa_wav(record["path"])
     # A clip with no whole second has no second that passed the gate.
@@ -478,35 +491,26 @@ def _curate_one(record, args, grid) -> dict:
     }
 
 
-def cmd_curate(args) -> int:
-    grid = _parse_grid(args.grid)
-    records = _load_manifest(args.manifest, required=("path",))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(lambda r: _curate_one(r, args, grid), records))
-
-    scored = [record for record in records if "score" in record]
-    if scored and len(scored) != len(records):
-        raise FoaToolsError(f"{args.manifest}: either every record carries a score or none")
-    if scored:
+def _curate_decide(manifest, records, rows) -> dict:
+    n_scored = sum("score" in record for record in records)
+    if n_scored not in (0, len(records)):
+        raise FoaToolsError(f"{manifest}: either every record carries a score or none")
+    keep_scores = [None] * len(records)
+    if n_scored:
         keep_scores = curation.relevance_filter([float(r["score"]) for r in records])
-    else:
-        keep_scores = [None] * len(records)
-
-    lines = []
-    n_kept = 0
-    for record, result, score_keep in zip(records, results, keep_scores):
-        keep = bool(result["amplitude_ok"]) and bool(result["windows"])
+    for record, row, score_keep in zip(records, rows, keep_scores):
+        if "error" in row:
+            continue
+        row["keep"] = bool(row["amplitude_ok"]) and bool(row["windows"])
         if score_keep is not None:
-            result["score"] = float(record["score"])
-            result["score_keep"] = bool(score_keep)
-            keep = keep and bool(score_keep)
-        result["keep"] = keep
-        result["schema_version"] = SCHEMA_VERSION
-        n_kept += keep
-        lines.append(json.dumps(result, sort_keys=True))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    _print_json({"n_clips": len(records), "n_kept": n_kept, "output": args.out})
-    return 0
+            row.update(score=float(record["score"]), score_keep=bool(score_keep))
+            row["keep"] = row["keep"] and row["score_keep"]
+    return {"n_clips": len(records), "n_kept": sum(row.get("keep", False) for row in rows)}
+
+
+def cmd_curate(args) -> int:
+    one = partial(_curate_one, args=args, grid=_parse_grid(args.grid))
+    return _run_manifest(args, one, partial(_curate_decide, args.manifest), ("path",))
 
 
 def _describe_file(path) -> dict:
@@ -725,18 +729,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FoaToolsError, ValueError, OSError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

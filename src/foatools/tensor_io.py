@@ -160,12 +160,11 @@ def write_code_matrix(matrix, path) -> None:
     """Serialize a CodeMatrix (pattern id 0) or ReorgMatrix."""
     if isinstance(matrix, CodeMatrix):
         pattern_id = _PATTERN_IDS[None]
-        n, frames, vocab = matrix.n_codebooks_per_channel, matrix.n_frames, matrix.vocab_size
     elif isinstance(matrix, ReorgMatrix):
         pattern_id = _PATTERN_IDS[matrix.pattern]
-        n, frames, vocab = matrix.n_codebooks_per_channel, matrix.n_frames, matrix.vocab_size
     else:
         raise TypeError(f"expected CodeMatrix or ReorgMatrix, got {type(matrix)!r}")
+    n, frames, vocab = matrix.n_codebooks_per_channel, matrix.n_frames, matrix.vocab_size
     if vocab > 0xFFFF:
         raise ValueError("vocabulary size must fit the u16 payload (padding stores V)")
     header = _CODE_HEADER.pack(CODE_MAGIC, n, frames, vocab, pattern_id)

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foatools import CodeMatrix, Direction, FoaClip, Pattern, encode_mono
-from foatools.cli import main
+from foatools.cli import _load_manifest, main
+from foatools.errors import FoaToolsError
 from foatools.tensor_io import (
     read_code_matrix,
     read_foa_wav,
@@ -28,6 +30,24 @@ def run(capsys, *argv):
 
 def last_json(stdout):
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def read_rows(path):
+    return [json.loads(line) for line in path.read_text().strip().splitlines()]
+
+
+def run_manifest(capsys, out_path, *argv):
+    """Run a manifest subcommand at --jobs 1 and at --jobs 2.
+
+    Both runs must exit alike and write byte-identical NDJSON. Returns the
+    exit code, stdout and stderr of the --jobs 1 run, whose rows are in out_path.
+    """
+    first = run(capsys, *argv, "--out", out_path, "--jobs", 1)
+    twin = out_path.with_name(out_path.name + ".jobs2")
+    second = run(capsys, *argv, "--out", twin, "--jobs", 2)
+    assert second[0] == first[0]
+    assert twin.read_bytes() == out_path.read_bytes()
+    return first
 
 
 class TestExitCodes:
@@ -241,12 +261,11 @@ class TestEvalSpatial:
             "\n".join(json.dumps({"gen": str(p), "gt": str(p)}) for p in paths) + "\n"
         )
         out_path = tmp_path / "results.ndjson"
-        code, out, _ = run(
-            capsys, "eval-spatial", "--grid", "8x16",
-            "--manifest", manifest, "--out", out_path, "--jobs", 2,
+        code, out, _ = run_manifest(
+            capsys, out_path, "eval-spatial", "--grid", "8x16", "--manifest", manifest
         )
         assert code == 0
-        lines = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
+        lines = read_rows(out_path)
         assert [l["gen"] for l in lines] == [str(p) for p in paths]
         assert all(l["cc_all"] == pytest.approx(1.0, abs=1e-9) for l in lines)
 
@@ -304,11 +323,9 @@ class TestEvalSemantic:
         manifest = tmp_path / "m.ndjson"
         manifest.write_text("\n".join(lines) + "\n")
         out_path = tmp_path / "res.ndjson"
-        code, _, _ = run(
-            capsys, "eval-semantic", "--manifest", manifest, "--out", out_path, "--jobs", 2
-        )
+        code, _, _ = run_manifest(capsys, out_path, "eval-semantic", "--manifest", manifest)
         assert code == 0
-        rows = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
+        rows = read_rows(out_path)
         assert len(rows) == 2
         assert all(r["fad"] == pytest.approx(0.0, abs=1e-6) for r in rows)
 
@@ -346,12 +363,12 @@ class TestCurate:
         manifest = tmp_path / "in.ndjson"
         manifest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         out_path = tmp_path / "out.ndjson"
-        code, out, _ = run(
-            capsys, "curate", "--manifest", manifest, "--out", out_path,
+        code, out, _ = run_manifest(
+            capsys, out_path, "curate", "--manifest", manifest,
             "--rms-threshold", "0.01", "--grid", "8x16",
         )
         assert code == 0
-        lines = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
+        lines = read_rows(out_path)
         assert len(lines) == 2
         assert lines[0]["keep"] is True
         assert lines[0]["windows"] == [[0, 5]]
@@ -371,12 +388,12 @@ class TestCurate:
         manifest = tmp_path / "in.ndjson"
         manifest.write_text("".join(json.dumps({"path": str(p)}) + "\n" for p in paths))
         out_path = tmp_path / "out.ndjson"
-        code, _, _ = run(
-            capsys, "curate", "--manifest", manifest, "--out", out_path,
+        code, _, _ = run_manifest(
+            capsys, out_path, "curate", "--manifest", manifest,
             "--rms-threshold", "0.01", "--grid", "8x16",
         )
         assert code == 0
-        short, long = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
+        short, long = read_rows(out_path)
         assert short["path"] == str(paths[0]) and long["path"] == str(paths[1])
         # No whole second, so no second passed the gate; the rest is computed as usual.
         assert short["amplitude_ok"] is False
@@ -401,6 +418,118 @@ class TestCurate:
         )
         assert code == 2
         assert "score" in err
+        assert not (tmp_path / "o.ndjson").exists()
+
+
+def _write_clip(path, seconds, seed):
+    rng = np.random.default_rng(seed)
+    signal = 0.2 * rng.normal(size=seconds * 1000)
+    write_foa_wav(encode_mono(signal, Direction(0.5, 0.1), 1000), path)
+    return str(path)
+
+
+def _write_probs(path, seed):
+    probs = np.random.default_rng(seed).random((3, 5))
+    write_tensor((probs / probs.sum(axis=1, keepdims=True)).astype(np.float32), path)
+    return str(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["path", "gen_probs", "other"]), children, max_size=3),
+    max_leaves=6,
+)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+class TestManifestRuns:
+    @pytest.mark.parametrize(
+        "case",
+        ["spatial-missing", "spatial-mismatch", "semantic-missing", "semantic-half-pair",
+         "curate-missing"],
+    )
+    def test_bad_record_keeps_the_good_rows(self, capsys, tmp_path, case):
+        missing = str(tmp_path / "absent")
+        error = ("FileNotFoundError", missing)
+        single = single_bad = None
+        if case.startswith("spatial"):
+            clip = _write_clip(tmp_path / "a.wav", 3, 0)
+            other = _write_clip(tmp_path / "b.wav", 4, 1) if case == "spatial-mismatch" else missing
+            argv = ["eval-spatial", "--grid", "8x16"]
+            good, bad = {"gen": clip, "gt": clip}, {"gen": clip, "gt": other}
+            single, single_bad = argv + [clip, clip], argv + [clip, other]
+            if case == "spatial-mismatch":
+                error = ("IncompatibleClipsError", f"{clip} vs {other}: clips differ")
+        elif case.startswith("semantic"):
+            gen, gt = _write_probs(tmp_path / "g.t", 0), _write_probs(tmp_path / "t.t", 1)
+            argv = ["eval-semantic"]
+            good = {"gen_probs": gen, "gt_probs": gt}
+            single = argv + ["--gen-probs", gen, "--gt-probs", gt]
+            if case == "semantic-half-pair":
+                bad = {"gen_features": gen}
+                error = ("FoaToolsError", f"{gen}: gen_features and gt_features go together")
+            else:
+                bad = {"gen_probs": gen, "gt_probs": missing}
+                single_bad = argv + ["--gen-probs", gen, "--gt-probs", missing]
+        else:
+            argv = ["curate", "--grid", "8x16", "--rms-threshold", "0.01"]
+            good, bad = {"path": _write_clip(tmp_path / "a.wav", 6, 0)}, {"path": missing}
+        manifest = tmp_path / "m.ndjson"
+        manifest.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+        out_path = tmp_path / "rows.ndjson"
+        code, _, err = run_manifest(capsys, out_path, *argv, "--manifest", manifest)
+        assert code == 2
+        error_row, good_row = read_rows(out_path)
+        assert error_row == {"schema_version": 1, "error": error_row["error"], **bad}
+        assert error_row["error"]["type"] == error[0]
+        assert error[1] in error_row["error"]["message"]
+        assert err == f"error: {error_row['error']['message']}\n"
+        if single is None:
+            manifest.write_text(json.dumps(good) + "\n")
+            alone = tmp_path / "alone.ndjson"
+            assert run_manifest(capsys, alone, *argv, "--manifest", manifest)[0] == 0
+            assert good_row == read_rows(alone)[0]
+        else:
+            code, out, _ = run(capsys, *single)
+            assert code == 0
+            assert good_row == {**last_json(out), **good}
+        if single_bad is not None:
+            code, _, single_err = run(capsys, *single_bad)
+            assert (code, single_err) == (2, err)
+
+    @pytest.mark.parametrize(
+        "argv, line, message",
+        [
+            (["eval-spatial"], "5", "record is not a JSON object"),
+            (["eval-spatial"], "1" * 5000, "bad JSON record: Exceeds the limit"),
+            (["eval-spatial"], "[" * 100_000, "bad JSON record: maximum recursion depth"),
+            (["curate", "--rms-threshold", "0.1"], '{"path": 7}', "'path' must be a path string"),
+            (["eval-semantic"], '{"gen_probs": 0, "gt_probs": "p.t"}',
+             "'gen_probs' must be a path string"),
+        ],
+    )
+    def test_malformed_record_aborts_before_any_row(self, capsys, tmp_path, argv, line, message):
+        manifest = tmp_path / "m.ndjson"
+        manifest.write_text('{"gen": "a.wav", "gt": "b.wav", "path": "c.wav"}\n' + line + "\n")
+        out_path = tmp_path / "rows.ndjson"
+        code, _, err = run(capsys, *argv, "--manifest", manifest, "--out", out_path)
+        assert code == 2
+        assert err.startswith(f"error: {manifest}:2: {message}")
+        assert not out_path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(TEXT | JSON_VALUES.map(json.dumps), max_size=5))
+    def test_load_manifest_returns_records_or_a_data_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("manifest") / "m.ndjson"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            records = _load_manifest(path, ("path",), ("gen_probs",))
+        except FoaToolsError:
+            return
+        assert records and all(isinstance(r, dict) for r in records)
+        assert all(isinstance(r["path"], str) for r in records)
+        assert all(isinstance(r.get("gen_probs", ""), str) for r in records)
 
 
 class TestInfo:
