@@ -25,7 +25,7 @@ import numpy as np
 
 from . import curation, guidance, patch_saliency, semantic_metrics, spatial_metrics
 from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pack, pattern_steps, unpack
-from .errors import FoaToolsError, IncompatibleClipsError, NoUsableWindowsError
+from .errors import FoaToolsError, IncompatibleClipsError, MalformedPatternError, NoUsableWindowsError
 from .foa import (
     ENERGY_MODE_POWER,
     ENERGY_MODES,
@@ -227,11 +227,16 @@ def cmd_energy_map(args) -> int:
 def _load_manifest(path, required, optional=()) -> list:
     """Read NDJSON object records; the ``required`` and ``optional`` keys hold paths."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    # Undecodable bytes become lone surrogates, so they can be found per line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise FoaToolsError(f"{path}:{lineno}: not UTF-8 text") from exc
             try:
                 record = json.loads(line)
             except (ValueError, RecursionError) as exc:
@@ -421,7 +426,10 @@ def cmd_pattern(args) -> int:
     else:
         if not isinstance(matrix, ReorgMatrix):
             raise FoaToolsError(f"{args.input}: not pattern-scheduled; nothing to unpack")
-        raw, reorg = unpack(matrix), matrix
+        try:
+            raw, reorg = unpack(matrix), matrix
+        except MalformedPatternError as exc:
+            raise MalformedPatternError(f"{args.input}: {exc}") from exc
         write_code_matrix(raw, args.output)
     _print_json(
         {
@@ -491,19 +499,28 @@ def _curate_one(record, args, grid) -> dict:
     }
 
 
+def _score(manifest, record) -> float:
+    try:
+        return float(record["score"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        got = json.dumps(record["score"])
+        raise FoaToolsError(f"{manifest}: {record['path']}: score must be a number, got {got}") from exc
+
+
 def _curate_decide(manifest, records, rows) -> dict:
     n_scored = sum("score" in record for record in records)
     if n_scored not in (0, len(records)):
         raise FoaToolsError(f"{manifest}: either every record carries a score or none")
-    keep_scores = [None] * len(records)
+    scores = keep_scores = [None] * len(records)
     if n_scored:
-        keep_scores = curation.relevance_filter([float(r["score"]) for r in records])
-    for record, row, score_keep in zip(records, rows, keep_scores):
+        scores = [_score(manifest, record) for record in records]
+        keep_scores = curation.relevance_filter(scores)
+    for row, score, score_keep in zip(rows, scores, keep_scores):
         if "error" in row:
             continue
         row["keep"] = bool(row["amplitude_ok"]) and bool(row["windows"])
         if score_keep is not None:
-            row.update(score=float(record["score"]), score_keep=bool(score_keep))
+            row.update(score=score, score_keep=bool(score_keep))
             row["keep"] = row["keep"] and row["score_keep"]
     return {"n_clips": len(records), "n_kept": sum(row.get("keep", False) for row in rows)}
 

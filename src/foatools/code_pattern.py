@@ -67,35 +67,64 @@ def group_of(row_index: int, n_codebooks_per_channel: int) -> Group:
     return Group.S_PRIMARY if primary else Group.S_RESIDUAL
 
 
+def _step_shape(pattern: Pattern, n: int) -> tuple:
+    """(steps per frame, extra steps): a pattern spans per_frame * L + extra steps."""
+    return {Pattern.PROPOSED: (2, 1), Pattern.SEQUENTIAL_DELAY: (1, 4 * n - 1)}.get(pattern, (2, 0))
+
+
 def pattern_steps(pattern: Pattern, n_codebooks_per_channel: int, n_frames: int) -> int:
     """Number of sequential steps a pattern needs for an (4N x L) matrix."""
     n, length = int(n_codebooks_per_channel), int(n_frames)
     if n < 1 or length < 1:
         raise ValueError("need at least one codebook and one frame")
-    pattern = Pattern(pattern)
-    if pattern is Pattern.PROPOSED:
-        return 2 * length + 1
-    if pattern is Pattern.SEQUENTIAL_DELAY:
-        return length + 4 * n - 1
-    return 2 * length
+    per_frame, extra = _step_shape(Pattern(pattern), n)
+    return per_frame * length + extra
 
 
-def _step_table(pattern: Pattern, n: int, n_frames: int) -> np.ndarray:
-    """1-based step of every (row, frame) cell, shaped (4N, L)."""
-    rows = np.arange(1, 4 * n + 1)[:, None]
-    frames = np.arange(1, n_frames + 1)[None, :]
-    primary = (rows - 1) % n == 0
-    omni = rows <= n
-    pattern = Pattern(pattern)
+def _schedule(pattern: Pattern, n: int, n_frames: int) -> tuple:
+    """Where a pattern puts the cells of a (4N x L) matrix.
+
+    Returns ``index``, the fancy-index pair that places cell (i, t) at its
+    0-based step, and ``occupied``, the (4N x steps) mask of scheduled slots.
+    """
+    occupied = np.zeros((4 * n, pattern_steps(pattern, n, n_frames)), dtype=bool)
+    rows = np.arange(4 * n)[:, None]
+    frames = np.arange(n_frames)[None, :]
+    primary = rows % n == 0
+    omni = rows < n
     if pattern is Pattern.PROPOSED:
-        # -1 for W_p, +1 for S_r, 0 for the middle groups.
-        offset = np.where(primary & omni, -1, np.where(~primary & ~omni, 1, 0))
-        return 2 * frames + offset
-    if pattern is Pattern.SEQUENTIAL_DELAY:
-        return frames + rows - 1
-    if pattern is Pattern.RESIDUAL_ONLY:
-        return 2 * frames - primary.astype(int)
-    return 2 * frames - omni.astype(int)
+        # 0 for W_p, 2 for S_r, 1 for the middle groups.
+        step = 2 * frames + np.where(primary & omni, 0, np.where(~primary & ~omni, 2, 1))
+    elif pattern is Pattern.SEQUENTIAL_DELAY:
+        step = frames + rows
+    elif pattern is Pattern.RESIDUAL_ONLY:
+        step = 2 * frames + ~primary
+    else:
+        step = 2 * frames + ~omni
+    index = (rows, step)
+    occupied[index] = True
+    return index, occupied
+
+
+def _validate(matrix, padded: bool) -> None:
+    """Check and normalize codes, N and V in place; a ``padded`` matrix may also hold V."""
+    codes = np.asarray(matrix.codes)
+    if codes.ndim != 2 or not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError("codes must be a 2-D integer matrix")
+    n = int(matrix.n_codebooks_per_channel)
+    v = int(matrix.vocab_size)
+    if n < 1 or v < 1:
+        raise ValueError("need positive codebook count and vocabulary size")
+    if codes.shape[0] != 4 * n:
+        raise ValueError(f"expected {4 * n} rows for N={n}, got {codes.shape[0]}")
+    if codes.shape[1] < 1:
+        raise ValueError("code matrix must hold at least one column")
+    top = v if padded else v - 1
+    if codes.min() < 0 or codes.max() > top:
+        raise ValueError(f"codes must lie in [0, {top}] for V={v}")
+    object.__setattr__(matrix, "codes", codes.astype(np.int64))
+    object.__setattr__(matrix, "n_codebooks_per_channel", n)
+    object.__setattr__(matrix, "vocab_size", v)
 
 
 @dataclass(frozen=True)
@@ -107,22 +136,7 @@ class CodeMatrix:
     vocab_size: int
 
     def __post_init__(self) -> None:
-        codes = np.asarray(self.codes)
-        if codes.ndim != 2 or not np.issubdtype(codes.dtype, np.integer):
-            raise ValueError("codes must be a 2-D integer matrix")
-        n = int(self.n_codebooks_per_channel)
-        v = int(self.vocab_size)
-        if n < 1 or v < 1:
-            raise ValueError("need positive codebook count and vocabulary size")
-        if codes.shape[0] != 4 * n:
-            raise ValueError(f"expected {4 * n} rows for N={n}, got {codes.shape[0]}")
-        if codes.shape[1] < 1:
-            raise ValueError("code matrix must hold at least one frame")
-        if codes.min() < 0 or codes.max() >= v:
-            raise ValueError(f"codes must lie in [0, {v})")
-        object.__setattr__(self, "codes", codes.astype(np.int64))
-        object.__setattr__(self, "n_codebooks_per_channel", n)
-        object.__setattr__(self, "vocab_size", v)
+        _validate(self, padded=False)
 
     @property
     def n_frames(self) -> int:
@@ -139,23 +153,16 @@ class ReorgMatrix:
     vocab_size: int
 
     def __post_init__(self) -> None:
-        codes = np.asarray(self.codes)
-        if codes.ndim != 2 or not np.issubdtype(codes.dtype, np.integer):
-            raise ValueError("codes must be a 2-D integer matrix")
+        _validate(self, padded=True)
         pattern = Pattern(self.pattern)
-        n = int(self.n_codebooks_per_channel)
-        v = int(self.vocab_size)
-        if n < 1 or v < 1:
-            raise ValueError("need positive codebook count and vocabulary size")
-        if codes.shape[0] != 4 * n:
-            raise ValueError(f"expected {4 * n} rows for N={n}, got {codes.shape[0]}")
-        if codes.min() < 0 or codes.max() > v:
-            raise ValueError(f"entries must lie in [0, {v}] (padding = {v})")
-        n_frames = _frames_from_steps(pattern, n, codes.shape[1])
-        object.__setattr__(self, "codes", codes.astype(np.int64))
+        n, steps = self.n_codebooks_per_channel, self.codes.shape[1]
+        per_frame, extra = _step_shape(pattern, n)
+        n_frames, rem = divmod(steps - extra, per_frame)
+        if rem != 0 or n_frames < 1:
+            raise MalformedPatternError(
+                f"{steps} steps is not a valid {pattern.value} schedule length for N={n}"
+            )
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "n_codebooks_per_channel", n)
-        object.__setattr__(self, "vocab_size", v)
         object.__setattr__(self, "_n_frames", n_frames)
 
     @property
@@ -171,41 +178,23 @@ class ReorgMatrix:
         return self._n_frames
 
 
-def _frames_from_steps(pattern: Pattern, n: int, steps: int) -> int:
-    if pattern is Pattern.PROPOSED:
-        frames, rem = divmod(steps - 1, 2)
-    elif pattern is Pattern.SEQUENTIAL_DELAY:
-        frames, rem = steps - 4 * n + 1, 0
-    else:
-        frames, rem = divmod(steps, 2)
-    if rem != 0 or frames < 1:
-        raise MalformedPatternError(
-            f"{steps} steps is not a valid {pattern.value} schedule length for N={n}"
-        )
-    return frames
-
-
 def pack(matrix: CodeMatrix, pattern: Pattern) -> ReorgMatrix:
     """Reorganize a code matrix onto a pattern's step schedule."""
     pattern = Pattern(pattern)
     n = matrix.n_codebooks_per_channel
-    table = _step_table(pattern, n, matrix.n_frames)
-    steps = pattern_steps(pattern, n, matrix.n_frames)
-    out = np.full((4 * n, steps), matrix.vocab_size, dtype=np.int64)
-    out[np.arange(4 * n)[:, None], table - 1] = matrix.codes
+    index, occupied = _schedule(pattern, n, matrix.n_frames)
+    out = np.full(occupied.shape, matrix.vocab_size, dtype=np.int64)
+    out[index] = matrix.codes
     return ReorgMatrix(out, pattern, n, matrix.vocab_size)
 
 
 def unpack(reorg: ReorgMatrix) -> CodeMatrix:
     """Invert :func:`pack`, validating the padding layout first."""
     n = reorg.n_codebooks_per_channel
-    table = _step_table(reorg.pattern, n, reorg.n_frames)
-    occupied = np.zeros(reorg.codes.shape, dtype=bool)
-    occupied[np.arange(4 * n)[:, None], table - 1] = True
+    index, occupied = _schedule(reorg.pattern, n, reorg.n_frames)
     pad = reorg.codes == reorg.pad_value
     if np.any(pad & occupied):
         raise MalformedPatternError("padding found in a slot the pattern schedules")
     if np.any(~pad & ~occupied):
         raise MalformedPatternError("code found in a slot the pattern pads")
-    codes = reorg.codes[np.arange(4 * n)[:, None], table - 1]
-    return CodeMatrix(codes, n, reorg.vocab_size)
+    return CodeMatrix(reorg.codes[index], n, reorg.vocab_size)

@@ -13,7 +13,7 @@ the conditioning:
 
 Guided logits extrapolate between these variants at scale omega; the
 generation harness walks a pattern's step schedule, sampling only the rows
-active at each step and unpacking the finished schedule back to a raw code
+active at each step and reading the finished schedule back into a raw code
 matrix.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import softmax, top_p_mask
-from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, _step_table, pack, pattern_steps, unpack
+from .code_pattern import CodeMatrix, Pattern, _schedule, pack
 
 MODES = ("none", "directional", "visual", "joint", "dual")
 
@@ -166,25 +166,22 @@ def generate(
     variant the guidance mode needs, the variants are combined, and codes
     are sampled only for the rows the schedule activates at that step.
     The predictor sees a read-only view of the generated columns, and the
-    finished schedule is unpacked to a raw (4N x L) matrix without padding.
+    finished schedule is read back into a raw (4N x L) matrix without padding.
     """
     pattern = Pattern(pattern)
     n = int(n_codebooks_per_channel)
-    table = _step_table(pattern, n, int(n_frames))
-    n_steps = pattern_steps(pattern, n, int(n_frames))
+    index, occupied = _schedule(pattern, n, int(n_frames))
     rng = np.random.default_rng(seed)
-    active = np.zeros((n_steps, 4 * n), dtype=bool)
-    active[table - 1, np.arange(4 * n)[:, None]] = True
 
     # Filled with the pad value once the predictor reveals the vocabulary.
-    buffer = np.empty((4 * n, n_steps), dtype=np.int64)
+    buffer = np.empty(occupied.shape, dtype=np.int64)
     generated = buffer.view()
     generated.flags.writeable = False
     vocab_size = None
-    for step, rows in enumerate(map(np.flatnonzero, active), start=1):
+    for step, rows in enumerate(map(np.flatnonzero, occupied.T)):
         variant_logits = {}
         for variant in guidance.variants:
-            logits = np.asarray(predictor(generated[:, : step - 1], variant), dtype=np.float64)
+            logits = np.asarray(predictor(generated[:, :step], variant), dtype=np.float64)
             if logits.ndim != 2 or logits.shape[0] != 4 * n:
                 raise ValueError(
                     f"predictor returned shape {logits.shape}, expected ({4 * n}, V)"
@@ -195,19 +192,9 @@ def generate(
             elif logits.shape[1] != vocab_size:
                 raise ValueError("predictor changed vocabulary size between calls")
             variant_logits[variant] = _checked(variant, logits, None)[rows]
-        combined = combine(
-            guidance.mode,
-            variant_logits.get("full"),
-            variant_logits.get("direction_only"),
-            variant_logits.get("visual_only"),
-            variant_logits.get("unconditional"),
-            omega=guidance.omega,
-            omega2=guidance.omega2,
-        )
-        buffer[rows, step - 1] = sample_step(combined, temperature, top_p, rng=rng, argmax=argmax)
-
-    reorg = ReorgMatrix(buffer, pattern, n, vocab_size)
-    return unpack(reorg)
+        combined = combine(guidance.mode, **variant_logits, omega=guidance.omega, omega2=guidance.omega2)
+        buffer[rows, step] = sample_step(combined, temperature, top_p, rng=rng, argmax=argmax)
+    return CodeMatrix(buffer[index], n, vocab_size)
 
 
 class TablePredictor:

@@ -48,6 +48,7 @@ from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pattern_steps
 from .errors import (
     HeaderParseError,
     PayloadSizeError,
+    TensorIOError,
     UnknownDtypeError,
     WavFormatError,
 )
@@ -198,9 +199,10 @@ def read_code_matrix(path):
             f"expected {expected} for {4 * n}x{columns} u16 codes"
         )
     codes = np.frombuffer(payload, dtype="<u2").reshape(4 * n, columns).astype(np.int64)
-    if pattern is None:
-        return CodeMatrix(codes, n, vocab)
-    return ReorgMatrix(codes, pattern, n, vocab)
+    try:
+        return CodeMatrix(codes, n, vocab) if pattern is None else ReorgMatrix(codes, pattern, n, vocab)
+    except ValueError as exc:
+        raise TensorIOError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

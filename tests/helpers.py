@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from foatools import Direction, FoaClip, Rotation, encode_mono
+from foatools import Direction, FoaClip, Group, Pattern, Rotation, encode_mono, group_of
 
 
 def random_rotation(rng):
@@ -202,6 +202,37 @@ def top_p_mask_bruteforce(probs, top_p):
     if boundary is None:
         boundary = probs[order[-1]]
     return np.array([p >= boundary for p in probs], dtype=bool)
+
+
+def pack_bruteforce(matrix, pattern):
+    """Scheduled codes of ``pack``, placed cell by cell with the per-group
+    step rules of the ``code_pattern`` docstring (rows i, frames t and steps
+    all 1-based); every slot no cell claims holds the vocabulary size."""
+    n, length, pad = matrix.n_codebooks_per_channel, matrix.n_frames, matrix.vocab_size
+    pattern = Pattern(pattern)
+    if pattern is Pattern.PROPOSED:
+        n_steps = 2 * length + 1
+    elif pattern is Pattern.SEQUENTIAL_DELAY:
+        n_steps = length + 4 * n - 1
+    else:
+        n_steps = 2 * length
+    out = np.full((4 * n, n_steps), pad, dtype=np.int64)
+    for i in range(1, 4 * n + 1):
+        group = group_of(i, n)
+        primary = group in (Group.W_PRIMARY, Group.S_PRIMARY)
+        omni = group in (Group.W_PRIMARY, Group.W_RESIDUAL)
+        for t in range(1, length + 1):
+            if pattern is Pattern.PROPOSED:
+                step = {Group.W_PRIMARY: 2 * t - 1, Group.S_RESIDUAL: 2 * t + 1}.get(group, 2 * t)
+            elif pattern is Pattern.SEQUENTIAL_DELAY:
+                step = t + i - 1
+            elif pattern is Pattern.RESIDUAL_ONLY:
+                step = 2 * t - 1 if primary else 2 * t
+            else:
+                step = 2 * t - 1 if omni else 2 * t
+            assert out[i - 1, step - 1] == pad, "two cells scheduled into one slot"
+            out[i - 1, step - 1] = matrix.codes[i - 1, t - 1]
+    return out
 
 
 def patch_energy_bruteforce(spatial, temporal, temperature, top_p):

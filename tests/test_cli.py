@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foatools import CodeMatrix, Direction, FoaClip, Pattern, encode_mono
+from foatools import CodeMatrix, Direction, FoaClip, Pattern, ReorgMatrix, encode_mono, pack
 from foatools.cli import _load_manifest, main
 from foatools.errors import FoaToolsError
 from foatools.tensor_io import (
@@ -188,6 +188,22 @@ class TestPatternCommands:
         write_code_matrix(CodeMatrix(np.zeros((4, 2), dtype=np.int64), 1, 3), raw)
         code, _, err = run(capsys, "pattern", "unpack", raw, tmp_path / "x.cmx")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [(0, 5, "padding found in a slot the pattern schedules"),
+         (1, 0, "code found in a slot the pattern pads")],
+    )
+    def test_bad_padding_layout_names_file(self, capsys, tmp_path, column, value, message):
+        packed = tmp_path / "packed.cmx"
+        reorg = pack(CodeMatrix(np.zeros((4, 2), dtype=np.int64), 1, 5), Pattern.PROPOSED)
+        codes = reorg.codes.copy()
+        codes[0, column] = value  # row 0 (W_p) is scheduled at step 1 and padded at step 2
+        write_code_matrix(ReorgMatrix(codes, Pattern.PROPOSED, 1, 5), packed)
+        code, _, err = run(capsys, "pattern", "unpack", packed, tmp_path / "x.cmx")
+        assert code == 2
+        assert err == f"error: {packed}: {message}\n"
+        assert not (tmp_path / "x.cmx").exists()
 
     def test_malformed_file_leaves_no_output(self, capsys, tmp_path):
         target = tmp_path / "never.cmx"
@@ -420,6 +436,33 @@ class TestCurate:
         assert "score" in err
         assert not (tmp_path / "o.ndjson").exists()
 
+    @pytest.mark.parametrize("score", [None, "abc", [1.0], 10**400])
+    def test_non_numeric_score_rejected(self, capsys, tmp_path, score):
+        path = tmp_path / "c.wav"
+        write_foa_wav(FoaClip(np.ones((4, 5 * 1000)), 1000), path)
+        manifest = tmp_path / "in.ndjson"
+        manifest.write_text(
+            json.dumps({"path": str(path), "score": "1.5"}) + "\n"
+            + json.dumps({"path": str(path), "score": score}) + "\n"
+        )
+        code, _, err = run(
+            capsys, "curate", "--manifest", manifest, "--out", tmp_path / "o.ndjson",
+            "--rms-threshold", "0.1",
+        )
+        assert code == 2
+        assert err == f"error: {manifest}: {path}: score must be a number, got {json.dumps(score)}\n"
+        assert not (tmp_path / "o.ndjson").exists()
+
+    def test_numeric_string_score_accepted(self, capsys, tmp_path):
+        path = tmp_path / "c.wav"
+        write_foa_wav(FoaClip(np.ones((4, 5 * 1000)), 1000), path)
+        manifest = tmp_path / "in.ndjson"
+        manifest.write_text("".join(json.dumps({"path": str(path), "score": s}) + "\n" for s in ("1.5", 2)))
+        out_path = tmp_path / "o.ndjson"
+        code, _, _ = run(capsys, "curate", "--manifest", manifest, "--out", out_path, "--rms-threshold", "0.1")
+        assert code == 0
+        assert [row["score"] for row in read_rows(out_path)] == [1.5, 2.0]
+
 
 def _write_clip(path, seconds, seed):
     rng = np.random.default_rng(seed)
@@ -507,11 +550,14 @@ class TestManifestRuns:
             (["curate", "--rms-threshold", "0.1"], '{"path": 7}', "'path' must be a path string"),
             (["eval-semantic"], '{"gen_probs": 0, "gt_probs": "p.t"}',
              "'gen_probs' must be a path string"),
+            # Written with surrogateescape, "\udcff" is the lone byte 0xff.
+            (["eval-spatial"], '{"gen": "\udcff"}', "not UTF-8 text"),
         ],
     )
     def test_malformed_record_aborts_before_any_row(self, capsys, tmp_path, argv, line, message):
         manifest = tmp_path / "m.ndjson"
-        manifest.write_text('{"gen": "a.wav", "gt": "b.wav", "path": "c.wav"}\n' + line + "\n")
+        text = '{"gen": "a.wav", "gt": "b.wav", "path": "c.wav"}\n' + line + "\n"
+        manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
         out_path = tmp_path / "rows.ndjson"
         code, _, err = run(capsys, *argv, "--manifest", manifest, "--out", out_path)
         assert code == 2

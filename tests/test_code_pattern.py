@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foatools import CodeMatrix, Group, Pattern, ReorgMatrix, group_of, pack, pattern_steps, unpack
 from foatools.errors import MalformedPatternError
+from foatools.tensor_io import read_code_matrix, write_code_matrix
+from helpers import pack_bruteforce
 
 
 def random_matrix(rng, n, frames, vocab=1024):
@@ -141,6 +144,27 @@ class TestRoundTrip:
                 assert np.array_equal(back.codes, matrix.codes)
                 assert back.vocab_size == matrix.vocab_size
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        frames=st.integers(1, 40),
+        vocab=st.integers(1, 0xFFFF),
+        pattern=st.sampled_from(list(Pattern)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pack_matches_oracle_and_round_trips(self, tmp_path_factory, n, frames, vocab, pattern, seed):
+        matrix = random_matrix(np.random.default_rng(seed), n, frames, vocab)
+        reorg = pack(matrix, pattern)
+        assert np.array_equal(reorg.codes, pack_bruteforce(matrix, pattern))
+        assert np.array_equal(unpack(reorg).codes, matrix.codes)
+        path = tmp_path_factory.mktemp("codes") / "m.cmx"
+        for original in (matrix, reorg):
+            write_code_matrix(original, path)
+            back = read_code_matrix(path)
+            assert type(back) is type(original)
+            assert np.array_equal(back.codes, original.codes)
+            assert (back.n_codebooks_per_channel, back.n_frames, back.vocab_size) == (n, frames, vocab)
+
     def test_every_cell_packed_exactly_once(self):
         rng = np.random.default_rng(6)
         matrix = random_matrix(rng, 3, 7)
@@ -157,6 +181,22 @@ class TestValidation:
             CodeMatrix(-np.ones((4, 2), dtype=np.int64), 1, 5)
         with pytest.raises(ValueError):
             CodeMatrix(np.zeros((6, 2), dtype=np.int64), 2, 5)  # rows != 4N
+
+    def test_upper_bounds(self):
+        with pytest.raises(ValueError, match=r"\[0, 4\] for V=5"):
+            CodeMatrix(np.full((4, 3), 5), 1, 5)
+        ReorgMatrix(np.full((4, 3), 5), Pattern.PROPOSED, 1, 5)  # padding = V is allowed
+        with pytest.raises(ValueError, match=r"\[0, 5\] for V=5"):
+            ReorgMatrix(np.full((4, 3), 6), Pattern.PROPOSED, 1, 5)
+        with pytest.raises(ValueError):
+            ReorgMatrix(-np.ones((4, 3), dtype=np.int64), Pattern.PROPOSED, 1, 5)
+
+    def test_zero_columns(self):
+        empty = np.zeros((8, 0), dtype=np.int64)
+        with pytest.raises(ValueError, match="at least one column"):
+            CodeMatrix(empty, 2, 5)
+        with pytest.raises(ValueError, match="at least one column"):
+            ReorgMatrix(empty, Pattern.PROPOSED, 2, 5)
 
     def test_malformed_pad_in_scheduled_slot(self):
         rng = np.random.default_rng(7)

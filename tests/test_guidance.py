@@ -279,6 +279,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="shape"):
             generate(predictor, 2, 2, Pattern.PROPOSED, GuidanceConfig("none"))
 
+    def test_predictor_changing_vocabulary_raises(self):
+        def predictor(prefix, variant):
+            return np.zeros((4, 3 + prefix.shape[1]))
+
+        with pytest.raises(ValueError, match="changed vocabulary size"):
+            generate(predictor, 1, 2, Pattern.PROPOSED, GuidanceConfig("none"))
+
     def test_prefix_uses_pad_sentinel(self):
         seen = []
 

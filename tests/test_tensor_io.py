@@ -7,6 +7,7 @@ from foatools import CodeMatrix, EnergyMap, FoaClip, Pattern, SphereGrid, pack
 from foatools.errors import (
     HeaderParseError,
     PayloadSizeError,
+    TensorIOError,
     UnknownDtypeError,
     WavFormatError,
 )
@@ -136,6 +137,18 @@ class TestCodeMatrixFiles:
         path.write_bytes(blob[:-2])
         with pytest.raises(PayloadSizeError):
             read_code_matrix(path)
+
+    @pytest.mark.parametrize("pattern", [None, Pattern.PROPOSED])
+    def test_code_out_of_range_names_file(self, tmp_path, pattern):
+        matrix = CodeMatrix(np.zeros((4, 2), dtype=np.int64), 1, 5)
+        path = tmp_path / "bad.codes"
+        write_code_matrix(matrix if pattern is None else pack(matrix, pattern), path)
+        blob = bytearray(path.read_bytes())
+        blob[17:19] = struct.pack("<H", 6)  # first code, above V and the padding value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TensorIOError, match="codes must lie in") as info:
+            read_code_matrix(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_vocab_too_large(self, tmp_path):
         matrix = CodeMatrix(np.zeros((4, 1), dtype=np.int64), 1, 0x10000)
