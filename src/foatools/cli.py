@@ -41,9 +41,11 @@ from .tensor_io import (
     CODE_MAGIC,
     atomic_write,
     read_code_matrix,
+    read_foa_moments,
     read_foa_wav,
     read_tensor,
     read_wav,
+    read_wav_header,
     write_code_matrix,
     write_energy_map_csv,
     write_energy_map_pgm,
@@ -130,6 +132,8 @@ def _read_mono_wav(path):
     samples, sample_rate = read_wav(path)
     if samples.shape[0] != 1:
         raise FoaToolsError(f"{path}: expected mono audio, found {samples.shape[0]} channels")
+    if not np.all(np.isfinite(samples)):
+        raise FoaToolsError(f"{path}: samples must be finite")
     return samples[0], sample_rate
 
 
@@ -259,11 +263,14 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
 
     A record that raises a data error gets the row ``{<its path keys>, "error"}``.
     ``summarize(records, rows)`` may complete the rows or raise before the write,
-    and returns the stdout summary. Returns 2 if any record failed, else 0.
+    and returns the stdout summary. It first runs with no rows before any record,
+    so an error in the manifest stops the run before a file is read. Returns 2
+    if any record failed, else 0.
     """
     if not args.out:
         raise UsageError("--manifest mode needs --out for the NDJSON results")
     records = _load_manifest(args.manifest, required, optional)
+    summarize(records, ())
 
     def row_or_error(record):
         try:
@@ -285,9 +292,9 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
 
 def _spatial_one(record, grid, fixation_percentile) -> dict:
     gen, gt = record["gen"], record["gt"]
-    gen_clip, gt_clip = read_foa_wav(gen), read_foa_wav(gt)
+    gen_moments, gt_moments = read_foa_moments(gen), read_foa_moments(gt)
     try:
-        report = spatial_metrics.evaluate_windows(gen_clip, gt_clip, grid, fixation_percentile)
+        report = spatial_metrics.evaluate_windows(gen_moments, gt_moments, grid, fixation_percentile)
     except (IncompatibleClipsError, NoUsableWindowsError) as exc:
         raise type(exc)(f"{gen} vs {gt}: {exc}") from exc
     return {"gen": gen, "gt": gt, **report.to_dict()}
@@ -534,13 +541,13 @@ def _describe_file(path) -> dict:
     with open(path, "rb") as handle:
         head = handle.read(4)
     if head == b"RIFF":
-        samples, sample_rate = read_wav(path)
+        header = read_wav_header(path)
         return {
             "format": "wav",
-            "n_channels": int(samples.shape[0]),
-            "n_samples": int(samples.shape[1]),
+            "n_channels": header.channels,
+            "n_samples": header.frames,
             "path": path,
-            "sample_rate": sample_rate,
+            "sample_rate": header.sample_rate,
         }
     if head == CODE_MAGIC:
         matrix = read_code_matrix(path)

@@ -10,6 +10,7 @@ over the usable windows of each granularity.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,39 +146,54 @@ def auc(
     return float(roc)
 
 
-def _window_moments(clip: FoaClip) -> tuple:
-    """Mean second moments of every window, whole clip first, then the
-    1000 ms and the 200 ms windows; and the window count of each."""
-    samples, rate, n = clip.samples, clip.sample_rate, clip.n_samples
-    length = max(1, rate // 5)
-    blocks = block_moments(samples, length)
-    tail = samples[:, blocks.shape[0] * length :]
-    whole = blocks.sum(axis=0) + tail @ tail.T
-    if rate % 5 == 0:
-        seconds = blocks[: 5 * (n // rate)].reshape(-1, 5, 4, 4).sum(axis=1)
+# Summed 4x4 second moments of a clip: ``whole`` (4, 4) over every sample,
+# ``seconds`` and ``blocks`` (n, 4, 4) over each whole 1000 ms and 200 ms window.
+WindowMoments = namedtuple("WindowMoments", "n_samples sample_rate whole seconds blocks")
+
+
+def window_moments(slabs_of, n_samples: int, sample_rate: int) -> WindowMoments:
+    """Window moments of a clip that ``slabs_of(length)`` yields in order as
+    (4, frames) slabs, all but the last of whole ``length``-sample blocks.
+    The whole clip sums the 200 ms blocks, then the tail; 1000 ms windows add
+    five blocks when the rate divides by 5, else take a second walk."""
+
+    def walk(length):
+        parts = []
+        for slab in slabs_of(length):
+            parts.append(block_moments(slab, length))
+        tail = slab[:, parts[-1].shape[0] * length :]
+        return np.concatenate(parts), tail @ tail.T
+
+    blocks, tail = walk(max(1, sample_rate // 5))
+    whole = blocks.sum(axis=0) + tail
+    if sample_rate % 5 == 0:
+        seconds = blocks[: 5 * (n_samples // sample_rate)].reshape(-1, 5, 4, 4).sum(axis=1)
     else:
-        seconds = block_moments(samples, rate)
-    moments = np.concatenate([whole[None] / n, seconds / rate, blocks / length])
-    return moments, (1, seconds.shape[0], blocks.shape[0])
+        seconds = walk(sample_rate)[0]
+    return WindowMoments(n_samples, sample_rate, whole, seconds, blocks)
+
+
+def _window_moments(clip: FoaClip) -> WindowMoments:
+    return window_moments(lambda length: [clip.samples], clip.n_samples, clip.sample_rate)
 
 
 def evaluate_windows(
-    gen: FoaClip,
-    gt: FoaClip,
+    gen,
+    gt,
     grid: SphereGrid,
     fixation_percentile: float = DEFAULT_FIXATION_PERCENTILE,
 ) -> SpatialReport:
     """Windowed correlation/AUC between two clips at all three granularities.
 
-    The whole-clip window keeps every sample; the 1000 ms and 200 ms
-    windows tile the clip from its start and drop a trailing partial
-    window. All power-mode maps come from one pass: summed second moments
-    of every 200 ms block (1000 ms windows add up five of them when the
-    rate divides by 5), then one product for every window's map, then CC
-    and AUC row by row. Each granularity reports the mean metric over its
-    usable windows. Windows where either metric is undefined (a silent or
-    otherwise constant map) are counted in ``windows_skipped``; a
-    granularity with no usable window raises NoUsableWindowsError.
+    ``gen`` and ``gt`` are clips, or their WindowMoments as read by
+    ``tensor_io.read_foa_moments``. The whole-clip window keeps every
+    sample; the 1000 ms and 200 ms windows tile the clip from its start and
+    drop a trailing partial window. All power-mode maps come from one pass:
+    summed second moments of every 200 ms block, then one product for every
+    window's map, then CC and AUC row by row. Each granularity reports the
+    mean over its usable windows. Windows where either metric is undefined
+    (a silent or otherwise constant map) are counted in ``windows_skipped``;
+    a granularity with no usable window raises NoUsableWindowsError.
     """
     if gen.n_samples != gt.n_samples or gen.sample_rate != gt.sample_rate:
         raise IncompatibleClipsError(
@@ -185,9 +201,13 @@ def evaluate_windows(
             f"{gt.n_samples}@{gt.sample_rate}"
         )
 
-    gen_moments, counts = _window_moments(gen)
-    gen_maps = power_maps(grid, gen_moments)
-    gt_maps = power_maps(grid, _window_moments(gt)[0])
+    gen, gt = (m if isinstance(m, WindowMoments) else _window_moments(m) for m in (gen, gt))
+    counts, length = (1, gen.seconds.shape[0], gen.blocks.shape[0]), max(1, gen.sample_rate // 5)
+    # Mean moments of every window, whole clip first, then the 1000 ms and the 200 ms ones.
+    gen_maps, gt_maps = (
+        power_maps(grid, np.concatenate([m.whole[None] / m.n_samples, m.seconds / m.sample_rate, m.blocks / length]))
+        for m in (gen, gt)
+    )
     if not (np.all(np.isfinite(gen_maps)) and np.all(np.isfinite(gt_maps))):
         raise ValueError("energy values must be finite")
     cc = correlation_rows(gen_maps, gt_maps, grid.weights)

@@ -6,6 +6,7 @@ implementations.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -31,6 +32,28 @@ def random_clip(rng, n_samples=512, sample_rate=44100):
 
 def encoded_noise(rng, direction, n_samples=2205, sample_rate=44100):
     return encode_mono(rng.normal(size=n_samples), direction, sample_rate)
+
+
+def set_float32_sample(path, index, value):
+    """Overwrite sample ``index`` (frame-major) of a float32 WAV file in place;
+    the writers refuse non-finite samples, so NaN files are made this way."""
+    blob = path.read_bytes()
+    start = blob.index(b"data") + 8 + 4 * index
+    path.write_bytes(blob[:start] + struct.pack("<f", value) + blob[start + 4 :])
+
+
+def extensible_wav(frames, sample_rate, subformat, bits, payload):
+    """A WAVE_FORMAT_EXTENSIBLE (0xFFFE) file, built by hand from its fields."""
+    channels = frames.shape[1]
+    block_align = channels * bits // 8
+    fmt = struct.pack(
+        "<HHIIHHHHI", 0xFFFE, channels, sample_rate, sample_rate * block_align,
+        block_align, bits, 22, bits, 0x33,  # extension size, valid bits, channel mask
+    )
+    fmt += struct.pack("<IHH", subformat, 0x0000, 0x0010) + bytes.fromhex("800000aa00389b71")
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def grid_cells(grid):

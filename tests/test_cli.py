@@ -18,6 +18,7 @@ from foatools.tensor_io import (
     write_tensor,
     write_wav,
 )
+from helpers import extensible_wav, set_float32_sample
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,6 +172,24 @@ class TestEnergyMapCommand:
         assert payload["value_max"] == pytest.approx(1 / SQRT2 + 1.0)
 
 
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize(
+        "argv",
+        [["energy-map", "--grid", "8x16"], ["decode", "--dir", "0,0"], ["rotate", "--z-quarters", "1"],
+         ["encode", "--dir", "0,0"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_nan_sample_names_file(self, capsys, tmp_path, argv):
+        src, out_wav = tmp_path / "nan.wav", tmp_path / "out.wav"
+        write_wav(np.zeros((1 if argv[0] == "encode" else 4, 50)), 1000, src)
+        set_float32_sample(src, 5, float("nan"))
+        outputs = [] if argv[0] == "energy-map" else [out_wav]
+        code, out, err = run(capsys, *argv, src, *outputs)
+        assert (code, out) == (2, "")
+        assert err == f"error: {src}: samples must be finite\n"
+        assert not out_wav.exists()
+
+
 class TestPatternCommands:
     def test_pack_unpack_bit_identical(self, capsys, tmp_path):
         rng = np.random.default_rng(3)
@@ -284,6 +303,25 @@ class TestEvalSpatial:
         lines = read_rows(out_path)
         assert [l["gen"] for l in lines] == [str(p) for p in paths]
         assert all(l["cc_all"] == pytest.approx(1.0, abs=1e-9) for l in lines)
+
+    def test_never_builds_a_clip(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        gen, gt = tmp_path / "gen.wav", tmp_path / "gt.wav"
+        write_wav(rng.normal(size=(4, 3 * 4410)), 4410, gen)
+        write_wav(rng.normal(size=(4, 3 * 4410)), 4410, gt)
+        manifest = tmp_path / "pairs.ndjson"
+        manifest.write_text(json.dumps({"gen": str(gen), "gt": str(gt)}) + "\n")
+
+        def refuse(self):
+            raise AssertionError("eval-spatial built a FoaClip")
+
+        monkeypatch.setattr(FoaClip, "__post_init__", refuse)
+        code, out, _ = run(capsys, "eval-spatial", "--grid", "8x16", gen, gt)
+        assert code == 0 and last_json(out)["windows_used"] == {"all": 1, "1fps": 3, "5fps": 15}
+        code, _, _ = run_manifest(
+            capsys, tmp_path / "rows.ndjson", "eval-spatial", "--grid", "8x16", "--manifest", manifest
+        )
+        assert code == 0
 
 
 class TestEvalSemantic:
@@ -420,7 +458,15 @@ class TestCurate:
         assert long["amplitude_ok"] is True
         assert long["keep"] is True
 
-    def test_mixed_scores_rejected(self, capsys, tmp_path):
+    @staticmethod
+    def refuse_clip_reads(monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"curate read {path} before checking the scores")
+
+        monkeypatch.setattr("foatools.cli.read_foa_wav", refuse)
+
+    def test_mixed_scores_rejected(self, capsys, tmp_path, monkeypatch):
+        self.refuse_clip_reads(monkeypatch)
         sr = 1000
         path = tmp_path / "c.wav"
         write_foa_wav(FoaClip(np.ones((4, 5 * sr)), sr), path)
@@ -437,9 +483,10 @@ class TestCurate:
         assert not (tmp_path / "o.ndjson").exists()
 
     @pytest.mark.parametrize("score", [None, "abc", [1.0], 10**400])
-    def test_non_numeric_score_rejected(self, capsys, tmp_path, score):
+    def test_non_numeric_score_rejected(self, capsys, tmp_path, monkeypatch, score):
         path = tmp_path / "c.wav"
         write_foa_wav(FoaClip(np.ones((4, 5 * 1000)), 1000), path)
+        self.refuse_clip_reads(monkeypatch)
         manifest = tmp_path / "in.ndjson"
         manifest.write_text(
             json.dumps({"path": str(path), "score": "1.5"}) + "\n"
@@ -489,16 +536,20 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
 class TestManifestRuns:
     @pytest.mark.parametrize(
         "case",
-        ["spatial-missing", "spatial-mismatch", "semantic-missing", "semantic-half-pair",
-         "curate-missing"],
+        ["spatial-missing", "spatial-mismatch", "spatial-nan", "semantic-missing", "semantic-half-pair",
+         "curate-missing", "curate-nan"],
     )
     def test_bad_record_keeps_the_good_rows(self, capsys, tmp_path, case):
-        missing = str(tmp_path / "absent")
-        error = ("FileNotFoundError", missing)
+        bad_path = str(tmp_path / "absent")
+        error = ("FileNotFoundError", bad_path)
+        if case.endswith("nan"):
+            bad_path = _write_clip(tmp_path / "nan.wav", 3, 2)
+            set_float32_sample(tmp_path / "nan.wav", 1234, float("nan"))
+            error = ("WavFormatError", f"{bad_path}: samples must be finite")
         single = single_bad = None
         if case.startswith("spatial"):
             clip = _write_clip(tmp_path / "a.wav", 3, 0)
-            other = _write_clip(tmp_path / "b.wav", 4, 1) if case == "spatial-mismatch" else missing
+            other = _write_clip(tmp_path / "b.wav", 4, 1) if case == "spatial-mismatch" else bad_path
             argv = ["eval-spatial", "--grid", "8x16"]
             good, bad = {"gen": clip, "gt": clip}, {"gen": clip, "gt": other}
             single, single_bad = argv + [clip, clip], argv + [clip, other]
@@ -513,11 +564,11 @@ class TestManifestRuns:
                 bad = {"gen_features": gen}
                 error = ("FoaToolsError", f"{gen}: gen_features and gt_features go together")
             else:
-                bad = {"gen_probs": gen, "gt_probs": missing}
-                single_bad = argv + ["--gen-probs", gen, "--gt-probs", missing]
+                bad = {"gen_probs": gen, "gt_probs": bad_path}
+                single_bad = argv + ["--gen-probs", gen, "--gt-probs", bad_path]
         else:
             argv = ["curate", "--grid", "8x16", "--rms-threshold", "0.01"]
-            good, bad = {"path": _write_clip(tmp_path / "a.wav", 6, 0)}, {"path": missing}
+            good, bad = {"path": _write_clip(tmp_path / "a.wav", 6, 0)}, {"path": bad_path}
         manifest = tmp_path / "m.ndjson"
         manifest.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
         out_path = tmp_path / "rows.ndjson"
@@ -592,6 +643,24 @@ class TestInfo:
             "--rms-threshold", "0.1", "--jobs", "0",
         )
         assert code == 1
+
+    def test_wav_probe_decodes_no_sample(self, capsys, tmp_path, monkeypatch):
+        paths = [tmp_path / name for name in ("f32.wav", "pcm.wav", "mono.wav", "ext.wav")]
+        write_wav(np.zeros((4, 10)), 44100, paths[0])
+        write_wav(np.zeros((4, 7)), 22050, paths[1], "pcm16")
+        write_wav(np.zeros(3), 8000, paths[2])
+        frames = np.zeros((5, 4), dtype="<f4")
+        paths[3].write_bytes(extensible_wav(frames, 48000, 3, 32, frames.tobytes()))
+
+        def refuse(path):
+            raise AssertionError(f"info decoded {path}")
+
+        monkeypatch.setattr("foatools.tensor_io.read_wav", refuse)
+        monkeypatch.setattr("foatools.cli.read_wav", refuse)
+        code, out, _ = run(capsys, "info", *paths)
+        assert code == 0
+        described = [(f["n_channels"], f["n_samples"], f["sample_rate"]) for f in last_json(out)["files"]]
+        assert described == [(4, 10, 44100), (4, 7, 22050), (1, 3, 8000), (4, 5, 48000)]
 
     def test_describes_all_formats(self, capsys, tmp_path):
         wav = tmp_path / "a.wav"

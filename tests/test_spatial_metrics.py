@@ -16,6 +16,7 @@ from foatools import (
     rotate,
 )
 from foatools.spatial_metrics import auc_rows, correlation_rows
+from foatools.tensor_io import read_foa_moments, read_foa_wav, write_foa_wav
 from foatools.errors import (
     GridMismatchError,
     IncompatibleClipsError,
@@ -224,25 +225,45 @@ class TestEvaluateWindows:
         }
 
 
+def oracle_pair(sr):
+    """Two clips with a trailing partial second, a silent generated second
+    and a constant reference map in another second."""
+    rng = np.random.default_rng(18)
+    n = 3 * sr + 777  # trailing partial second
+    gt = encode_mono(rng.normal(size=n), Direction(0.7, 0.3), sr).samples.copy()
+    gen = encode_mono(rng.normal(size=n), Direction(1.1, 0.1), sr).samples.copy()
+    gen += 0.3 * rng.normal(size=gen.shape)
+    gen[:, sr : 2 * sr] = 0.0  # a silent second
+    gt[1:, 2 * sr : 3 * sr] = 0.0  # W only: a constant reference map
+    return FoaClip(gen, sr), FoaClip(gt, sr)
+
+
+def assert_matches_bruteforce(got, gen_clip, gt_clip, grid):
+    want = evaluate_windows_bruteforce(gen_clip, gt_clip, grid)
+    assert got["windows_used"] == want["windows_used"]
+    assert got["windows_skipped"] == want["windows_skipped"]
+    assert want["windows_skipped"]["1fps"] == 2
+    for key in ("cc_all", "cc_1fps", "cc_5fps", "auc_all", "auc_1fps", "auc_5fps"):
+        assert got[key] == pytest.approx(want[key], abs=1e-9)
+
+
 class TestEvaluateWindowsOracle:
     @pytest.mark.parametrize("sr", [4410, 4411])  # 1 s = five 200 ms blocks, and not
     def test_matches_per_window_loop(self, sr):
-        rng = np.random.default_rng(18)
-        n = 3 * sr + 777  # trailing partial second
-        gt = encode_mono(rng.normal(size=n), Direction(0.7, 0.3), sr).samples.copy()
-        gen = encode_mono(rng.normal(size=n), Direction(1.1, 0.1), sr).samples.copy()
-        gen += 0.3 * rng.normal(size=gen.shape)
-        gen[:, sr : 2 * sr] = 0.0  # a silent second
-        gt[1:, 2 * sr : 3 * sr] = 0.0  # W only: a constant reference map
-        gen_clip, gt_clip = FoaClip(gen, sr), FoaClip(gt, sr)
+        gen_clip, gt_clip = oracle_pair(sr)
         grid = SphereGrid(8, 16)
-        got = evaluate_windows(gen_clip, gt_clip, grid).to_dict()
-        want = evaluate_windows_bruteforce(gen_clip, gt_clip, grid)
-        assert got["windows_used"] == want["windows_used"]
-        assert got["windows_skipped"] == want["windows_skipped"]
-        assert want["windows_skipped"]["1fps"] == 2
-        for key in ("cc_all", "cc_1fps", "cc_5fps", "auc_all", "auc_1fps", "auc_5fps"):
-            assert got[key] == pytest.approx(want[key], abs=1e-9)
+        assert_matches_bruteforce(evaluate_windows(gen_clip, gt_clip, grid).to_dict(), gen_clip, gt_clip, grid)
+
+    @pytest.mark.parametrize("sr", [4410, 4411])
+    def test_file_moments_match_the_clip_api(self, tmp_path, sr):
+        paths = [tmp_path / "gen.wav", tmp_path / "gt.wav"]
+        for clip, path in zip(oracle_pair(sr), paths):
+            write_foa_wav(clip, path)
+        gen_clip, gt_clip = (read_foa_wav(path) for path in paths)
+        grid = SphereGrid(8, 16)
+        got = evaluate_windows(*(read_foa_moments(path) for path in paths), grid).to_dict()
+        assert got == evaluate_windows(gen_clip, gt_clip, grid).to_dict()  # bit for bit
+        assert_matches_bruteforce(got, gen_clip, gt_clip, grid)
 
     def test_interleaved_layout_gives_same_report(self):
         # WAV reads hand back channel-interleaved (Fortran-order) samples.

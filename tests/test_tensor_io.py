@@ -1,9 +1,13 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foatools import CodeMatrix, EnergyMap, FoaClip, Pattern, SphereGrid, pack
+from foatools.cli import main
+from foatools.foa import block_moments
 from foatools.errors import (
     HeaderParseError,
     PayloadSizeError,
@@ -14,9 +18,11 @@ from foatools.errors import (
 from foatools.tensor_io import (
     atomic_write,
     read_code_matrix,
+    read_foa_moments,
     read_foa_wav,
     read_tensor,
     read_wav,
+    read_wav_header,
     write_code_matrix,
     write_energy_map_csv,
     write_energy_map_pgm,
@@ -25,6 +31,7 @@ from foatools.tensor_io import (
     write_tensor,
     write_wav,
 )
+from helpers import extensible_wav, set_float32_sample
 
 
 class TestTensorFiles:
@@ -212,20 +219,6 @@ class TestWav:
         assert a.read_bytes() == b.read_bytes()
 
 
-def extensible_wav(frames, sample_rate, subformat, bits, payload):
-    """A WAVE_FORMAT_EXTENSIBLE (0xFFFE) file, built by hand from its fields."""
-    channels = frames.shape[1]
-    block_align = channels * bits // 8
-    fmt = struct.pack(
-        "<HHIIHHHHI", 0xFFFE, channels, sample_rate, sample_rate * block_align,
-        block_align, bits, 22, bits, 0x33,  # extension size, valid bits, channel mask
-    )
-    fmt += struct.pack("<IHH", subformat, 0x0000, 0x0010) + bytes.fromhex("800000aa00389b71")
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
 class TestWavExtensible:
     def test_float_four_channels(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -269,6 +262,141 @@ class TestWavExtensible:
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         with pytest.raises(WavFormatError, match="ext_short.wav.*subformat"):
             read_wav(path)
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file holding ``chunks`` (id, body) in order, odd bodies padded."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1) for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_body(kind, channels, rate):
+    """The fmt chunk body of a ``float32`` or ``pcm16`` file, plain or 0xFFFE."""
+    tag, bits = (3, 32) if kind.endswith("float32") else (1, 16)
+    align = channels * bits // 8
+    if not kind.startswith("ext"):
+        return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+    return struct.pack(
+        "<HHIIHHHHIIHH", 0xFFFE, channels, rate, rate * align, align, bits, 22, bits, 0, tag, 0, 0x10
+    ) + bytes.fromhex("800000aa00389b71")
+
+
+def moments_oracle(samples, rate):
+    """Window moments from the whole float64 clip: 200 ms blocks, the whole
+    clip as all blocks then the tail, and 1000 ms windows as five blocks or,
+    when the rate does not divide by 5, as 1000 ms blocks."""
+    n, length = samples.shape[1], max(1, rate // 5)
+    blocks = block_moments(samples, length)
+    tail = samples[:, blocks.shape[0] * length :]
+    whole = blocks.sum(axis=0) + tail @ tail.T
+    if rate % 5:
+        return whole, block_moments(samples, rate), blocks
+    return whole, blocks[: 5 * (n // rate)].reshape(-1, 5, 4, 4).sum(axis=1), blocks
+
+
+def with_data_size(blob, size):
+    at = blob.index(b"data") + 4
+    return blob[:at] + struct.pack("<I", size) + blob[at + 4 :]
+
+
+EXTRA_CHUNKS = st.lists(st.tuples(st.sampled_from([b"LIST", b"junk", b"fact"]), st.binary(max_size=7)), max_size=2)
+
+# Header mutations: (name, edit of a valid 4-channel float32 file's bytes).
+HEADER_MUTATIONS = [
+    ("not riff", lambda b: b"OggS" + b[4:]),
+    ("short", lambda b: b[:10]),
+    ("truncated chunk", lambda b: b[:-50]),
+    ("no fmt", lambda b: b[:12] + b"fmx " + b[16:]),
+    ("no data", lambda b: b.replace(b"data", b"datx")),
+    ("short fmt", lambda b: b[:16] + struct.pack("<I", 12) + b[20:]),
+    ("zero channels", lambda b: b[:22] + struct.pack("<H", 0) + b[24:]),
+    ("zero rate", lambda b: b[:24] + struct.pack("<I", 0) + b[28:]),
+    ("24-bit", lambda b: b[:34] + struct.pack("<H", 24) + b[36:]),
+    ("block align", lambda b: b[:32] + struct.pack("<H", 12) + b[34:]),
+    ("ragged data", lambda b: with_data_size(b, 4 * 16 - 2)),
+    ("empty data", lambda b: with_data_size(b, 0)),
+    ("short extensible fmt", lambda b: b[:20] + struct.pack("<H", 0xFFFE) + b[22:]),
+    ("adpcm subformat", lambda b: extensible_wav(np.zeros((4, 4), "<i2"), 44100, 2, 16, bytes(32))),
+    ("guid tail", lambda b: extensible_wav(np.zeros((4, 4), "<f4"), 44100, 3, 32, bytes(64))[:59] + b"\xff"),
+]
+
+
+class TestWavWalker:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["float32", "pcm16", "ext-float32", "ext-pcm16"]),
+        rate=st.integers(1, 120),
+        frames=st.integers(1, 1600),
+        before=EXTRA_CHUNKS,
+        after=EXTRA_CHUNKS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_moments_match_the_whole_clip(self, tmp_path_factory, kind, rate, frames, before, after, seed):
+        # Up to 64 slabs of 25 blocks; rates below 5 use 1-sample blocks.
+        rng = np.random.default_rng(seed)
+        if kind.endswith("float32"):
+            payload = rng.normal(size=(frames, 4)).astype("<f4").tobytes()
+        else:
+            payload = rng.integers(-32768, 32768, size=(frames, 4)).astype("<i2").tobytes()
+        path = tmp_path_factory.mktemp("walker") / "clip.wav"
+        path.write_bytes(riff(*before, (b"fmt ", fmt_body(kind, 4, rate)), (b"data", payload), *after))
+        samples, sample_rate = read_wav(path)
+        assert (sample_rate, samples.shape) == (rate, (4, frames))
+        assert read_wav_header(path)[:3] == (4, rate, frames)
+        moments = read_foa_moments(path)
+        assert (moments.n_samples, moments.sample_rate) == (frames, rate)
+        for got, want in zip((moments.whole, moments.seconds, moments.blocks), moments_oracle(samples, rate)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name, mutate", HEADER_MUTATIONS, ids=[m[0] for m in HEADER_MUTATIONS])
+    def test_header_errors_agree_across_readers(self, tmp_path, capsys, name, mutate):
+        path = tmp_path / "bad.wav"
+        write_wav(np.zeros((4, 16)), 44100, path)
+        path.write_bytes(mutate(path.read_bytes()))
+        outcomes = []
+        for reader in (read_wav, read_wav_header, read_foa_moments, read_foa_wav):
+            with pytest.raises(WavFormatError) as info:
+                reader(path)
+            outcomes.append((type(info.value), str(info.value)))
+        assert len(set(outcomes)) == 1
+        assert outcomes[0][1].startswith(f"{path}: ")
+        if path.read_bytes()[:4] == b"RIFF":  # info reads other files as tensors
+            assert main(["info", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {outcomes[0][1]}\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(0, 120), at=st.integers(0, 80), value=st.binary(min_size=1, max_size=4))
+    def test_mangled_headers_give_one_outcome(self, tmp_path_factory, cut, at, value):
+        frames = np.arange(40, dtype="<f4").reshape(10, 4)
+        chunks = (b"junk", b"abc"), (b"fmt ", fmt_body("ext-float32", 4, 50)), (b"data", frames.tobytes())
+        blob = bytearray(riff(*chunks))
+        blob[at : at + len(value)] = value
+        path = tmp_path_factory.mktemp("mangled") / "m.wav"
+        path.write_bytes(bytes(blob[: len(blob) - cut]))
+        try:
+            header = read_wav_header(path)
+        except WavFormatError as exc:
+            for reader in (read_wav, read_foa_moments):
+                with pytest.raises(WavFormatError, match="^" + re.escape(str(exc)) + "$"):
+                    reader(path)
+            return
+        samples, rate = read_wav(path)
+        assert samples.shape == (header.channels, header.frames) and rate == header.sample_rate
+        try:
+            read_foa_moments(path)
+        except WavFormatError as exc:
+            assert header.channels != 4 or str(exc) == f"{path}: samples must be finite"
+
+    @pytest.mark.parametrize("reader", [read_foa_wav, read_foa_moments])
+    def test_non_finite_sample_names_file(self, tmp_path, reader):
+        path = tmp_path / "nan.wav"
+        write_wav(np.zeros((4, 300)), 1000, path)
+        set_float32_sample(path, 517, float("nan"))
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: samples must be finite$"):
+            reader(path)
 
 
 class TestExportsAndAtomicity:
