@@ -40,8 +40,10 @@ from .foa import (
 from .tensor_io import (
     CODE_MAGIC,
     atomic_write,
+    read_clip_stats,
     read_code_matrix,
     read_foa_moments,
+    read_foa_slabs,
     read_foa_wav,
     read_tensor,
     read_wav,
@@ -53,6 +55,7 @@ from .tensor_io import (
     write_pgm,
     write_tensor,
     write_wav,
+    write_wav_slabs,
 )
 
 SCHEMA_VERSION = 1
@@ -100,28 +103,33 @@ def _parse_direction(text: str, degrees: bool) -> Direction:
         raise UsageError(str(exc)) from None
 
 
-def _parse_grid(text: str) -> SphereGrid:
-    parts = text.lower().split("x")
+def _int_pair(text: str, sep: str, unparsed: str, not_a_pair: str) -> tuple:
+    """The integers A and B of ``A<sep>B``: UsageError(unparsed) unless the first
+    two parts are integers, UsageError(not_a_pair) if more parts follow."""
+    parts = text.split(sep)
     try:
-        bands, azimuths = int(parts[0]), int(parts[1])
+        pair = int(parts[0]), int(parts[1])
     except (ValueError, IndexError):
-        raise UsageError(f"grid must be 'BANDSxAZIMUTHS', e.g. 32x64, got {text!r}") from None
-    if len(parts) != 2 or bands < 1 or azimuths < 1:
-        raise UsageError(f"grid must be 'BANDSxAZIMUTHS' with positive counts, got {text!r}")
+        raise UsageError(unparsed) from None
+    if len(parts) != 2:
+        raise UsageError(not_a_pair)
+    return pair
+
+
+def _parse_grid(text: str) -> SphereGrid:
+    usage = f"grid must be 'BANDSxAZIMUTHS', e.g. 32x64, got {text!r}"
+    counts = f"grid must be 'BANDSxAZIMUTHS' with positive counts, got {text!r}"
+    bands, azimuths = _int_pair(text.lower(), "x", usage, counts)
+    if bands < 1 or azimuths < 1:
+        raise UsageError(counts)
     return SphereGrid(bands, azimuths)
 
 
 def _parse_window(text):
     if text is None:
         return None
-    parts = text.split(":")
-    try:
-        start, end = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError):
-        raise UsageError(f"window must be 'START:END' in samples, got {text!r}") from None
-    if len(parts) != 2:
-        raise UsageError(f"window must be 'START:END' in samples, got {text!r}")
-    return start, end
+    usage = f"window must be 'START:END' in samples, got {text!r}"
+    return _int_pair(text, ":", usage, usage)
 
 
 def _direction_dict(direction: Direction) -> dict:
@@ -193,13 +201,14 @@ def _rotation_from_args(args) -> Rotation:
 
 
 def cmd_rotate(args) -> int:
-    clip = read_foa_wav(args.input)
-    rotation = _rotation_from_args(args)
-    write_foa_wav(rotate(clip, rotation), args.output, args.encoding)
+    with read_foa_slabs(args.input) as (header, clips):
+        rotation = _rotation_from_args(args)
+        turned = (rotate(clip, rotation).samples for clip in clips)
+        write_wav_slabs(turned, 4, header.sample_rate, header.frames, args.output, args.encoding)
     _print_json(
         {
             "matrix": [[float(v) for v in row] for row in rotation.matrix],
-            "n_samples": clip.n_samples,
+            "n_samples": header.frames,
             "output": args.output,
         }
     )
@@ -482,19 +491,17 @@ def cmd_generate(args) -> int:
 
 
 def _curate_one(record, args, grid) -> dict:
-    clip = read_foa_wav(record["path"])
+    stats = read_clip_stats(record["path"])
     # A clip with no whole second has no second that passed the gate.
-    amplitude_ok = clip.n_samples >= clip.sample_rate and curation.amplitude_gate(
-        clip, args.amplitude_threshold
-    )
-    mask = curation.segment_mask(clip, args.rms_threshold)
+    amplitude_ok = stats.w_squares.size > 0 and curation.amplitude_gate(stats, args.amplitude_threshold)
+    mask = curation.segment_mask(stats, args.rms_threshold)
     windows = (
         [[w.start_second, w.end_second] for w in curation.select_windows(mask)]
         if mask.size >= curation.WINDOW_SECONDS
         else []
     )
     try:
-        center = _direction_dict(curation.fov_center(clip, grid))
+        center = _direction_dict(curation.fov_center(stats, grid))
     except FoaToolsError:
         center = None
     return {
@@ -539,8 +546,8 @@ def cmd_curate(args) -> int:
 
 def _describe_file(path) -> dict:
     with open(path, "rb") as handle:
-        head = handle.read(4)
-    if head == b"RIFF":
+        head = handle.read(12)
+    if head[:4] == b"RIFF" or head[8:] == b"WAVE":
         header = read_wav_header(path)
         return {
             "format": "wav",
@@ -549,7 +556,7 @@ def _describe_file(path) -> dict:
             "path": path,
             "sample_rate": header.sample_rate,
         }
-    if head == CODE_MAGIC:
+    if head[:4] == CODE_MAGIC:
         matrix = read_code_matrix(path)
         return {
             "format": "code_matrix",

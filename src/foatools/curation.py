@@ -10,12 +10,13 @@ standard deviation below the mean.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoEnergyError
-from .foa import Direction, FoaClip, SphereGrid, energy_map
+from .foa import Direction, EnergyMap, SphereGrid, block_moments, power_maps
 
 DEFAULT_AMPLITUDE_FLOOR = 1e-20
 
@@ -37,28 +38,62 @@ class ClipWindow:
             raise ValueError("window start must be nonnegative")
 
 
-def _whole_seconds(clip: FoaClip) -> int:
-    return clip.n_samples // clip.sample_rate
+# What the filters read of a clip: over each whole second, the mean |amplitude|
+# of every channel ``abs_means`` (4, seconds) and the mean squared W ``w_squares``
+# (seconds,); over every sample, the summed 4x4 second moment ``whole``.
+ClipStats = namedtuple("ClipStats", "n_samples abs_means w_squares whole")
 
 
-def amplitude_gate(clip: FoaClip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
-    """True iff every channel keeps a mean |amplitude| >= threshold each second."""
-    seconds = _whole_seconds(clip)
-    if seconds < 1:
+def _abs_means(samples: np.ndarray, rate: int) -> np.ndarray:
+    """Mean |amplitude| of each channel over each whole second, (4, seconds)."""
+    k = samples.shape[1] // rate
+    return np.abs(samples[:, : k * rate]).reshape(4, k, rate).mean(axis=2)
+
+
+def _w_squares(samples: np.ndarray, rate: int) -> np.ndarray:
+    """Mean squared W over each whole second, (seconds,)."""
+    k = samples.shape[1] // rate
+    return (samples[0, : k * rate].reshape(k, rate) ** 2).mean(axis=1)
+
+
+def _whole(moments, tail: np.ndarray) -> np.ndarray:
+    """The whole-clip moment: the whole seconds' ``moments`` summed in order,
+    then the moment of the ``tail``, so it does not depend on how the clip was cut."""
+    return np.concatenate(moments).sum(axis=0) + tail @ tail.T
+
+
+def clip_stats(slabs, n_samples: int, sample_rate: int) -> ClipStats:
+    """The ClipStats of a clip that ``slabs`` yields in order as (4, frames)
+    arrays, all but the last of whole seconds."""
+    abs_means, w_squares, moments = [], [], []
+    for slab in slabs:
+        abs_means.append(_abs_means(slab, sample_rate))
+        w_squares.append(_w_squares(slab, sample_rate))
+        moments.append(block_moments(slab, sample_rate))
+    tail = slab[:, moments[-1].shape[0] * sample_rate :]
+    whole = _whole(moments, tail)
+    return ClipStats(n_samples, np.concatenate(abs_means, axis=1), np.concatenate(w_squares), whole)
+
+
+def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
+    """True iff every channel keeps a mean |amplitude| >= threshold each second.
+
+    ``clip`` is a FoaClip or its ClipStats (as ``tensor_io.read_clip_stats``
+    reads them), here and in ``segment_mask`` and ``fov_center``; a clip is
+    one slab of the same per-slab arithmetic.
+    """
+    abs_means = clip.abs_means if isinstance(clip, ClipStats) else _abs_means(clip.samples, clip.sample_rate)
+    if abs_means.shape[1] < 1:
         raise ValueError("amplitude gate needs at least one full second of audio")
-    trimmed = np.abs(clip.samples[:, : seconds * clip.sample_rate])
-    per_second = trimmed.reshape(4, seconds, clip.sample_rate).mean(axis=2)
-    return bool(np.all(per_second >= threshold))
+    return bool(np.all(abs_means >= threshold))
 
 
-def segment_mask(clip: FoaClip, rms_threshold: float) -> np.ndarray:
+def segment_mask(clip, rms_threshold: float) -> np.ndarray:
     """Per-second validity: RMS of the W channel at or above the threshold."""
     if rms_threshold < 0.0:
         raise ValueError("rms_threshold must be nonnegative")
-    seconds = _whole_seconds(clip)
-    w = clip.samples[0, : seconds * clip.sample_rate]
-    rms = np.sqrt((w.reshape(seconds, clip.sample_rate) ** 2).mean(axis=1))
-    return rms >= rms_threshold
+    w_squares = clip.w_squares if isinstance(clip, ClipStats) else _w_squares(clip.samples, clip.sample_rate)
+    return np.sqrt(w_squares) >= rms_threshold
 
 
 def select_windows(mask) -> list:
@@ -73,12 +108,17 @@ def select_windows(mask) -> list:
     return windows
 
 
-def fov_center(clip: FoaClip, grid: SphereGrid) -> Direction:
+def fov_center(clip, grid: SphereGrid) -> Direction:
     """Direction of the strongest cell of the full-clip power energy map.
 
     Exact ties resolve to the lowest (elevation band, azimuth index) cell.
     """
-    emap = energy_map(clip, grid)
+    if isinstance(clip, ClipStats):
+        n, whole = clip.n_samples, clip.whole
+    else:
+        n, samples, rate = clip.n_samples, clip.samples, clip.sample_rate
+        whole = _whole([block_moments(samples, rate)], samples[:, n // rate * rate :])
+    emap = EnergyMap(grid, power_maps(grid, whole[None] / n)[0], (0, n))
     if emap.values.max() <= 0.0:
         raise NoEnergyError("clip carries no energy; argmax direction undefined")
     return grid.direction(emap.argmax_cell())

@@ -18,10 +18,11 @@ Code matrix file
 
 WAV
     Canonical RIFF/WAVE with a single data chunk, channels interleaved
-    frame-major. 16-bit PCM (format 1, scaled by 32767) and 32-bit float
-    (format 3) are supported, also as WAVE_FORMAT_EXTENSIBLE (0xFFFE) with
-    a PCM or IEEE-float subformat GUID; ambisonic files carry 4 channels in
-    W, X, Y, Z order. Readers skip other chunks and use the first data chunk.
+    frame-major. 16-bit PCM (format 1, scaled by 32767), 24-bit PCM (read
+    only, scaled by 8388607) and 32-bit float (format 3) are supported, also
+    as WAVE_FORMAT_EXTENSIBLE (0xFFFE) with a PCM or IEEE-float subformat
+    GUID; ambisonic files carry 4 channels in W, X, Y, Z order. Readers skip
+    other chunks and use the first data chunk.
 
 Energy map exports
     PGM (P5, one row per elevation band from the top of the sphere, short
@@ -47,6 +48,7 @@ from functools import partial
 import numpy as np
 
 from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pattern_steps
+from .curation import ClipStats, clip_stats
 from .errors import (
     HeaderParseError,
     PayloadSizeError,
@@ -71,16 +73,20 @@ _PATTERN_IDS = {
 }
 _PATTERNS_BY_ID = {v: k for k, v in _PATTERN_IDS.items()}
 
-WAV_ENCODINGS = ("float32", "pcm16")
+# Encoding -> (format tag, bits per sample) of the files the writers make.
+_WAV_ENCODINGS = {"float32": (3, 32), "pcm16": (1, 16)}
+WAV_ENCODINGS = tuple(_WAV_ENCODINGS)
 _PCM_SCALE = 32767.0
-# (format tag, bits per sample) -> sample dtype and the scale that maps it to [-1, 1].
-_WAV_DTYPES = {(1, 16): ("<i2", _PCM_SCALE), (3, 32): ("<f4", 1.0)}
+# (format tag, bits per sample) -> sample dtype and the scale that maps it to [-1, 1];
+# numpy has no 24-bit dtype, so "<i3" is widened to int32 by the slab decoder.
+_WAV_DTYPES = {(1, 16): ("<i2", _PCM_SCALE), (1, 24): ("<i3", 8388607.0), (3, 32): ("<f4", 1.0)}
 _WAVE_EXTENSIBLE = 0xFFFE
 # The PCM and IEEE-float subformat GUIDs of WAVE_FORMAT_EXTENSIBLE, as stored.
 _SUBFORMATS = {struct.pack("<IHH", t, 0, 0x10) + bytes.fromhex("800000aa00389b71"): t for t in (1, 3)}
-# Whole blocks per slab in read_foa_moments: 5 to 25 blocks of 200 ms at 44.1 kHz
-# read a 60 s clip equally fast, 100 or more about twice as slowly.
-_SLAB_BLOCKS = 25
+# Whole seconds per slab in read_clip_stats and read_foa_slabs. On 44.1 kHz clips,
+# 1 to 5 s slabs rotate and curate about equally fast, and 25 s slabs (35 MB of
+# float64 each) about 1.5x more slowly.
+_SLAB_SECONDS = 1
 
 
 @contextmanager
@@ -217,48 +223,59 @@ def read_code_matrix(path):
 # WAV
 
 
-def write_wav(samples, sample_rate: int, path, encoding: str = "float32") -> None:
-    """Write interleaved multichannel audio as RIFF/WAVE."""
-    if encoding not in WAV_ENCODINGS:
-        raise ValueError(f"encoding must be one of {WAV_ENCODINGS}, got {encoding!r}")
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("samples must be (channels, frames) with at least one frame")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    channels, frames = x.shape
-    interleaved = np.ascontiguousarray(x.T)
-    if encoding == "pcm16":
-        fmt_tag, bits = 1, 16
-        data = np.clip(np.rint(interleaved * _PCM_SCALE), -32768, 32767).astype("<i2")
-    else:
-        fmt_tag, bits = 3, 32
-        data = interleaved.astype("<f4")
-    payload = data.tobytes()
+def _wav_header(channels: int, sample_rate: int, frames: int, encoding: str) -> bytes:
+    """Every byte the writers put before the samples: RIFF, fmt (and for float
+    a fact chunk), then the data chunk header."""
+    fmt_tag, bits = _WAV_ENCODINGS[encoding]
     block_align = channels * bits // 8
     fmt_body = struct.pack(
         "<HHIIHH", fmt_tag, channels, int(sample_rate), int(sample_rate) * block_align,
         block_align, bits,
     )
-    chunks = []
     if fmt_tag == 3:
         # IEEE-float WAVE wants the extension-size field and a fact chunk.
-        fmt_body += struct.pack("<H", 0)
-        chunks.append((b"fmt ", fmt_body))
-        chunks.append((b"fact", struct.pack("<I", frames)))
+        chunks = struct.pack("<4sI", b"fmt ", 18) + fmt_body + struct.pack("<H4sII", 0, b"fact", 4, frames)
     else:
-        chunks.append((b"fmt ", fmt_body))
-    chunks.append((b"data", payload))
-    riff_size = 4 + sum(8 + len(body) + (len(body) & 1) for _, body in chunks)
+        chunks = struct.pack("<4sI", b"fmt ", 16) + fmt_body
+    size = frames * block_align
+    riff = struct.pack("<4sI4s", b"RIFF", 4 + len(chunks) + 8 + size, b"WAVE")
+    return riff + chunks + struct.pack("<4sI", b"data", size)
+
+
+def _encode_slab(samples: np.ndarray, encoding: str) -> bytes:
+    """(channels, frames) float64 samples as the frame-major bytes of a data chunk."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    if encoding == "pcm16":
+        data = np.clip(np.rint(samples * _PCM_SCALE), -32768, 32767).astype("<i2")
+    else:
+        data = samples.astype("<f4")
+    return data.T.tobytes()
+
+
+def write_wav_slabs(
+    slabs, channels: int, sample_rate: int, frames: int, path, encoding: str = "float32"
+) -> None:
+    """Write RIFF/WAVE from (channels, n) float64 ``slabs`` in order, ``frames`` in all."""
+    if encoding not in WAV_ENCODINGS:
+        raise ValueError(f"encoding must be one of {WAV_ENCODINGS}, got {encoding!r}")
     with atomic_write(path) as handle:
-        handle.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
-        for cid, body in chunks:
-            handle.write(struct.pack("<4sI", cid, len(body)))
-            handle.write(body)
-            if len(body) & 1:
-                handle.write(b"\x00")
+        handle.write(_wav_header(channels, sample_rate, frames, encoding))
+        for slab in slabs:
+            handle.write(_encode_slab(slab, encoding))
+            frames -= slab.shape[1]
+        if frames:
+            raise ValueError("slabs do not hold the frames the header announced")
+
+
+def write_wav(samples, sample_rate: int, path, encoding: str = "float32") -> None:
+    """Write interleaved multichannel audio as RIFF/WAVE."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError("samples must be (channels, frames) with at least one frame")
+    write_wav_slabs([x], x.shape[0], sample_rate, x.shape[1], path, encoding)
 
 
 # What a WAV file's chunk headers say about its data chunk, which starts at byte offset.
@@ -312,7 +329,7 @@ def _parse_wav_header(path, handle) -> WavHeader:
     if (fmt_tag, bits) not in _WAV_DTYPES:
         raise WavFormatError(
             f"{path}: unsupported format tag {fmt_tag} with {bits} bits "
-            "(need 16-bit PCM or 32-bit float)"
+            "(need 16- or 24-bit PCM or 32-bit float)"
         )
     start, size = data
     if block_align != channels * bits // 8:
@@ -328,14 +345,20 @@ def _parse_wav_header(path, handle) -> WavHeader:
     return WavHeader(channels, sample_rate, frames, *_WAV_DTYPES[fmt_tag, bits], start)
 
 
-def _wav_slabs(handle, header: WavHeader, length: int):
-    """Decode the data chunk ``_SLAB_BLOCKS`` blocks of ``length`` frames at a time
-    into float64 (channels, frames) slabs that stay channel-interleaved in memory."""
+def _wav_slabs(handle, header: WavHeader, size: int):
+    """Decode the data chunk ``size`` frames at a time into float64 (channels,
+    frames) slabs that stay channel-interleaved in memory."""
     handle.seek(header.offset)
-    for start in range(0, header.frames, _SLAB_BLOCKS * length):
-        frames = min(_SLAB_BLOCKS * length, header.frames - start)
-        raw = np.fromfile(handle, dtype=header.dtype, count=frames * header.channels)
-        samples = raw.reshape(frames, header.channels).T.astype(np.float64)
+    for start in range(0, header.frames, size):
+        count = min(size, header.frames - start) * header.channels
+        if header.dtype == "<i3":
+            # Each 3-byte sample goes to the top of an int32; the shift back keeps its sign.
+            wide = np.zeros((count, 4), np.uint8)
+            wide[:, 1:] = np.fromfile(handle, np.uint8, 3 * count).reshape(count, 3)
+            raw = wide.view("<i4")[:, 0] >> 8
+        else:
+            raw = np.fromfile(handle, dtype=header.dtype, count=count)
+        samples = raw.reshape(-1, header.channels).T.astype(np.float64)
         if header.scale != 1.0:
             samples /= header.scale
         yield samples
@@ -355,32 +378,65 @@ def read_wav(path):
     return samples, header.sample_rate
 
 
-def read_foa_wav(path) -> FoaClip:
-    """Read a 4-channel W, X, Y, Z WAV file as a clip."""
-    samples, sample_rate = read_wav(path)
-    if samples.shape[0] != 4:
-        raise WavFormatError(
-            f"{path}: ambisonic audio needs 4 channels, found {samples.shape[0]}"
-        )
+def _foa_clip(path, samples, sample_rate) -> FoaClip:
     try:
         return FoaClip(samples, sample_rate)
     except ValueError as exc:  # a non-finite sample
         raise WavFormatError(f"{path}: {exc}") from exc
 
 
+def _foa_header(path, handle) -> WavHeader:
+    header = _parse_wav_header(path, handle)
+    if header.channels != 4:
+        raise WavFormatError(f"{path}: ambisonic audio needs 4 channels, found {header.channels}")
+    return header
+
+
+def read_foa_wav(path) -> FoaClip:
+    """Read a 4-channel W, X, Y, Z WAV file as a clip."""
+    with open(path, "rb") as handle:
+        header = _foa_header(path, handle)
+        (samples,) = _wav_slabs(handle, header, header.frames)
+    return _foa_clip(path, samples, header.sample_rate)
+
+
+@contextmanager
+def read_foa_slabs(path):
+    """The header of a 4-channel WAV file and an iterator over its samples as
+    clips of ``_SLAB_SECONDS`` whole seconds, the last one shorter. Iterate
+    inside the ``with`` block; a non-finite sample raises when its clip is read."""
+    with open(path, "rb") as handle:
+        header = _foa_header(path, handle)
+        slabs = _wav_slabs(handle, header, _SLAB_SECONDS * header.sample_rate)
+        yield header, (_foa_clip(path, samples, header.sample_rate) for samples in slabs)
+
+
+def _read_foa_summary(path, summarize):
+    """``summarize(slabs_of, frames, sample_rate)`` of a 4-channel WAV file,
+    where ``slabs_of(size)`` decodes it ``size`` frames at a time, checked
+    through the summary's ``whole`` 4x4 moment for a non-finite sample."""
+    with open(path, "rb") as handle:
+        header = _foa_header(path, handle)
+        summary = summarize(partial(_wav_slabs, handle, header), header.frames, header.sample_rate)
+    # A non-finite sample makes its channel's summed square non-finite.
+    if not np.all(np.isfinite(np.diagonal(summary.whole))):
+        raise WavFormatError(f"{path}: samples must be finite")
+    return summary
+
+
 def read_foa_moments(path) -> WindowMoments:
     """The window moments of a 4-channel WAV file, bit-identical to those of
     its ``read_foa_wav`` clip, decoded slab by slab so the float64 clip is
     never held."""
-    with open(path, "rb") as handle:
-        header = _parse_wav_header(path, handle)
-        if header.channels != 4:
-            raise WavFormatError(f"{path}: ambisonic audio needs 4 channels, found {header.channels}")
-        moments = window_moments(partial(_wav_slabs, handle, header), header.frames, header.sample_rate)
-    # A non-finite sample makes its channel's summed square non-finite.
-    if not np.all(np.isfinite(np.diagonal(moments.whole))):
-        raise WavFormatError(f"{path}: samples must be finite")
-    return moments
+    return _read_foa_summary(path, window_moments)
+
+
+def read_clip_stats(path) -> ClipStats:
+    """The curation statistics of a 4-channel WAV file, bit-identical to those
+    of its ``read_foa_wav`` clip, decoded one slab of ``_SLAB_SECONDS`` at a time."""
+    return _read_foa_summary(
+        path, lambda slabs_of, frames, rate: clip_stats(slabs_of(_SLAB_SECONDS * rate), frames, rate)
+    )
 
 
 def write_foa_wav(clip: FoaClip, path, encoding: str = "float32") -> None:

@@ -56,6 +56,31 @@ def extensible_wav(frames, sample_rate, subformat, bits, payload):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+def pcm24_bytes(ints):
+    """Frame-major 24-bit little-endian PCM payload of integer samples (frames, channels)."""
+    return np.asarray(ints, dtype="<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+
+
+def pcm24_wav(ints, sample_rate):
+    """A plain format-1 24-bit PCM file of integer samples (frames, channels)."""
+    channels = ints.shape[1]
+    fmt = struct.pack("<HHIIHH", 1, channels, sample_rate, sample_rate * 3 * channels, 3 * channels, 24)
+    payload = pcm24_bytes(ints)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def curation_stats_oracle(clip):
+    """Per-second mean |amplitude| (4, seconds) and mean squared W (seconds,)
+    of a clip's whole seconds, each from one expression over the whole clip."""
+    seconds = clip.n_samples // clip.sample_rate
+    trimmed = clip.samples[:, : seconds * clip.sample_rate]
+    abs_means = np.abs(trimmed).reshape(4, seconds, clip.sample_rate).mean(axis=2)
+    w_squares = (trimmed[0].reshape(seconds, clip.sample_rate) ** 2).mean(axis=1)
+    return abs_means, w_squares
+
+
 def grid_cells(grid):
     """Iterate (Direction, area_weight, samples_in_band) per grid cell."""
     for i in range(grid.n_cells):

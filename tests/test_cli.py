@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foatools import CodeMatrix, Direction, FoaClip, Pattern, ReorgMatrix, encode_mono, pack
+from foatools import (
+    CodeMatrix,
+    Direction,
+    FoaClip,
+    Pattern,
+    ReorgMatrix,
+    Rotation,
+    SphereGrid,
+    encode_mono,
+    fov_center,
+    pack,
+    rotate,
+)
 from foatools.cli import _load_manifest, main
 from foatools.errors import FoaToolsError
 from foatools.tensor_io import (
@@ -18,7 +30,7 @@ from foatools.tensor_io import (
     write_tensor,
     write_wav,
 )
-from helpers import extensible_wav, set_float32_sample
+from helpers import extensible_wav, pcm24_wav, set_float32_sample
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,6 +141,43 @@ class TestRotate:
         code, _, _ = run(capsys, "rotate", "--matrix", "1,0,0,0,1,0,0,0,1", src, dst)
         assert code == 0
 
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    @pytest.mark.parametrize(
+        "flags, rotation",
+        [
+            (["--z-degrees", "33.5"], Rotation.about_z(math.radians(33.5))),
+            (["--z-quarters", "3"], Rotation(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))),
+            (
+                ["--matrix", "0.6,-0.8,0,0.8,0.6,0,0,0,1"],
+                Rotation(np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])),
+            ),
+        ],
+        ids=["z-degrees", "z-quarters", "matrix"],
+    )
+    @pytest.mark.parametrize("source", ["float32", "pcm24"])
+    def test_streamed_output_matches_the_clip_path(self, capsys, tmp_path, source, flags, rotation, encoding):
+        # 1,234 frames at 100 Hz: thirteen slabs, the last one partial.
+        rng = np.random.default_rng(3)
+        src, dst, want = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "want.wav"
+        if source == "pcm24":
+            src.write_bytes(pcm24_wav(rng.integers(-(2**23), 2**23, size=(1234, 4)), 100))
+        else:
+            write_foa_wav(FoaClip(rng.uniform(-1.0, 1.0, size=(4, 1234)), 100), src)
+        code, out, _ = run(capsys, "rotate", *flags, "--encoding", encoding, src, dst)
+        assert code == 0
+        assert last_json(out)["n_samples"] == 1234
+        write_foa_wav(rotate(read_foa_wav(src), rotation), want, encoding)
+        assert dst.read_bytes() == want.read_bytes()
+
+    def test_in_place(self, capsys, tmp_path):
+        path, want = tmp_path / "a.wav", tmp_path / "want.wav"
+        write_foa_wav(FoaClip(np.random.default_rng(4).normal(size=(4, 250)), 100), path)
+        write_foa_wav(rotate(read_foa_wav(path), Rotation.about_z(0.3)), want)
+        code, _, _ = run(capsys, "rotate", "--z-degrees", math.degrees(0.3), path, path)
+        assert code == 0
+        assert path.read_bytes() == want.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "want.wav"]
+
     def test_non_rotation_matrix_is_data_error(self, capsys, tmp_path):
         src = tmp_path / "a.wav"
         write_foa_wav(FoaClip(np.ones((4, 8)), 8000), src)
@@ -157,6 +206,24 @@ class TestEnergyMapCommand:
         write_foa_wav(FoaClip(np.ones((4, 100)), 8000), src)
         code, _, _ = run(capsys, "energy-map", "--window", "nope", src)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--grid", "8", "grid must be 'BANDSxAZIMUTHS', e.g. 32x64, got '8'"),
+            ("--grid", "AxB", "grid must be 'BANDSxAZIMUTHS', e.g. 32x64, got 'AxB'"),
+            ("--grid", "8x16x2", "grid must be 'BANDSxAZIMUTHS' with positive counts, got '8x16x2'"),
+            ("--grid", "0X16", "grid must be 'BANDSxAZIMUTHS' with positive counts, got '0X16'"),
+            ("--window", "5", "window must be 'START:END' in samples, got '5'"),
+            ("--window", "1:x", "window must be 'START:END' in samples, got '1:x'"),
+            ("--window", "1:2:3", "window must be 'START:END' in samples, got '1:2:3'"),
+        ],
+    )
+    def test_pair_flag_messages(self, capsys, tmp_path, flag, value, message):
+        src = tmp_path / "clip.wav"
+        write_foa_wav(FoaClip(np.ones((4, 100)), 8000), src)
+        code, _, err = run(capsys, "energy-map", flag, value, src)
+        assert (code, err) == (1, f"usage error: {message}\n")
 
     def test_literal_linear_mode_and_window(self, capsys, tmp_path):
         src = tmp_path / "clip.wav"
@@ -188,6 +255,26 @@ class TestNonFiniteSamples:
         assert (code, out) == (2, "")
         assert err == f"error: {src}: samples must be finite\n"
         assert not out_wav.exists()
+
+    @pytest.mark.parametrize("command", ["rotate", "curate"])
+    def test_nan_in_a_later_slab_names_file(self, capsys, tmp_path, command):
+        src, out = tmp_path / "nan.wav", tmp_path / "out"
+        write_wav(np.full((4, 1234), 0.1), 100, src)
+        set_float32_sample(src, 4 * 987 + 2, float("nan"))  # frame 987, in the tenth slab
+        out.write_bytes(b"kept")
+        if command == "rotate":
+            argv = ["rotate", "--z-quarters", 1, src, out]
+        else:
+            manifest = tmp_path / "m.ndjson"
+            manifest.write_text(json.dumps({"path": str(src)}) + "\n")
+            argv = ["curate", "--rms-threshold", 0.01, "--manifest", manifest, "--out", out]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, f"error: {src}: samples must be finite\n")
+        if command == "rotate":
+            assert out.read_bytes() == b"kept"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.wav", "out"]
+        else:
+            assert read_rows(out)[0]["error"]["message"] == f"{src}: samples must be finite"
 
 
 class TestPatternCommands:
@@ -464,6 +551,7 @@ class TestCurate:
             raise AssertionError(f"curate read {path} before checking the scores")
 
         monkeypatch.setattr("foatools.cli.read_foa_wav", refuse)
+        monkeypatch.setattr("foatools.cli.read_clip_stats", refuse)
 
     def test_mixed_scores_rejected(self, capsys, tmp_path, monkeypatch):
         self.refuse_clip_reads(monkeypatch)
@@ -499,6 +587,23 @@ class TestCurate:
         assert code == 2
         assert err == f"error: {manifest}: {path}: score must be a number, got {json.dumps(score)}\n"
         assert not (tmp_path / "o.ndjson").exists()
+
+    def test_antipodal_tie_matches_the_clip_api(self, capsys, tmp_path):
+        # A pure X figure-of-eight ties the front and back cells of a 1x4 grid
+        # exactly; the lower cell index must win on both paths.
+        samples = np.zeros((4, 2500))
+        samples[1] = np.random.default_rng(3).normal(size=2500)
+        clip = FoaClip(samples, 1000)
+        path, manifest, out_path = tmp_path / "x.wav", tmp_path / "m.ndjson", tmp_path / "o.ndjson"
+        write_foa_wav(clip, path)
+        manifest.write_text(json.dumps({"path": str(path)}) + "\n")
+        code, _, _ = run(
+            capsys, "curate", "--grid", "1x4", "--rms-threshold", 0, "--manifest", manifest, "--out", out_path
+        )
+        assert code == 0
+        want = fov_center(read_foa_wav(path), SphereGrid(1, 4))
+        assert (want.azimuth, want.elevation) == (0.0, 0.0)
+        assert read_rows(out_path)[0]["fov_center"] == {"azimuth": want.azimuth, "elevation": want.elevation}
 
     def test_numeric_string_score_accepted(self, capsys, tmp_path):
         path = tmp_path / "c.wav"
@@ -645,12 +750,13 @@ class TestInfo:
         assert code == 1
 
     def test_wav_probe_decodes_no_sample(self, capsys, tmp_path, monkeypatch):
-        paths = [tmp_path / name for name in ("f32.wav", "pcm.wav", "mono.wav", "ext.wav")]
+        paths = [tmp_path / name for name in ("f32.wav", "pcm.wav", "mono.wav", "ext.wav", "pcm24.wav")]
         write_wav(np.zeros((4, 10)), 44100, paths[0])
         write_wav(np.zeros((4, 7)), 22050, paths[1], "pcm16")
         write_wav(np.zeros(3), 8000, paths[2])
         frames = np.zeros((5, 4), dtype="<f4")
         paths[3].write_bytes(extensible_wav(frames, 48000, 3, 32, frames.tobytes()))
+        paths[4].write_bytes(pcm24_wav(np.zeros((3, 2), dtype=np.int64), 96000))
 
         def refuse(path):
             raise AssertionError(f"info decoded {path}")
@@ -660,7 +766,7 @@ class TestInfo:
         code, out, _ = run(capsys, "info", *paths)
         assert code == 0
         described = [(f["n_channels"], f["n_samples"], f["sample_rate"]) for f in last_json(out)["files"]]
-        assert described == [(4, 10, 44100), (4, 7, 22050), (1, 3, 8000), (4, 5, 48000)]
+        assert described == [(4, 10, 44100), (4, 7, 22050), (1, 3, 8000), (4, 5, 48000), (2, 3, 96000)]
 
     def test_describes_all_formats(self, capsys, tmp_path):
         wav = tmp_path / "a.wav"

@@ -1,12 +1,28 @@
+import contextlib
+import io
+import json
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foatools import CodeMatrix, EnergyMap, FoaClip, Pattern, SphereGrid, pack
+from foatools import (
+    CodeMatrix,
+    EnergyMap,
+    FoaClip,
+    Pattern,
+    SphereGrid,
+    amplitude_gate,
+    fov_center,
+    pack,
+    segment_mask,
+    tensor_io,
+)
 from foatools.cli import main
+from foatools.curation import clip_stats
 from foatools.foa import block_moments
 from foatools.errors import (
     HeaderParseError,
@@ -17,6 +33,7 @@ from foatools.errors import (
 )
 from foatools.tensor_io import (
     atomic_write,
+    read_clip_stats,
     read_code_matrix,
     read_foa_moments,
     read_foa_wav,
@@ -30,8 +47,9 @@ from foatools.tensor_io import (
     write_pgm,
     write_tensor,
     write_wav,
+    write_wav_slabs,
 )
-from helpers import extensible_wav, set_float32_sample
+from helpers import curation_stats_oracle, extensible_wav, pcm24_bytes, pcm24_wav, set_float32_sample
 
 
 class TestTensorFiles:
@@ -105,6 +123,50 @@ class TestTensorFiles:
     def test_rejects_out_of_range_ints(self, tmp_path):
         with pytest.raises(ValueError):
             write_tensor(np.array([70000]), tmp_path / "big.tensor")
+
+
+class TestMangledFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["tensor", "cmx"]),
+        cut=st.integers(0, 60),
+        at=st.integers(0, 40),
+        value=st.binary(min_size=1, max_size=4),
+    )
+    def test_readers_raise_format_errors_and_info_agrees(self, tmp_path_factory, kind, cut, at, value):
+        path = tmp_path_factory.mktemp("mangled") / f"m.{kind}"
+        if kind == "tensor":
+            write_tensor(np.arange(12, dtype=np.float32).reshape(3, 4), path)
+        else:
+            write_code_matrix(pack(CodeMatrix(np.arange(8).reshape(4, 2) % 5, 1, 5), Pattern.PROPOSED), path)
+        blob = bytearray(path.read_bytes())
+        blob[at : at + len(value)] = value
+        blob = bytes(blob[: len(blob) - cut])
+        path.write_bytes(blob)
+        outcomes = {}
+        for reader in (read_tensor, read_code_matrix, read_wav_header):
+            try:
+                outcomes[reader] = reader(path)
+            except TensorIOError as exc:  # anything else fails the test
+                outcomes[reader] = exc
+        # info picks its reader by the leading bytes.
+        if blob[:4] == b"RIFF" or blob[8:12] == b"WAVE":
+            expected = outcomes[read_wav_header]
+        else:
+            expected = outcomes[read_code_matrix if blob[:4] == b"ACM1" else read_tensor]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["info", str(path)])
+        if isinstance(expected, TensorIOError):
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected}\n")
+            return
+        assert code == 0
+        (described,) = json.loads(out.getvalue())["files"]
+        if isinstance(expected, np.ndarray):
+            assert (described["shape"], described["dtype"]) == (list(expected.shape), str(expected.dtype))
+        else:
+            assert described["n_frames"] == expected.n_frames
+            assert described["vocab_size"] == expected.vocab_size
 
 
 class TestCodeMatrixFiles:
@@ -218,6 +280,33 @@ class TestWav:
         write_wav(samples, 44100, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    def test_slabs_write_the_same_file(self, tmp_path, encoding):
+        samples = np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 301))
+        whole, cut = tmp_path / "whole.wav", tmp_path / "cut.wav"
+        write_wav(samples, 100, whole, encoding)
+        write_wav_slabs((samples[:, i : i + 100] for i in range(0, 301, 100)), 4, 100, 301, cut, encoding)
+        assert cut.read_bytes() == whole.read_bytes()
+
+    def test_slabs_short_of_the_header_leave_no_file(self, tmp_path):
+        path = tmp_path / "short.wav"
+        with pytest.raises(ValueError, match="frames the header announced"):
+            write_wav_slabs([np.zeros((4, 10))], 4, 100, 11, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pcm24_round_trip_exact(self, tmp_path):
+        rng = np.random.default_rng(10)
+        ints = rng.integers(-(2**23), 2**23, size=(7, 4))
+        ints[0] = [-(2**23), 2**23 - 1, 0, -1]  # both extremes, zero and the sign boundary
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(pcm24_wav(ints, 48000))
+        ext.write_bytes(extensible_wav(ints, 48000, 1, 24, pcm24_bytes(ints)))
+        for path in (plain, ext):
+            samples, rate = read_wav(path)
+            assert rate == 48000
+            assert np.array_equal(samples, ints.T / 8388607.0)
+            assert read_wav_header(path)[:3] == (4, 48000, 7)
+
 
 class TestWavExtensible:
     def test_float_four_channels(self, tmp_path):
@@ -273,14 +362,26 @@ def riff(*chunks):
 
 
 def fmt_body(kind, channels, rate):
-    """The fmt chunk body of a ``float32`` or ``pcm16`` file, plain or 0xFFFE."""
-    tag, bits = (3, 32) if kind.endswith("float32") else (1, 16)
+    """The fmt chunk body of a ``float32``, ``pcm16`` or ``pcm24`` file, plain or 0xFFFE (``ext-``)."""
+    tag, bits = {"float32": (3, 32), "pcm16": (1, 16), "pcm24": (1, 24)}[kind.rpartition("-")[2]]
     align = channels * bits // 8
     if not kind.startswith("ext"):
         return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
     return struct.pack(
         "<HHIIHHHHIIHH", 0xFFFE, channels, rate, rate * align, align, bits, 22, bits, 0, tag, 0, 0x10
     ) + bytes.fromhex("800000aa00389b71")
+
+
+WAV_KINDS = ["float32", "pcm16", "pcm24", "ext-float32", "ext-pcm16", "ext-pcm24"]
+
+
+def random_payload(rng, kind, frames):
+    """A data chunk of ``frames`` random 4-channel frames in the sample format of ``kind``."""
+    if kind.endswith("float32"):
+        return rng.normal(size=(frames, 4)).astype("<f4").tobytes()
+    if kind.endswith("pcm24"):
+        return pcm24_bytes(rng.integers(-(2**23), 2**23, size=(frames, 4)))
+    return rng.integers(-32768, 32768, size=(frames, 4)).astype("<i2").tobytes()
 
 
 def moments_oracle(samples, rate):
@@ -326,7 +427,7 @@ HEADER_MUTATIONS = [
 class TestWavWalker:
     @settings(max_examples=120, deadline=None)
     @given(
-        kind=st.sampled_from(["float32", "pcm16", "ext-float32", "ext-pcm16"]),
+        kind=st.sampled_from(WAV_KINDS),
         rate=st.integers(1, 120),
         frames=st.integers(1, 1600),
         before=EXTRA_CHUNKS,
@@ -335,11 +436,7 @@ class TestWavWalker:
     )
     def test_streamed_moments_match_the_whole_clip(self, tmp_path_factory, kind, rate, frames, before, after, seed):
         # Up to 64 slabs of 25 blocks; rates below 5 use 1-sample blocks.
-        rng = np.random.default_rng(seed)
-        if kind.endswith("float32"):
-            payload = rng.normal(size=(frames, 4)).astype("<f4").tobytes()
-        else:
-            payload = rng.integers(-32768, 32768, size=(frames, 4)).astype("<i2").tobytes()
+        payload = random_payload(np.random.default_rng(seed), kind, frames)
         path = tmp_path_factory.mktemp("walker") / "clip.wav"
         path.write_bytes(riff(*before, (b"fmt ", fmt_body(kind, 4, rate)), (b"data", payload), *after))
         samples, sample_rate = read_wav(path)
@@ -351,19 +448,49 @@ class TestWavWalker:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(WAV_KINDS),
+        rate=st.integers(1, 120),
+        frames=st.integers(1, 1600),
+        slab_seconds=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_clip_stats_match_the_clip(self, tmp_path_factory, kind, rate, frames, slab_seconds, seed):
+        # Clips shorter than a second, and partial last seconds and slabs.
+        path = tmp_path_factory.mktemp("stats") / "clip.wav"
+        payload = random_payload(np.random.default_rng(seed), kind, frames)
+        path.write_bytes(riff((b"fmt ", fmt_body(kind, 4, rate)), (b"data", payload)))
+        with mock.patch.object(tensor_io, "_SLAB_SECONDS", slab_seconds):
+            stats = read_clip_stats(path)
+        clip = read_foa_wav(path)
+        abs_means, w_squares = curation_stats_oracle(clip)
+        assert stats.n_samples == frames
+        assert abs_means.shape == stats.abs_means.shape and np.array_equal(stats.abs_means, abs_means)
+        assert w_squares.shape == stats.w_squares.shape and np.array_equal(stats.w_squares, w_squares)
+        assert np.array_equal(stats.whole, clip_stats([clip.samples], frames, rate).whole)
+        direct = clip.samples @ clip.samples.T
+        assert np.allclose(stats.whole, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
+        assert segment_mask(stats, 0.3).tolist() == segment_mask(clip, 0.3).tolist()
+        if frames >= rate:
+            assert amplitude_gate(stats, 0.05) == amplitude_gate(clip, 0.05)
+        grid = SphereGrid(4, 8)
+        assert fov_center(stats, grid) == fov_center(clip, grid)
+
     @pytest.mark.parametrize("name, mutate", HEADER_MUTATIONS, ids=[m[0] for m in HEADER_MUTATIONS])
     def test_header_errors_agree_across_readers(self, tmp_path, capsys, name, mutate):
         path = tmp_path / "bad.wav"
         write_wav(np.zeros((4, 16)), 44100, path)
         path.write_bytes(mutate(path.read_bytes()))
         outcomes = []
-        for reader in (read_wav, read_wav_header, read_foa_moments, read_foa_wav):
+        for reader in (read_wav, read_wav_header, read_foa_moments, read_clip_stats, read_foa_wav):
             with pytest.raises(WavFormatError) as info:
                 reader(path)
             outcomes.append((type(info.value), str(info.value)))
         assert len(set(outcomes)) == 1
         assert outcomes[0][1].startswith(f"{path}: ")
-        if path.read_bytes()[:4] == b"RIFF":  # info reads other files as tensors
+        blob = path.read_bytes()
+        if blob[:4] == b"RIFF" or blob[8:12] == b"WAVE":  # info reads other files as tensors
             assert main(["info", str(path)]) == 2
             assert capsys.readouterr().err == f"error: {outcomes[0][1]}\n"
 
@@ -379,18 +506,19 @@ class TestWavWalker:
         try:
             header = read_wav_header(path)
         except WavFormatError as exc:
-            for reader in (read_wav, read_foa_moments):
+            for reader in (read_wav, read_foa_moments, read_clip_stats):
                 with pytest.raises(WavFormatError, match="^" + re.escape(str(exc)) + "$"):
                     reader(path)
             return
         samples, rate = read_wav(path)
         assert samples.shape == (header.channels, header.frames) and rate == header.sample_rate
-        try:
-            read_foa_moments(path)
-        except WavFormatError as exc:
-            assert header.channels != 4 or str(exc) == f"{path}: samples must be finite"
+        for reader in (read_foa_moments, read_clip_stats):
+            try:
+                reader(path)
+            except WavFormatError as exc:
+                assert header.channels != 4 or str(exc) == f"{path}: samples must be finite"
 
-    @pytest.mark.parametrize("reader", [read_foa_wav, read_foa_moments])
+    @pytest.mark.parametrize("reader", [read_foa_wav, read_foa_moments, read_clip_stats])
     def test_non_finite_sample_names_file(self, tmp_path, reader):
         path = tmp_path / "nan.wav"
         write_wav(np.zeros((4, 300)), 1000, path)
