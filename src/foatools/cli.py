@@ -30,6 +30,7 @@ from .foa import (
     ENERGY_MODE_POWER,
     ENERGY_MODES,
     Direction,
+    FoaClip,
     Rotation,
     SphereGrid,
     decode_to_mono,
@@ -39,22 +40,20 @@ from .foa import (
 )
 from .tensor_io import (
     CODE_MAGIC,
+    WAV_ENCODINGS,
     atomic_write,
     read_clip_stats,
     read_code_matrix,
     read_foa_moments,
-    read_foa_slabs,
     read_foa_wav,
     read_tensor,
-    read_wav,
     read_wav_header,
+    read_wav_slabs,
     write_code_matrix,
     write_energy_map_csv,
     write_energy_map_pgm,
-    write_foa_wav,
     write_pgm,
     write_tensor,
-    write_wav,
     write_wav_slabs,
 )
 
@@ -87,7 +86,8 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _parse_direction(text: str, degrees: bool) -> Direction:
+def _direction_from_args(args) -> Direction:
+    text = args.dir
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"direction must be 'azimuth,elevation', got {text!r}")
@@ -95,7 +95,7 @@ def _parse_direction(text: str, degrees: bool) -> Direction:
         azimuth, elevation = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"direction components must be numbers, got {text!r}") from None
-    if degrees:
+    if args.degrees:
         azimuth, elevation = math.radians(azimuth), math.radians(elevation)
     try:
         return Direction(azimuth, elevation)
@@ -136,46 +136,47 @@ def _direction_dict(direction: Direction) -> dict:
     return {"azimuth": direction.azimuth, "elevation": direction.elevation}
 
 
-def _read_mono_wav(path):
-    samples, sample_rate = read_wav(path)
-    if samples.shape[0] != 1:
-        raise FoaToolsError(f"{path}: expected mono audio, found {samples.shape[0]} channels")
-    if not np.all(np.isfinite(samples)):
-        raise FoaToolsError(f"{path}: samples must be finite")
-    return samples[0], sample_rate
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def cmd_encode(args) -> int:
-    signal, sample_rate = _read_mono_wav(args.input)
-    direction = _parse_direction(args.dir, args.degrees)
-    clip = encode_mono(signal, direction, sample_rate)
-    write_foa_wav(clip, args.output, args.encoding)
+# Input channels, output channels and slab transform of each streamed command.
+_SLAB_TRANSFORMS = {
+    "encode": (1, 4, lambda slab, rate, direction: encode_mono(slab[0], direction, rate).samples),
+    "decode": (4, 1, lambda slab, rate, direction: decode_to_mono(FoaClip(slab, rate), direction)[None]),
+    "rotate": (4, 4, lambda slab, rate, rotation: rotate(FoaClip(slab, rate), rotation).samples),
+}
+
+
+def _finite(path, slab: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(slab)):
+        raise FoaToolsError(f"{path}: samples must be finite")
+    return slab
+
+
+def _transform_wav(args, parse) -> tuple:
+    """The read, transform and write step of encode, decode and rotate: check
+    the header of ``args.input``, parse the command's flags with ``parse(args)``,
+    then write the command's transform of each slab, checked for a non-finite
+    sample, to ``args.output``. Returns the header and the flags."""
+    channels, out_channels, transform = _SLAB_TRANSFORMS[args.command]
+    with read_wav_slabs(args.input, channels) as (header, slabs_of):
+        flags = parse(args)
+        rate = header.sample_rate
+        slabs = (transform(_finite(args.input, slab), rate, flags) for slab in slabs_of(rate))
+        write_wav_slabs(slabs, out_channels, rate, header.frames, args.output, args.encoding)
+    return header, flags
+
+
+def cmd_pan(args) -> int:
+    """``encode`` and ``decode``, which share their flags and stdout keys."""
+    header, direction = _transform_wav(args, _direction_from_args)
     _print_json(
         {
             "direction": _direction_dict(direction),
-            "n_samples": clip.n_samples,
+            "n_samples": header.frames,
             "output": args.output,
-            "sample_rate": clip.sample_rate,
-        }
-    )
-    return 0
-
-
-def cmd_decode(args) -> int:
-    clip = read_foa_wav(args.input)
-    direction = _parse_direction(args.dir, args.degrees)
-    mono = decode_to_mono(clip, direction)
-    write_wav(mono, clip.sample_rate, args.output, args.encoding)
-    _print_json(
-        {
-            "direction": _direction_dict(direction),
-            "n_samples": int(mono.size),
-            "output": args.output,
-            "sample_rate": clip.sample_rate,
+            "sample_rate": header.sample_rate,
         }
     )
     return 0
@@ -192,19 +193,12 @@ def _rotation_from_args(args) -> Rotation:
             raise UsageError("matrix entries must be numbers") from None
         return Rotation(np.array(values).reshape(3, 3))
     if args.z_quarters is not None:
-        quarter = Rotation.quarter_turn_z()
-        matrix = np.eye(3)
-        for _ in range(args.z_quarters % 4):
-            matrix = quarter.matrix @ matrix
-        return Rotation(matrix)
+        return Rotation(np.linalg.matrix_power(Rotation.quarter_turn_z().matrix, args.z_quarters % 4))
     return Rotation.about_z(math.radians(args.z_degrees))
 
 
 def cmd_rotate(args) -> int:
-    with read_foa_slabs(args.input) as (header, clips):
-        rotation = _rotation_from_args(args)
-        turned = (rotate(clip, rotation).samples for clip in clips)
-        write_wav_slabs(turned, 4, header.sample_rate, header.frames, args.output, args.encoding)
+    header, rotation = _transform_wav(args, _rotation_from_args)
     _print_json(
         {
             "matrix": [[float(v) for v in row] for row in rotation.matrix],
@@ -237,6 +231,19 @@ def cmd_energy_map(args) -> int:
     return 0
 
 
+def _check_record(record, where, required, optional=()) -> dict:
+    """``record`` if it is an object with every ``required`` key and a path string
+    under each path key present; else a data error whose message begins with ``where``."""
+    if not isinstance(record, dict):
+        raise FoaToolsError(f"{where}: record is not a JSON object")
+    for key in (*required, *optional):
+        if key in required and key not in record:
+            raise FoaToolsError(f"{where}: record misses {key!r}")
+        if key in record and not isinstance(record[key], str):
+            raise FoaToolsError(f"{where}: {key!r} must be a path string")
+    return record
+
+
 def _load_manifest(path, required, optional=()) -> list:
     """Read NDJSON object records; the ``required`` and ``optional`` keys hold paths."""
     records = []
@@ -254,14 +261,7 @@ def _load_manifest(path, required, optional=()) -> list:
                 record = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise FoaToolsError(f"{path}:{lineno}: bad JSON record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise FoaToolsError(f"{path}:{lineno}: record is not a JSON object")
-            for key in (*required, *optional):
-                if key in required and key not in record:
-                    raise FoaToolsError(f"{path}:{lineno}: record misses {key!r}")
-                if key in record and not isinstance(record[key], str):
-                    raise FoaToolsError(f"{path}:{lineno}: {key!r} must be a path string")
-            records.append(record)
+            records.append(_check_record(record, f"{path}:{lineno}", required, optional))
     if not records:
         raise FoaToolsError(f"{path}: manifest holds no records")
     return records
@@ -388,16 +388,13 @@ def cmd_eval_semantic(args) -> int:
         with open(args.channels, "r", encoding="utf-8") as handle:
             try:
                 mapping = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise FoaToolsError(f"{args.channels}: bad JSON: {exc}") from exc
         if not isinstance(mapping, dict):
             raise FoaToolsError(f"{args.channels}: expected an object of channel entries")
         pairs = {}
         for name, entry in mapping.items():
-            if not isinstance(entry, dict) or "gen" not in entry or "gt" not in entry:
-                raise FoaToolsError(
-                    f"{args.channels}: channel {name!r} needs 'gen' and 'gt' paths"
-                )
+            _check_record(entry, f"{args.channels}: channel {name!r}", ("gen", "gt"))
             pairs[name] = (_features_2d(entry["gen"]), _features_2d(entry["gt"]))
         result["fad_avg"] = semantic_metrics.fad_avg(pairs)
     _print_json(result)
@@ -589,19 +586,10 @@ def _write_text(path, text: str) -> None:
 # Parser
 
 
-def _add_direction_flags(parser) -> None:
-    parser.add_argument(
-        "--dir", required=True, help="direction as 'azimuth,elevation' in radians"
-    )
-    parser.add_argument(
-        "--degrees", action="store_true", help="interpret --dir in degrees instead of radians"
-    )
-
-
 def _add_encoding_flag(parser) -> None:
     parser.add_argument(
         "--encoding",
-        choices=("float32", "pcm16"),
+        choices=WAV_ENCODINGS,
         default="float32",
         help="output WAV sample encoding (default float32)",
     )
@@ -619,19 +607,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="foatools", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="pan a mono WAV to 4-channel ambisonics")
-    _add_direction_flags(p)
-    _add_encoding_flag(p)
-    p.add_argument("input", help="mono input WAV")
-    p.add_argument("output", help="4-channel output WAV (W, X, Y, Z)")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode", help="decode an ambisonic WAV to mono at a heading")
-    _add_direction_flags(p)
-    _add_encoding_flag(p)
-    p.add_argument("input", help="4-channel input WAV")
-    p.add_argument("output", help="mono output WAV")
-    p.set_defaults(func=cmd_decode)
+    for name, summary, source, target in (
+        ("encode", "pan a mono WAV to 4-channel ambisonics", "mono input WAV",
+         "4-channel output WAV (W, X, Y, Z)"),
+        ("decode", "decode an ambisonic WAV to mono at a heading", "4-channel input WAV",
+         "mono output WAV"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--dir", required=True, help="direction as 'azimuth,elevation' in radians")
+        p.add_argument(
+            "--degrees", action="store_true", help="interpret --dir in degrees instead of radians"
+        )
+        _add_encoding_flag(p)
+        p.add_argument("input", help=source)
+        p.add_argument("output", help=target)
+        p.set_defaults(func=cmd_pan)
 
     p = sub.add_parser("rotate", help="rotate the sound field of an ambisonic WAV")
     group = p.add_mutually_exclusive_group(required=True)

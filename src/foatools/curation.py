@@ -62,11 +62,11 @@ def _whole(moments, tail: np.ndarray) -> np.ndarray:
     return np.concatenate(moments).sum(axis=0) + tail @ tail.T
 
 
-def clip_stats(slabs, n_samples: int, sample_rate: int) -> ClipStats:
-    """The ClipStats of a clip that ``slabs`` yields in order as (4, frames)
-    arrays, all but the last of whole seconds."""
+def clip_stats(slabs_of, n_samples: int, sample_rate: int) -> ClipStats:
+    """The ClipStats of a clip that ``slabs_of(sample_rate)`` yields in order
+    as (4, frames) slabs of whole seconds, the last one shorter."""
     abs_means, w_squares, moments = [], [], []
-    for slab in slabs:
+    for slab in slabs_of(sample_rate):
         abs_means.append(_abs_means(slab, sample_rate))
         w_squares.append(_w_squares(slab, sample_rate))
         moments.append(block_moments(slab, sample_rate))

@@ -305,8 +305,10 @@ def decode_to_mono(clip: FoaClip, direction: Direction) -> np.ndarray:
 
 def rotate(clip: FoaClip, rotation: Rotation) -> FoaClip:
     """Rotate the sound field: W is untouched, (X, Y, Z) go through the matrix."""
-    xyz = rotation.matrix @ clip.samples[1:]
-    return FoaClip(np.vstack([clip.samples[:1], xyz]), clip.sample_rate)
+    turned = np.empty((4, clip.n_samples))
+    turned[0] = clip.samples[0]
+    np.matmul(rotation.matrix, clip.samples[1:], out=turned[1:])
+    return FoaClip(turned, clip.sample_rate)
 
 
 def _resolve_window(window, n_samples: int) -> tuple:

@@ -150,21 +150,17 @@ def auc(
 # ``seconds`` and ``blocks`` (n, 4, 4) over each whole 1000 ms and 200 ms window.
 WindowMoments = namedtuple("WindowMoments", "n_samples sample_rate whole seconds blocks")
 
-# Whole blocks per slab of a file: 5 to 25 blocks of 200 ms at 44.1 kHz read a
-# 60 s clip equally fast, 100 or more about twice as slowly.
-_SLAB_BLOCKS = 25
-
 
 def window_moments(slabs_of, n_samples: int, sample_rate: int) -> WindowMoments:
-    """Window moments of a clip that ``slabs_of(size)`` yields in order as
-    (4, frames) slabs of ``size`` frames, the last one shorter; each walk asks
-    for ``_SLAB_BLOCKS`` blocks per slab. The whole clip sums the 200 ms
-    blocks, then the tail; 1000 ms windows add five blocks when the rate
-    divides by 5, else take a second walk."""
+    """Window moments of a clip that ``slabs_of(unit)`` yields in order as
+    (4, frames) slabs of whole ``unit``-frame blocks, the last one shorter;
+    the unit is the 200 ms block, or the second on a second walk. The whole
+    clip sums the 200 ms blocks, then the tail; 1000 ms windows add five
+    blocks when the rate divides by 5, else take the second walk."""
 
     def walk(length):
         parts = []
-        for slab in slabs_of(_SLAB_BLOCKS * length):
+        for slab in slabs_of(length):
             parts.append(block_moments(slab, length))
         tail = slab[:, parts[-1].shape[0] * length :]
         return np.concatenate(parts), tail @ tail.T
@@ -179,7 +175,7 @@ def window_moments(slabs_of, n_samples: int, sample_rate: int) -> WindowMoments:
 
 
 def _window_moments(clip: FoaClip) -> WindowMoments:
-    return window_moments(lambda size: [clip.samples], clip.n_samples, clip.sample_rate)
+    return window_moments(lambda unit: [clip.samples], clip.n_samples, clip.sample_rate)
 
 
 def evaluate_windows(

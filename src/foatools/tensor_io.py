@@ -43,7 +43,6 @@ import struct
 import tempfile
 from collections import namedtuple
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -83,10 +82,16 @@ _WAV_DTYPES = {(1, 16): ("<i2", _PCM_SCALE), (1, 24): ("<i3", 8388607.0), (3, 32
 _WAVE_EXTENSIBLE = 0xFFFE
 # The PCM and IEEE-float subformat GUIDs of WAVE_FORMAT_EXTENSIBLE, as stored.
 _SUBFORMATS = {struct.pack("<IHH", t, 0, 0x10) + bytes.fromhex("800000aa00389b71"): t for t in (1, 3)}
-# Whole seconds per slab in read_clip_stats and read_foa_slabs. On 44.1 kHz clips,
-# 1 to 5 s slabs rotate and curate about equally fast, and 25 s slabs (35 MB of
-# float64 each) about 1.5x more slowly.
+# Seconds per slab of read_wav_slabs, the one slab size of every streamed read.
+# On 60 s, 44.1 kHz clips on a 2-core VM, 2 s slabs ran no faster beyond run-to-run
+# noise but held 2% more peak memory in rotate and curate, and 25 s slabs (35 MB of
+# float64 each) rotate and curate 1.5x more slowly.
 _SLAB_SECONDS = 1
+# What read_wav_slabs says of a file with another channel count, by the count it wants (1 or 4).
+_CHANNEL_ERRORS = {
+    1: "expected mono audio, found {} channels",
+    4: "ambisonic audio needs 4 channels, found {}",
+}
 
 
 @contextmanager
@@ -392,32 +397,39 @@ def _foa_header(path, handle) -> WavHeader:
     return header
 
 
+@contextmanager
+def read_wav_slabs(path, channels: int):
+    """The one streamed WAV reader: the checked header of a ``channels``-channel
+    file and ``slabs_of(unit)``, which decodes the data chunk in order as float64
+    (channels, frames) slabs of whole ``unit``-frame blocks, about
+    ``_SLAB_SECONDS`` each, the last one shorter. Iterate inside the ``with``
+    block; the slabs are not checked for non-finite samples."""
+    with open(path, "rb") as handle:
+        header = _parse_wav_header(path, handle)
+        if header.channels != channels:
+            raise WavFormatError(f"{path}: " + _CHANNEL_ERRORS[channels].format(header.channels))
+
+        def slabs_of(unit):
+            return _wav_slabs(handle, header, max(1, _SLAB_SECONDS * header.sample_rate // unit) * unit)
+
+        yield header, slabs_of
+
+
 def read_foa_wav(path) -> FoaClip:
     """Read a 4-channel W, X, Y, Z WAV file as a clip."""
-    with open(path, "rb") as handle:
-        header = _foa_header(path, handle)
-        (samples,) = _wav_slabs(handle, header, header.frames)
-    return _foa_clip(path, samples, header.sample_rate)
-
-
-@contextmanager
-def read_foa_slabs(path):
-    """The header of a 4-channel WAV file and an iterator over its samples as
-    clips of ``_SLAB_SECONDS`` whole seconds, the last one shorter. Iterate
-    inside the ``with`` block; a non-finite sample raises when its clip is read."""
-    with open(path, "rb") as handle:
-        header = _foa_header(path, handle)
-        slabs = _wav_slabs(handle, header, _SLAB_SECONDS * header.sample_rate)
-        yield header, (_foa_clip(path, samples, header.sample_rate) for samples in slabs)
+    with read_wav_slabs(path, 4) as (header, slabs_of):
+        (samples,) = slabs_of(header.frames)  # the whole clip is one unit, so one slab
+    try:
+        return FoaClip(samples, header.sample_rate)
+    except ValueError as exc:  # a non-finite sample
+        raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def _read_foa_summary(path, summarize):
     """``summarize(slabs_of, frames, sample_rate)`` of a 4-channel WAV file,
-    where ``slabs_of(size)`` decodes it ``size`` frames at a time, checked
-    through the summary's ``whole`` 4x4 moment for a non-finite sample."""
-    with open(path, "rb") as handle:
-        header = _foa_header(path, handle)
-        summary = summarize(partial(_wav_slabs, handle, header), header.frames, header.sample_rate)
+    checked through the summary's ``whole`` 4x4 moment for a non-finite sample."""
+    with read_wav_slabs(path, 4) as (header, slabs_of):
+        summary = summarize(slabs_of, header.frames, header.sample_rate)
     # A non-finite sample makes its channel's summed square non-finite.
     if not np.all(np.isfinite(np.diagonal(summary.whole))):
         raise WavFormatError(f"{path}: samples must be finite")
@@ -433,10 +445,8 @@ def read_foa_moments(path) -> WindowMoments:
 
 def read_clip_stats(path) -> ClipStats:
     """The curation statistics of a 4-channel WAV file, bit-identical to those
-    of its ``read_foa_wav`` clip, decoded one slab of ``_SLAB_SECONDS`` at a time."""
-    return _read_foa_summary(
-        path, lambda slabs_of, frames, rate: clip_stats(slabs_of(_SLAB_SECONDS * rate), frames, rate)
-    )
+    of its ``read_foa_wav`` clip, decoded slab by slab."""
+    return _read_foa_summary(path, clip_stats)
 
 
 def write_foa_wav(clip: FoaClip, path, encoding: str = "float32") -> None:

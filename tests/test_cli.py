@@ -13,6 +13,7 @@ from foatools import (
     ReorgMatrix,
     Rotation,
     SphereGrid,
+    decode_to_mono,
     encode_mono,
     fov_center,
     pack,
@@ -143,30 +144,53 @@ class TestRotate:
 
     @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
     @pytest.mark.parametrize(
-        "flags, rotation",
+        "argv, channels, whole_clip",
         [
-            (["--z-degrees", "33.5"], Rotation.about_z(math.radians(33.5))),
-            (["--z-quarters", "3"], Rotation(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))),
             (
-                ["--matrix", "0.6,-0.8,0,0.8,0.6,0,0,0,1"],
-                Rotation(np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])),
+                ["rotate", "--z-degrees", "33.5"], 4,
+                lambda src: rotate(read_foa_wav(src), Rotation.about_z(math.radians(33.5))).samples,
+            ),
+            (
+                ["rotate", "--z-quarters", "3"], 4,
+                lambda src: rotate(
+                    read_foa_wav(src), Rotation(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+                ).samples,
+            ),
+            (
+                ["rotate", "--matrix", "0.6,-0.8,0,0.8,0.6,0,0,0,1"], 4,
+                lambda src: rotate(
+                    read_foa_wav(src), Rotation(np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]]))
+                ).samples,
+            ),
+            (
+                ["encode", "--dir", "200,45", "--degrees"], 1,
+                lambda src: encode_mono(
+                    read_wav(src)[0][0], Direction(math.radians(200), math.radians(45)), 100
+                ).samples,
+            ),
+            (
+                ["decode", "--dir", "0.5,0.1"], 4,
+                lambda src: decode_to_mono(read_foa_wav(src), Direction(0.5, 0.1)),
             ),
         ],
-        ids=["z-degrees", "z-quarters", "matrix"],
+        ids=["z-degrees", "z-quarters", "matrix", "encode", "decode"],
     )
     @pytest.mark.parametrize("source", ["float32", "pcm24"])
-    def test_streamed_output_matches_the_clip_path(self, capsys, tmp_path, source, flags, rotation, encoding):
-        # 1,234 frames at 100 Hz: thirteen slabs, the last one partial.
+    def test_streamed_output_matches_the_clip_path(
+        self, capsys, tmp_path, source, argv, channels, whole_clip, encoding
+    ):
+        # Each streamed transform against its whole-clip library call. 1,234
+        # frames at 100 Hz: thirteen slabs, the last one partial.
         rng = np.random.default_rng(3)
         src, dst, want = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "want.wav"
         if source == "pcm24":
-            src.write_bytes(pcm24_wav(rng.integers(-(2**23), 2**23, size=(1234, 4)), 100))
+            src.write_bytes(pcm24_wav(rng.integers(-(2**23), 2**23, size=(1234, channels)), 100))
         else:
-            write_foa_wav(FoaClip(rng.uniform(-1.0, 1.0, size=(4, 1234)), 100), src)
-        code, out, _ = run(capsys, "rotate", *flags, "--encoding", encoding, src, dst)
+            write_wav(rng.uniform(-1.0, 1.0, size=(channels, 1234)), 100, src)
+        code, out, _ = run(capsys, *argv, "--encoding", encoding, src, dst)
         assert code == 0
         assert last_json(out)["n_samples"] == 1234
-        write_foa_wav(rotate(read_foa_wav(src), rotation), want, encoding)
+        write_wav(whole_clip(src), 100, want, encoding)
         assert dst.read_bytes() == want.read_bytes()
 
     def test_in_place(self, capsys, tmp_path):
@@ -256,25 +280,28 @@ class TestNonFiniteSamples:
         assert err == f"error: {src}: samples must be finite\n"
         assert not out_wav.exists()
 
-    @pytest.mark.parametrize("command", ["rotate", "curate"])
+    @pytest.mark.parametrize("command", ["encode", "decode", "rotate", "curate"])
     def test_nan_in_a_later_slab_names_file(self, capsys, tmp_path, command):
         src, out = tmp_path / "nan.wav", tmp_path / "out"
-        write_wav(np.full((4, 1234), 0.1), 100, src)
-        set_float32_sample(src, 4 * 987 + 2, float("nan"))  # frame 987, in the tenth slab
+        channels = 1 if command == "encode" else 4
+        write_wav(np.full((channels, 1234), 0.1), 100, src)
+        # Frame 987, in the tenth of thirteen slabs; channel 2 of a 4-channel file.
+        set_float32_sample(src, channels * 987 + channels // 2, float("nan"))
         out.write_bytes(b"kept")
-        if command == "rotate":
-            argv = ["rotate", "--z-quarters", 1, src, out]
-        else:
+        if command == "curate":
             manifest = tmp_path / "m.ndjson"
             manifest.write_text(json.dumps({"path": str(src)}) + "\n")
             argv = ["curate", "--rms-threshold", 0.01, "--manifest", manifest, "--out", out]
+        else:
+            flags = ["--z-quarters", 1] if command == "rotate" else ["--dir", "0,0"]
+            argv = [command, *flags, src, out]
         code, _, err = run(capsys, *argv)
         assert (code, err) == (2, f"error: {src}: samples must be finite\n")
-        if command == "rotate":
+        if command == "curate":
+            assert read_rows(out)[0]["error"]["message"] == f"{src}: samples must be finite"
+        else:
             assert out.read_bytes() == b"kept"
             assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.wav", "out"]
-        else:
-            assert read_rows(out)[0]["error"]["message"] == f"{src}: samples must be finite"
 
 
 class TestPatternCommands:
@@ -447,6 +474,23 @@ class TestEvalSemantic:
         code, out, _ = run(capsys, "eval-semantic", "--channels", channels)
         assert code == 0
         assert last_json(out)["fad_avg"] == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            (["W"], "expected an object of channel entries"),
+            ({"W": "w.t"}, "channel 'W': record is not a JSON object"),
+            ({"W": {"gen": "g.t"}}, "channel 'W': record misses 'gt'"),
+            ({"W": {"gen": 7, "gt": "t.t"}}, "channel 'W': 'gen' must be a path string"),
+            ({"W": {"gen": "g.t", "gt": ["t.t"]}}, "channel 'W': 'gt' must be a path string"),
+        ],
+        ids=["file", "entry", "missing-gt", "integer-path", "list-path"],
+    )
+    def test_bad_channel_entry_names_the_file(self, capsys, tmp_path, mapping, message):
+        channels = tmp_path / "channels.json"
+        channels.write_text(json.dumps(mapping))
+        code, out, err = run(capsys, "eval-semantic", "--channels", channels)
+        assert (code, out, err) == (2, "", f"error: {channels}: {message}\n")
 
     def test_needs_some_input(self, capsys):
         code, _, _ = run(capsys, "eval-semantic")
@@ -758,11 +802,10 @@ class TestInfo:
         paths[3].write_bytes(extensible_wav(frames, 48000, 3, 32, frames.tobytes()))
         paths[4].write_bytes(pcm24_wav(np.zeros((3, 2), dtype=np.int64), 96000))
 
-        def refuse(path):
-            raise AssertionError(f"info decoded {path}")
+        def refuse(handle, header, size):
+            raise AssertionError(f"info decoded {handle.name}")
 
-        monkeypatch.setattr("foatools.tensor_io.read_wav", refuse)
-        monkeypatch.setattr("foatools.cli.read_wav", refuse)
+        monkeypatch.setattr("foatools.tensor_io._wav_slabs", refuse)
         code, out, _ = run(capsys, "info", *paths)
         assert code == 0
         described = [(f["n_channels"], f["n_samples"], f["sample_rate"]) for f in last_json(out)["files"]]
