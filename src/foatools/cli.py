@@ -74,11 +74,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _checked(parse, accept, requirement: str):
+    """An argparse ``type``: ``parse`` the text, then refuse values ``accept`` rejects."""
+
+    def check(text: str):
+        value = parse(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    check.__name__ = parse.__name__
+    return check
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda value: value >= 0, "a nonnegative integer")
+_positive_float = _checked(float, lambda value: value > 0.0, "positive")
+_top_p = _checked(float, lambda value: 0.0 < value <= 1.0, "in (0, 1]")
 
 
 def _print_json(payload: dict) -> None:
@@ -407,12 +419,13 @@ def cmd_patch_energy(args) -> int:
         raise FoaToolsError(
             f"{args.input}: patch embeddings must be 4-D, got shape {embeddings.shape}"
         )
-    spatial, temporal = patch_saliency.patch_scores(
-        np.asarray(embeddings, dtype=np.float64), args.spatial_window, args.temporal_window
-    )
-    energy = patch_saliency.energy_from_scores(
-        spatial, temporal, args.temperature, args.top_p
-    )
+    try:
+        spatial, temporal = patch_saliency.patch_scores(
+            embeddings, args.spatial_window, args.temporal_window
+        )
+    except ValueError as exc:  # a non-finite value or an all-zero embedding vector
+        raise FoaToolsError(f"{args.input}: {exc}") from None
+    energy = patch_saliency.energy_from_scores(spatial, temporal, args.temperature, args.top_p)
     write_tensor(energy.astype(np.float32), args.output)
     if args.pgm_dir:
         os.makedirs(args.pgm_dir, exist_ok=True)
@@ -684,10 +697,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval_semantic)
 
     p = sub.add_parser("patch-energy", help="patchwise energy map from an embedding tensor")
-    p.add_argument("--spatial-window", type=int, default=1, help="spatial half-window N (patches)")
-    p.add_argument("--temporal-window", type=int, default=1, help="temporal half-window T (frames)")
-    p.add_argument("--temperature", type=float, default=0.1, help="softmax temperature")
-    p.add_argument("--top-p", type=float, default=0.7, help="nucleus mass kept after averaging")
+    p.add_argument("--spatial-window", type=_nonnegative_int, default=1, help="spatial half-window N (patches)")
+    p.add_argument("--temporal-window", type=_nonnegative_int, default=1, help="temporal half-window T (frames)")
+    p.add_argument("--temperature", type=_positive_float, default=0.1, help="softmax temperature")
+    p.add_argument("--top-p", type=_top_p, default=0.7, help="nucleus mass kept after averaging")
     p.add_argument("--pgm-dir", help="directory for per-frame PGM heatmaps")
     p.add_argument("input", help="patch embedding tensor (time x rows x cols x dims, f32)")
     p.add_argument("output", help="energy tensor output path (time x rows x cols, f32)")

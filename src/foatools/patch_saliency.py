@@ -11,6 +11,7 @@ tempered softmax over the patches, averaging of the two maps, nucleus
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -22,21 +23,39 @@ DEFAULT_TOP_P = 0.7
 DEFAULT_WINDOW = 1
 
 
-def _as_embeddings(embeddings) -> np.ndarray:
+def _as_embeddings(embeddings) -> tuple:
+    """The checked float64 tensor and the norm of each of its patch vectors."""
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 4 or min(x.shape) < 1:
         raise ValueError("embeddings must be a (time, rows, cols, dim) tensor")
     if not np.all(np.isfinite(x)):
         raise ValueError("embeddings must be finite")
-    if np.any(np.linalg.norm(x, axis=-1) == 0.0):
+    norms = np.linalg.norm(x, axis=-1)
+    if np.any(norms == 0.0):
         raise ValueError("all-zero embedding vectors make cosine similarity undefined")
-    return x
+    return x, norms
 
 
-def _cosine_scores(x: np.ndarray, neighborhood_mean: np.ndarray) -> np.ndarray:
+def _window_mean(x: np.ndarray, half_window: int, axes: tuple) -> np.ndarray:
+    """Mean over each patch's (2*half_window+1)-wide window along ``axes``: edge padding
+    repeats border patches as clamped indices would, even past the tensor's extent."""
+    width = 2 * half_window + 1
+    pad = [(half_window, half_window) if axis in axes else (0, 0) for axis in range(x.ndim)]
+    padded = np.pad(x, pad, mode="edge")
+    total = np.zeros_like(x)
+    for offsets in itertools.product(range(width), repeat=len(axes)):
+        window = [slice(None)] * x.ndim
+        for axis, start in zip(axes, offsets):
+            window[axis] = slice(start, start + x.shape[axis])
+        total += padded[tuple(window)]
+    total /= width ** len(axes)  # in place, sparing a second array the size of x
+    return total
+
+
+def _cosine_scores(x: np.ndarray, x_norms: np.ndarray, neighborhood_mean: np.ndarray) -> np.ndarray:
     """2 - 2*cos(x, mean) per patch; zero-norm means fall back to score 2."""
     dots = np.sum(x * neighborhood_mean, axis=-1)
-    norms = np.linalg.norm(x, axis=-1) * np.linalg.norm(neighborhood_mean, axis=-1)
+    norms = x_norms * np.linalg.norm(neighborhood_mean, axis=-1)
     undefined = norms == 0.0
     n_undefined = int(np.count_nonzero(undefined))
     if n_undefined:
@@ -52,33 +71,19 @@ def _cosine_scores(x: np.ndarray, neighborhood_mean: np.ndarray) -> np.ndarray:
 def patch_scores(embeddings, spatial_window: int = DEFAULT_WINDOW, temporal_window: int = DEFAULT_WINDOW):
     """Spatial and temporal distinctiveness scores per patch.
 
-    Neighborhood means use index clamping at the tensor borders (border
-    patches are repeated), keeping the divisor fixed at (2N+1)^2 spatially
-    and (2T+1) temporally. Scores lie in [0, 4].
+    Neighborhood means repeat the border patches (an edge-padded tensor,
+    the same values as clamped indices), keeping the divisor fixed at
+    (2N+1)^2 spatially and (2T+1) temporally. Scores lie in [0, 4].
 
     Returns a pair of (time, rows, cols) arrays: spatial scores, temporal
     scores.
     """
-    x = _as_embeddings(embeddings)
+    x, x_norms = _as_embeddings(embeddings)
     if spatial_window < 0 or temporal_window < 0:
         raise ValueError("window sizes must be nonnegative")
-    n_time, n_rows, n_cols, _ = x.shape
-
-    spatial_sum = np.zeros_like(x)
-    for dr in range(-spatial_window, spatial_window + 1):
-        rows = np.clip(np.arange(n_rows) + dr, 0, n_rows - 1)
-        for dc in range(-spatial_window, spatial_window + 1):
-            cols = np.clip(np.arange(n_cols) + dc, 0, n_cols - 1)
-            spatial_sum += x[:, rows][:, :, cols]
-    spatial_mean = spatial_sum / (2 * spatial_window + 1) ** 2
-
-    temporal_sum = np.zeros_like(x)
-    for dt in range(-temporal_window, temporal_window + 1):
-        steps = np.clip(np.arange(n_time) + dt, 0, n_time - 1)
-        temporal_sum += x[steps]
-    temporal_mean = temporal_sum / (2 * temporal_window + 1)
-
-    return _cosine_scores(x, spatial_mean), _cosine_scores(x, temporal_mean)
+    spatial = _cosine_scores(x, x_norms, _window_mean(x, spatial_window, (1, 2)))
+    temporal = _cosine_scores(x, x_norms, _window_mean(x, temporal_window, (0,)))
+    return spatial, temporal
 
 
 def energy_from_scores(

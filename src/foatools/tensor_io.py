@@ -383,20 +383,6 @@ def read_wav(path):
     return samples, header.sample_rate
 
 
-def _foa_clip(path, samples, sample_rate) -> FoaClip:
-    try:
-        return FoaClip(samples, sample_rate)
-    except ValueError as exc:  # a non-finite sample
-        raise WavFormatError(f"{path}: {exc}") from exc
-
-
-def _foa_header(path, handle) -> WavHeader:
-    header = _parse_wav_header(path, handle)
-    if header.channels != 4:
-        raise WavFormatError(f"{path}: ambisonic audio needs 4 channels, found {header.channels}")
-    return header
-
-
 @contextmanager
 def read_wav_slabs(path, channels: int):
     """The one streamed WAV reader: the checked header of a ``channels``-channel
@@ -447,10 +433,6 @@ def read_clip_stats(path) -> ClipStats:
     """The curation statistics of a 4-channel WAV file, bit-identical to those
     of its ``read_foa_wav`` clip, decoded slab by slab."""
     return _read_foa_summary(path, clip_stats)
-
-
-def write_foa_wav(clip: FoaClip, path, encoding: str = "float32") -> None:
-    write_wav(clip.samples, clip.sample_rate, path, encoding)
 
 
 # ---------------------------------------------------------------------------

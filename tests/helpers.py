@@ -7,10 +7,12 @@ implementations.
 
 import math
 import struct
+import warnings
 
 import numpy as np
 
 from foatools import Direction, FoaClip, Group, Pattern, Rotation, encode_mono, group_of
+from foatools.tensor_io import write_wav
 
 
 def random_rotation(rng):
@@ -32,6 +34,11 @@ def random_clip(rng, n_samples=512, sample_rate=44100):
 
 def encoded_noise(rng, direction, n_samples=2205, sample_rate=44100):
     return encode_mono(rng.normal(size=n_samples), direction, sample_rate)
+
+
+def write_foa_wav(clip, path, encoding="float32"):
+    """Write a clip as a 4-channel W, X, Y, Z WAV file."""
+    write_wav(clip.samples, clip.sample_rate, path, encoding)
 
 
 def set_float32_sample(path, index, value):
@@ -234,6 +241,53 @@ def patch_scores_bruteforce(emb, spatial_window, temporal_window):
                 mean = acc / (2 * temporal_window + 1)
                 temporal[t, i, j] = 2.0 - 2.0 * cos_sim(emb[t, i, j], mean)
     return spatial, temporal
+
+
+def patch_scores_clamped(embeddings, spatial_window, temporal_window):
+    """The clamped-index patch scores, with the library's checks and zero-norm
+    warning: each neighborhood sum adds fancy-indexed copies of the tensor in
+    offset order (spatial rows, then columns; then time), then divides once.
+    The library's edge-padded sums must equal these bit for bit."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    if x.ndim != 4 or min(x.shape) < 1:
+        raise ValueError("embeddings must be a (time, rows, cols, dim) tensor")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("embeddings must be finite")
+    if np.any(np.linalg.norm(x, axis=-1) == 0.0):
+        raise ValueError("all-zero embedding vectors make cosine similarity undefined")
+    if spatial_window < 0 or temporal_window < 0:
+        raise ValueError("window sizes must be nonnegative")
+    n_time, n_rows, n_cols, _ = x.shape
+
+    def cosine_scores(neighborhood_mean):
+        dots = np.sum(x * neighborhood_mean, axis=-1)
+        norms = np.linalg.norm(x, axis=-1) * np.linalg.norm(neighborhood_mean, axis=-1)
+        undefined = norms == 0.0
+        n_undefined = int(np.count_nonzero(undefined))
+        if n_undefined:
+            warnings.warn(
+                f"{n_undefined} patches have a zero-norm neighborhood mean; "
+                "their score is set to 2 (orthogonal-equivalent)",
+                stacklevel=3,
+            )
+        cos = np.where(undefined, 0.0, dots / np.where(undefined, 1.0, norms))
+        return 2.0 - 2.0 * cos
+
+    spatial_sum = np.zeros_like(x)
+    for dr in range(-spatial_window, spatial_window + 1):
+        rows = np.clip(np.arange(n_rows) + dr, 0, n_rows - 1)
+        for dc in range(-spatial_window, spatial_window + 1):
+            cols = np.clip(np.arange(n_cols) + dc, 0, n_cols - 1)
+            spatial_sum += x[:, rows][:, :, cols]
+    spatial_mean = spatial_sum / (2 * spatial_window + 1) ** 2
+
+    temporal_sum = np.zeros_like(x)
+    for dt in range(-temporal_window, temporal_window + 1):
+        steps = np.clip(np.arange(n_time) + dt, 0, n_time - 1)
+        temporal_sum += x[steps]
+    temporal_mean = temporal_sum / (2 * temporal_window + 1)
+
+    return cosine_scores(spatial_mean), cosine_scores(temporal_mean)
 
 
 def top_p_mask_bruteforce(probs, top_p):

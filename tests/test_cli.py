@@ -15,6 +15,7 @@ from foatools import (
     SphereGrid,
     decode_to_mono,
     encode_mono,
+    energy_from_scores,
     fov_center,
     pack,
     rotate,
@@ -27,11 +28,11 @@ from foatools.tensor_io import (
     read_tensor,
     read_wav,
     write_code_matrix,
-    write_foa_wav,
+    write_pgm,
     write_tensor,
     write_wav,
 )
-from helpers import extensible_wav, pcm24_wav, set_float32_sample
+from helpers import extensible_wav, patch_scores_clamped, pcm24_wav, set_float32_sample, write_foa_wav
 
 SQRT2 = math.sqrt(2.0)
 
@@ -531,6 +532,57 @@ class TestPatchEnergy:
         assert sorted(p.name for p in pgm_dir.iterdir()) == [
             "frame_0000.pgm", "frame_0001.pgm", "frame_0002.pgm",
         ]
+
+    @pytest.mark.parametrize("windows", [(1, 1), (0, 3), (3, 0)])
+    def test_output_bytes_match_clamped_index_oracle(self, capsys, tmp_path, windows):
+        emb = np.random.default_rng(12).normal(size=(4, 5, 6, 8)).astype(np.float32)
+        src, dst, want = tmp_path / "emb.t", tmp_path / "energy.t", tmp_path / "want.t"
+        write_tensor(emb, src)
+        pgm_dir = tmp_path / "frames"
+        code, _, _ = run(
+            capsys, "patch-energy", "--spatial-window", windows[0], "--temporal-window", windows[1],
+            "--temperature", "0.2", "--top-p", "0.6", "--pgm-dir", pgm_dir, src, dst,
+        )
+        assert code == 0
+        energy = energy_from_scores(*patch_scores_clamped(emb, *windows), 0.2, 0.6)
+        write_tensor(energy.astype(np.float32), want)
+        assert dst.read_bytes() == want.read_bytes()
+        for i in range(emb.shape[0]):
+            write_pgm(energy[i], tmp_path / "want.pgm")
+            assert (pgm_dir / f"frame_{i:04d}.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+    @pytest.mark.parametrize(
+        "value, message", [(np.nan, "embeddings must be finite"), (0.0, "all-zero embedding vectors")]
+    )
+    def test_data_errors_name_the_input(self, capsys, tmp_path, value, message):
+        emb = np.ones((2, 3, 3, 4), dtype=np.float32)
+        emb[1, 2, 0] = value
+        src = tmp_path / "emb.t"
+        write_tensor(emb, src)
+        code, _, err = run(capsys, "patch-energy", src, tmp_path / "energy.t")
+        assert code == 2
+        assert err.startswith(f"error: {src}: {message}")
+        assert not (tmp_path / "energy.t").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--spatial-window", "-1"),
+            ("--temporal-window", "-1"),
+            ("--temperature", "0"),
+            ("--temperature", "nan"),
+            ("--top-p", "0"),
+            ("--top-p", "1.5"),
+        ],
+    )
+    def test_bad_flags_are_usage_errors_before_any_read(self, capsys, tmp_path, monkeypatch, flag, value):
+        def refuse(path):
+            raise AssertionError(f"patch-energy read {path} before checking its flags")
+
+        monkeypatch.setattr("foatools.cli.read_tensor", refuse)
+        code, _, err = run(capsys, "patch-energy", f"{flag}={value}", tmp_path / "emb.t", tmp_path / "energy.t")
+        assert code == 1
+        assert err.startswith(f"usage error: argument {flag}: must be")
 
 
 class TestCurate:

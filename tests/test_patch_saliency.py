@@ -1,8 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from foatools import energy_from_scores, patch_scores
-from helpers import patch_energy_bruteforce, patch_scores_bruteforce
+from helpers import patch_energy_bruteforce, patch_scores_bruteforce, patch_scores_clamped
+
+
+@st.composite
+def embeddings(draw):
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6)))
+    # Small integers cancel inside windows, so zero-norm means (and their warning) occur.
+    elements = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-1e3, 1e3)]))
+    emb = draw(hnp.arrays(np.float64, shape, elements=elements))
+    emb[np.linalg.norm(emb, axis=-1) == 0.0, 0] = 1.0  # all-zero vectors are rejected
+    return emb
+
+
+def scores_and_warnings(scores, emb, spatial_window, temporal_window):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = scores(emb, spatial_window, temporal_window)
+    return result, [str(w.message) for w in caught]
 
 
 class TestPatchScores:
@@ -75,6 +96,18 @@ class TestPatchScores:
         with pytest.warns(UserWarning, match="zero-norm"):
             spatial, _ = patch_scores(emb, spatial_window=1, temporal_window=0)
         assert spatial[0, 0, 1] == pytest.approx(2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(emb=embeddings(), spatial_window=st.integers(0, 3), temporal_window=st.integers(0, 3))
+    def test_bit_identical_to_clamped_indices(self, emb, spatial_window, temporal_window):
+        # Windows up to 3 reach past tensors as small as one patch per axis.
+        got, got_warnings = scores_and_warnings(patch_scores, emb, spatial_window, temporal_window)
+        want, want_warnings = scores_and_warnings(patch_scores_clamped, emb, spatial_window, temporal_window)
+        brute = patch_scores_bruteforce(emb, spatial_window, temporal_window)
+        for got_scores, want_scores, brute_scores in zip(got, want, brute):
+            assert np.array_equal(got_scores, want_scores)
+            assert np.allclose(got_scores, brute_scores, atol=1e-6)
+        assert got_warnings == want_warnings
 
     def test_rejects_bad_embeddings(self):
         with pytest.raises(ValueError):

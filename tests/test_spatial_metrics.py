@@ -16,7 +16,7 @@ from foatools import (
     rotate,
 )
 from foatools.spatial_metrics import auc_rows, correlation_rows
-from foatools.tensor_io import read_foa_moments, read_foa_wav, write_foa_wav
+from foatools.tensor_io import read_foa_moments, read_foa_wav
 from foatools.errors import (
     GridMismatchError,
     IncompatibleClipsError,
@@ -30,6 +30,7 @@ from helpers import (
     random_direction,
     random_rotation,
     weighted_pearson_bruteforce,
+    write_foa_wav,
 )
 
 GRID = SphereGrid(8, 16)

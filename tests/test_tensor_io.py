@@ -43,13 +43,19 @@ from foatools.tensor_io import (
     write_code_matrix,
     write_energy_map_csv,
     write_energy_map_pgm,
-    write_foa_wav,
     write_pgm,
     write_tensor,
     write_wav,
     write_wav_slabs,
 )
-from helpers import curation_stats_oracle, extensible_wav, pcm24_bytes, pcm24_wav, set_float32_sample
+from helpers import (
+    curation_stats_oracle,
+    extensible_wav,
+    pcm24_bytes,
+    pcm24_wav,
+    set_float32_sample,
+    write_foa_wav,
+)
 
 
 class TestTensorFiles:
