@@ -42,9 +42,8 @@ from .tensor_io import (
     CODE_MAGIC,
     WAV_ENCODINGS,
     atomic_write,
-    read_clip_stats,
     read_code_matrix,
-    read_foa_moments,
+    read_foa_summary,
     read_foa_wav,
     read_tensor,
     read_wav_header,
@@ -91,6 +90,9 @@ _positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
 _nonnegative_int = _checked(int, lambda value: value >= 0, "a nonnegative integer")
 _positive_float = _checked(float, lambda value: value > 0.0, "positive")
 _top_p = _checked(float, lambda value: 0.0 < value <= 1.0, "in (0, 1]")
+_percentile = _checked(float, lambda value: 0.0 < value < 100.0, "in (0, 100)")
+_nonnegative_float = _checked(float, lambda value: value >= 0.0, "nonnegative")
+_finite_float = _checked(float, math.isfinite, "finite")
 
 
 def _print_json(payload: dict) -> None:
@@ -313,7 +315,7 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
 
 def _spatial_one(record, grid, fixation_percentile) -> dict:
     gen, gt = record["gen"], record["gt"]
-    gen_moments, gt_moments = read_foa_moments(gen), read_foa_moments(gt)
+    gen_moments, gt_moments = (read_foa_summary(path, spatial_metrics.window_moments) for path in (gen, gt))
     try:
         report = spatial_metrics.evaluate_windows(gen_moments, gt_moments, grid, fixation_percentile)
     except (IncompatibleClipsError, NoUsableWindowsError) as exc:
@@ -501,7 +503,7 @@ def cmd_generate(args) -> int:
 
 
 def _curate_one(record, args, grid) -> dict:
-    stats = read_clip_stats(record["path"])
+    stats = read_foa_summary(record["path"], curation.clip_stats)
     # A clip with no whole second has no second that passed the gate.
     amplitude_ok = stats.w_squares.size > 0 and curation.amplitude_gate(stats, args.amplitude_threshold)
     mask = curation.segment_mask(stats, args.rms_threshold)
@@ -667,7 +669,7 @@ def build_parser() -> _Parser:
     p.add_argument("gen", nargs="?", help="generated 4-channel WAV")
     p.add_argument("gt", nargs="?", help="reference 4-channel WAV")
     p.add_argument(
-        "--fixation-percentile", type=float, default=95.0,
+        "--fixation-percentile", type=_percentile, default=spatial_metrics.DEFAULT_FIXATION_PERCENTILE,
         help="weighted percentile of the reference map that defines fixations (percent)",
     )
     p.add_argument("--csv", help="also write the six scores as one CSV line")
@@ -687,7 +689,7 @@ def build_parser() -> _Parser:
         "--channels",
         help="JSON file mapping W/X/Y/Z to {'gen': tensor, 'gt': tensor} for the channel-mean distance",
     )
-    p.add_argument("--epsilon", type=float, default=1e-6, help="probability floor for the KLD")
+    p.add_argument("--epsilon", type=_positive_float, default=1e-6, help="probability floor for the KLD")
     p.add_argument(
         "--manifest",
         help="NDJSON manifest of {'gen_features':..., 'gt_features':...} and/or *_probs records",
@@ -697,10 +699,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval_semantic)
 
     p = sub.add_parser("patch-energy", help="patchwise energy map from an embedding tensor")
-    p.add_argument("--spatial-window", type=_nonnegative_int, default=1, help="spatial half-window N (patches)")
-    p.add_argument("--temporal-window", type=_nonnegative_int, default=1, help="temporal half-window T (frames)")
-    p.add_argument("--temperature", type=_positive_float, default=0.1, help="softmax temperature")
-    p.add_argument("--top-p", type=_top_p, default=0.7, help="nucleus mass kept after averaging")
+    p.add_argument("--spatial-window", type=_nonnegative_int, default=patch_saliency.DEFAULT_WINDOW,
+                   help="spatial half-window N (patches)")
+    p.add_argument("--temporal-window", type=_nonnegative_int, default=patch_saliency.DEFAULT_WINDOW,
+                   help="temporal half-window T (frames)")
+    p.add_argument("--temperature", type=_positive_float, default=patch_saliency.DEFAULT_TEMPERATURE,
+                   help="softmax temperature")
+    p.add_argument("--top-p", type=_top_p, default=patch_saliency.DEFAULT_TOP_P,
+                   help="nucleus mass kept after averaging")
     p.add_argument("--pgm-dir", help="directory for per-frame PGM heatmaps")
     p.add_argument("input", help="patch embedding tensor (time x rows x cols x dims, f32)")
     p.add_argument("output", help="energy tensor output path (time x rows x cols, f32)")
@@ -731,10 +737,10 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--guidance", choices=guidance.MODES, default="none", help="logit guidance mode"
     )
-    p.add_argument("--omega", type=float, default=guidance.DEFAULT_OMEGA, help="guidance scale")
-    p.add_argument("--omega2", type=float, default=0.0, help="second scale (dual mode)")
-    p.add_argument("--temperature", type=float, default=1.0, help="sampling temperature")
-    p.add_argument("--top-p", type=float, default=1.0, help="nucleus sampling mass")
+    p.add_argument("--omega", type=_finite_float, default=guidance.DEFAULT_OMEGA, help="guidance scale")
+    p.add_argument("--omega2", type=_finite_float, default=0.0, help="second scale (dual mode)")
+    p.add_argument("--temperature", type=_positive_float, default=1.0, help="sampling temperature")
+    p.add_argument("--top-p", type=_top_p, default=1.0, help="nucleus sampling mass")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--argmax", action="store_true", help="take the most likely code each step")
     p.add_argument("output", help="generated code matrix file")
@@ -745,7 +751,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True, help="NDJSON manifest of {'path':..., 'score':...}")
     p.add_argument("--out", required=True, help="output NDJSON with decisions")
     p.add_argument(
-        "--rms-threshold", type=float, required=True,
+        "--rms-threshold", type=_nonnegative_float, required=True,
         help="per-second RMS floor on the W channel (amplitude units)",
     )
     p.add_argument(

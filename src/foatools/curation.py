@@ -78,9 +78,9 @@ def clip_stats(slabs_of, n_samples: int, sample_rate: int) -> ClipStats:
 def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
     """True iff every channel keeps a mean |amplitude| >= threshold each second.
 
-    ``clip`` is a FoaClip or its ClipStats (as ``tensor_io.read_clip_stats``
-    reads them), here and in ``segment_mask`` and ``fov_center``; a clip is
-    one slab of the same per-slab arithmetic.
+    ``clip`` is a FoaClip or its ClipStats (as ``tensor_io.read_foa_summary(path,
+    clip_stats)`` reads them), here and in ``segment_mask`` and ``fov_center``;
+    a clip is one slab of the same per-slab arithmetic.
     """
     abs_means = clip.abs_means if isinstance(clip, ClipStats) else _abs_means(clip.samples, clip.sample_rate)
     if abs_means.shape[1] < 1:

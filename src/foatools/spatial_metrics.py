@@ -11,7 +11,7 @@ over the usable windows of each granularity.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,16 +42,7 @@ class SpatialReport:
     windows_skipped: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "cc_all": self.cc_all,
-            "cc_1fps": self.cc_1fps,
-            "cc_5fps": self.cc_5fps,
-            "auc_all": self.auc_all,
-            "auc_1fps": self.auc_1fps,
-            "auc_5fps": self.auc_5fps,
-            "windows_used": dict(self.windows_used),
-            "windows_skipped": dict(self.windows_skipped),
-        }
+        return asdict(self)
 
 
 def _check_grids(gen: EnergyMap, gt: EnergyMap) -> SphereGrid:
@@ -186,15 +177,16 @@ def evaluate_windows(
 ) -> SpatialReport:
     """Windowed correlation/AUC between two clips at all three granularities.
 
-    ``gen`` and ``gt`` are clips, or their WindowMoments as read by
-    ``tensor_io.read_foa_moments``. The whole-clip window keeps every
-    sample; the 1000 ms and 200 ms windows tile the clip from its start and
-    drop a trailing partial window. All power-mode maps come from one pass:
-    summed second moments of every 200 ms block, then one product for every
-    window's map, then CC and AUC row by row. Each granularity reports the
-    mean over its usable windows. Windows where either metric is undefined
-    (a silent or otherwise constant map) are counted in ``windows_skipped``;
-    a granularity with no usable window raises NoUsableWindowsError.
+    ``gen`` and ``gt`` are clips, or their WindowMoments as
+    ``tensor_io.read_foa_summary(path, window_moments)`` reads them. The
+    whole-clip window keeps every sample; the 1000 ms and 200 ms windows tile
+    the clip from its start and drop a trailing partial window. All
+    power-mode maps come from one pass: summed second moments of every 200 ms
+    block, then one product for every window's map, then CC and AUC row by
+    row. Each granularity reports the mean over its usable windows. Windows
+    where either metric is undefined (a silent or otherwise constant map) are
+    counted in ``windows_skipped``; a granularity with no usable window raises
+    NoUsableWindowsError.
     """
     if gen.n_samples != gt.n_samples or gen.sample_rate != gt.sample_rate:
         raise IncompatibleClipsError(

@@ -47,7 +47,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pattern_steps
-from .curation import ClipStats, clip_stats
 from .errors import (
     HeaderParseError,
     PayloadSizeError,
@@ -56,9 +55,8 @@ from .errors import (
     WavFormatError,
 )
 from .foa import EnergyMap, FoaClip
-from .spatial_metrics import WindowMoments, window_moments
 
-_TENSOR_DTYPES = {"f32": ("<f4", 4), "u16": ("<u2", 2)}
+_TENSOR_DTYPES = {"f32": "<f4", "u16": "<u2"}
 
 CODE_MAGIC = b"ACM1"
 _CODE_HEADER = struct.Struct("<4sIIIB")
@@ -132,44 +130,47 @@ def write_tensor(tensor, path) -> None:
         sort_keys=True,
         separators=(",", ":"),
     )
-    payload = np.ascontiguousarray(arr).astype(_TENSOR_DTYPES[name][0]).tobytes()
+    payload = np.ascontiguousarray(arr).astype(_TENSOR_DTYPES[name]).tobytes()
     with atomic_write(path) as handle:
         handle.write(header.encode("ascii") + b"\n")
         handle.write(payload)
 
 
 def read_tensor(path) -> np.ndarray:
-    blob = _read_bytes(path)
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise HeaderParseError(f"{path}: no header line found")
-    try:
-        header = json.loads(blob[:newline].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderParseError(f"{path}: bad header: {exc}") from exc
-    if not isinstance(header, dict) or set(header) != {"dtype", "shape"}:
-        raise HeaderParseError(f"{path}: header must carry exactly dtype and shape")
-    name = header["dtype"]
-    if name not in _TENSOR_DTYPES:
-        raise UnknownDtypeError(f"{path}: unknown dtype {name!r}")
-    shape = header["shape"]
-    if (
-        not isinstance(shape, list)
-        or not shape
-        or not all(isinstance(s, int) and s >= 1 for s in shape)
-    ):
-        raise HeaderParseError(f"{path}: shape must be a list of positive integers")
-    dtype, item_size = _TENSOR_DTYPES[name]
-    expected = item_size * math.prod(shape)
-    payload = blob[newline + 1 :]
-    if len(payload) != expected:
+    with open(path, "rb") as handle:
+        line = handle.readline()
+        if not line.endswith(b"\n"):
+            raise HeaderParseError(f"{path}: no header line found")
+        try:
+            header = json.loads(line[:-1].decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise HeaderParseError(f"{path}: bad header: {exc}") from exc
+        if not isinstance(header, dict) or set(header) != {"dtype", "shape"}:
+            raise HeaderParseError(f"{path}: header must carry exactly dtype and shape")
+        name = header["dtype"]
+        if name not in _TENSOR_DTYPES:
+            raise UnknownDtypeError(f"{path}: unknown dtype {name!r}")
+        shape = header["shape"]
+        if (
+            not isinstance(shape, list)
+            or not shape
+            or not all(isinstance(s, int) and s >= 1 for s in shape)
+        ):
+            raise HeaderParseError(f"{path}: shape must be a list of positive integers")
+        return _read_payload(path, handle, _TENSOR_DTYPES[name], shape, f"{name} shape {shape}")
+
+
+def _read_payload(path, handle, dtype: str, shape, what: str) -> np.ndarray:
+    """The rest of an open file as a ``shape`` array: one size check, one ``np.fromfile``."""
+    offset = handle.tell()
+    size = os.fstat(handle.fileno()).st_size - offset
+    count = math.prod(shape)
+    expected = count * np.dtype(dtype).itemsize
+    if size != expected:
         raise PayloadSizeError(
-            f"{path}: payload holds {len(payload)} bytes from offset {newline + 1}, "
-            f"expected {expected} for {name} shape {shape}"
+            f"{path}: payload holds {size} bytes from offset {offset}, expected {expected} for {what}"
         )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).astype(
-        np.float32 if name == "f32" else np.uint16
-    )
+    return np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +197,22 @@ def write_code_matrix(matrix, path) -> None:
 
 def read_code_matrix(path):
     """Read a code file; returns CodeMatrix or ReorgMatrix per its pattern id."""
-    blob = _read_bytes(path)
-    if len(blob) < _CODE_HEADER.size:
-        raise HeaderParseError(
-            f"{path}: {len(blob)} bytes cannot hold the {_CODE_HEADER.size}-byte header"
-        )
-    magic, n, frames, vocab, pattern_id = _CODE_HEADER.unpack_from(blob)
-    if magic != CODE_MAGIC:
-        raise HeaderParseError(f"{path}: bad magic {magic!r} at byte 0")
-    if pattern_id not in _PATTERNS_BY_ID:
-        raise HeaderParseError(f"{path}: unknown pattern id {pattern_id}")
-    if n < 1 or frames < 1 or vocab < 1:
-        raise HeaderParseError(f"{path}: degenerate header (N={n}, L={frames}, V={vocab})")
-    pattern = _PATTERNS_BY_ID[pattern_id]
-    columns = frames if pattern is None else pattern_steps(pattern, n, frames)
-    expected = 4 * n * columns * 2
-    payload = blob[_CODE_HEADER.size :]
-    if len(payload) != expected:
-        raise PayloadSizeError(
-            f"{path}: payload holds {len(payload)} bytes from offset {_CODE_HEADER.size}, "
-            f"expected {expected} for {4 * n}x{columns} u16 codes"
-        )
-    codes = np.frombuffer(payload, dtype="<u2").reshape(4 * n, columns).astype(np.int64)
+    with open(path, "rb") as handle:
+        head = handle.read(_CODE_HEADER.size)
+        if len(head) < _CODE_HEADER.size:
+            raise HeaderParseError(
+                f"{path}: {len(head)} bytes cannot hold the {_CODE_HEADER.size}-byte header"
+            )
+        magic, n, frames, vocab, pattern_id = _CODE_HEADER.unpack(head)
+        if magic != CODE_MAGIC:
+            raise HeaderParseError(f"{path}: bad magic {magic!r} at byte 0")
+        if pattern_id not in _PATTERNS_BY_ID:
+            raise HeaderParseError(f"{path}: unknown pattern id {pattern_id}")
+        if n < 1 or frames < 1 or vocab < 1:
+            raise HeaderParseError(f"{path}: degenerate header (N={n}, L={frames}, V={vocab})")
+        pattern = _PATTERNS_BY_ID[pattern_id]
+        columns = frames if pattern is None else pattern_steps(pattern, n, frames)
+        codes = _read_payload(path, handle, "<u2", (4 * n, columns), f"{4 * n}x{columns} u16 codes")
     try:
         return CodeMatrix(codes, n, vocab) if pattern is None else ReorgMatrix(codes, pattern, n, vocab)
     except ValueError as exc:
@@ -411,28 +406,18 @@ def read_foa_wav(path) -> FoaClip:
         raise WavFormatError(f"{path}: {exc}") from exc
 
 
-def _read_foa_summary(path, summarize):
+def read_foa_summary(path, summarize):
     """``summarize(slabs_of, frames, sample_rate)`` of a 4-channel WAV file,
-    checked through the summary's ``whole`` 4x4 moment for a non-finite sample."""
+    decoded slab by slab so the float64 clip is never held, and checked
+    through the summary's ``whole`` 4x4 moment for a non-finite sample.
+    ``spatial_metrics.window_moments`` and ``curation.clip_stats`` are the
+    summaries; each is bit-identical to the one of the ``read_foa_wav`` clip."""
     with read_wav_slabs(path, 4) as (header, slabs_of):
         summary = summarize(slabs_of, header.frames, header.sample_rate)
     # A non-finite sample makes its channel's summed square non-finite.
     if not np.all(np.isfinite(np.diagonal(summary.whole))):
         raise WavFormatError(f"{path}: samples must be finite")
     return summary
-
-
-def read_foa_moments(path) -> WindowMoments:
-    """The window moments of a 4-channel WAV file, bit-identical to those of
-    its ``read_foa_wav`` clip, decoded slab by slab so the float64 clip is
-    never held."""
-    return _read_foa_summary(path, window_moments)
-
-
-def read_clip_stats(path) -> ClipStats:
-    """The curation statistics of a 4-channel WAV file, bit-identical to those
-    of its ``read_foa_wav`` clip, decoded slab by slab."""
-    return _read_foa_summary(path, clip_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +465,3 @@ def write_energy_map_csv(emap: EnergyMap, path) -> None:
         )
     with atomic_write(path) as handle:
         handle.write(("\n".join(lines) + "\n").encode("ascii"))
-
-
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()

@@ -565,24 +565,66 @@ class TestPatchEnergy:
         assert not (tmp_path / "energy.t").exists()
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "command, flag, value",
         [
-            ("--spatial-window", "-1"),
-            ("--temporal-window", "-1"),
-            ("--temperature", "0"),
-            ("--temperature", "nan"),
-            ("--top-p", "0"),
-            ("--top-p", "1.5"),
+            *(
+                pytest.param("patch-energy", flag, value, id=f"{flag}-{value}")
+                for flag, value in [
+                    ("--spatial-window", "-1"),
+                    ("--temporal-window", "-1"),
+                    ("--temperature", "0"),
+                    ("--temperature", "nan"),
+                    ("--top-p", "0"),
+                    ("--top-p", "1.5"),
+                ]
+            ),
+            *(
+                pytest.param(command, flag, value, id=f"{command} {flag}={value}")
+                for command, flag, value in [
+                    ("eval-spatial", "--fixation-percentile", "150"),
+                    ("eval-spatial", "--fixation-percentile", "0"),
+                    ("eval-spatial", "--fixation-percentile", "100"),
+                    ("eval-spatial", "--fixation-percentile", "nan"),
+                    ("eval-spatial-manifest", "--fixation-percentile", "150"),
+                    ("curate", "--rms-threshold", "-1"),
+                    ("curate", "--rms-threshold", "nan"),
+                    ("eval-semantic", "--epsilon", "0"),
+                    ("eval-semantic", "--epsilon", "nan"),
+                    ("eval-semantic-manifest", "--epsilon", "0"),
+                    ("generate", "--temperature", "0"),
+                    ("generate", "--temperature", "nan"),
+                    ("generate-argmax", "--temperature", "0"),
+                    ("generate", "--top-p", "0"),
+                    ("generate", "--top-p", "1.5"),
+                    ("generate", "--omega", "nan"),
+                    ("generate", "--omega", "inf"),
+                    ("generate", "--omega2", "-inf"),
+                ]
+            ),
         ],
     )
-    def test_bad_flags_are_usage_errors_before_any_read(self, capsys, tmp_path, monkeypatch, flag, value):
-        def refuse(path):
-            raise AssertionError(f"patch-energy read {path} before checking its flags")
+    def test_bad_flags_are_usage_errors_before_any_read(self, capsys, tmp_path, monkeypatch, command, flag, value):
+        def refuse(path, *rest):
+            raise AssertionError(f"{command} read {path} before checking its flags")
 
-        monkeypatch.setattr("foatools.cli.read_tensor", refuse)
-        code, _, err = run(capsys, "patch-energy", f"{flag}={value}", tmp_path / "emb.t", tmp_path / "energy.t")
+        for reader in ("read_tensor", "read_code_matrix", "read_foa_summary", "read_foa_wav"):
+            monkeypatch.setattr(f"foatools.cli.{reader}", refuse)
+        wav, tensor, table, out = (tmp_path / name for name in ("clip.wav", "emb.t", "table.cmx", "out"))
+        manifest = tmp_path / "in.ndjson"  # missing, so reading it is a data error
+        argv = {
+            "patch-energy": ["patch-energy", tensor, out],
+            "eval-spatial": ["eval-spatial", wav, wav],
+            "eval-spatial-manifest": ["eval-spatial", "--manifest", manifest, "--out", out],
+            "curate": ["curate", "--manifest", manifest, "--out", out],
+            "eval-semantic": ["eval-semantic", "--gen-probs", tensor, "--gt-probs", tensor],
+            "eval-semantic-manifest": ["eval-semantic", "--manifest", manifest, "--out", out],
+            "generate": ["generate", "--table", table, out],
+            "generate-argmax": ["generate", "--argmax", "--table", table, out],
+        }[command]
+        code, _, err = run(capsys, *argv, f"{flag}={value}")
         assert code == 1
         assert err.startswith(f"usage error: argument {flag}: must be")
+        assert not out.exists()
 
 
 class TestCurate:
@@ -643,11 +685,11 @@ class TestCurate:
 
     @staticmethod
     def refuse_clip_reads(monkeypatch):
-        def refuse(path):
+        def refuse(path, *rest):
             raise AssertionError(f"curate read {path} before checking the scores")
 
         monkeypatch.setattr("foatools.cli.read_foa_wav", refuse)
-        monkeypatch.setattr("foatools.cli.read_clip_stats", refuse)
+        monkeypatch.setattr("foatools.cli.read_foa_summary", refuse)
 
     def test_mixed_scores_rejected(self, capsys, tmp_path, monkeypatch):
         self.refuse_clip_reads(monkeypatch)

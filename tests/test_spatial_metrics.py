@@ -15,8 +15,8 @@ from foatools import (
     evaluate_windows,
     rotate,
 )
-from foatools.spatial_metrics import auc_rows, correlation_rows
-from foatools.tensor_io import read_foa_moments, read_foa_wav
+from foatools.spatial_metrics import auc_rows, correlation_rows, window_moments
+from foatools.tensor_io import read_foa_summary, read_foa_wav
 from foatools.errors import (
     GridMismatchError,
     IncompatibleClipsError,
@@ -262,7 +262,7 @@ class TestEvaluateWindowsOracle:
             write_foa_wav(clip, path)
         gen_clip, gt_clip = (read_foa_wav(path) for path in paths)
         grid = SphereGrid(8, 16)
-        got = evaluate_windows(*(read_foa_moments(path) for path in paths), grid).to_dict()
+        got = evaluate_windows(*(read_foa_summary(path, window_moments) for path in paths), grid).to_dict()
         assert got == evaluate_windows(gen_clip, gt_clip, grid).to_dict()  # bit for bit
         assert_matches_bruteforce(got, gen_clip, gt_clip, grid)
 

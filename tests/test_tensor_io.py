@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import io
 import json
+import pathlib
 import re
 import struct
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -24,6 +27,7 @@ from foatools import (
 from foatools.cli import main
 from foatools.curation import clip_stats
 from foatools.foa import block_moments
+from foatools.spatial_metrics import window_moments
 from foatools.errors import (
     HeaderParseError,
     PayloadSizeError,
@@ -33,9 +37,8 @@ from foatools.errors import (
 )
 from foatools.tensor_io import (
     atomic_write,
-    read_clip_stats,
     read_code_matrix,
-    read_foa_moments,
+    read_foa_summary,
     read_foa_wav,
     read_tensor,
     read_wav,
@@ -65,7 +68,7 @@ class TestTensorFiles:
         path = tmp_path / "a.tensor"
         write_tensor(tensor, path)
         back = read_tensor(path)
-        assert back.dtype == np.float32
+        assert back.dtype == np.float32 and back.flags.writeable
         assert np.array_equal(back, tensor)
 
     def test_u16_round_trip_with_sentinel(self, tmp_path):
@@ -76,8 +79,18 @@ class TestTensorFiles:
         path = tmp_path / "codes.tensor"
         write_tensor(tensor, path)
         back = read_tensor(path)
-        assert back.dtype == np.uint16
+        assert back.dtype == np.uint16 and back.flags.writeable
         assert np.array_equal(back, tensor)
+
+    def test_header_line_longer_than_the_read_buffer(self, tmp_path):
+        # The payload is read from the file position after the buffered header line.
+        tensor = np.random.default_rng(3).normal(size=(3, 5)).astype(np.float32)
+        path = tmp_path / "padded.tensor"
+        header = b'{"dtype":"f32",' + b" " * (io.DEFAULT_BUFFER_SIZE + 100) + b'"shape":[3,5]}\n'
+        path.write_bytes(header + tensor.tobytes())
+        back = read_tensor(path)
+        assert back.dtype == np.float32 and back.flags.writeable
+        assert back.tobytes() == tensor.tobytes()
 
     def test_write_read_deterministic(self, tmp_path):
         tensor = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
@@ -408,6 +421,15 @@ def with_data_size(blob, size):
     return blob[:at] + struct.pack("<I", size) + blob[at + 4 :]
 
 
+# The 4-channel readers: the clip, and each summary streamed from the file.
+FOA_READERS = {
+    "read_foa_wav": read_foa_wav,
+    **{
+        summarize.__name__: partial(read_foa_summary, summarize=summarize)
+        for summarize in (window_moments, clip_stats)
+    },
+}
+
 EXTRA_CHUNKS = st.lists(st.tuples(st.sampled_from([b"LIST", b"junk", b"fact"]), st.binary(max_size=7)), max_size=2)
 
 # Header mutations: (name, edit of a valid 4-channel float32 file's bytes).
@@ -448,7 +470,7 @@ class TestWavWalker:
         samples, sample_rate = read_wav(path)
         assert (sample_rate, samples.shape) == (rate, (4, frames))
         assert read_wav_header(path)[:3] == (4, rate, frames)
-        moments = read_foa_moments(path)
+        moments = read_foa_summary(path, window_moments)
         assert (moments.n_samples, moments.sample_rate) == (frames, rate)
         for got, want in zip((moments.whole, moments.seconds, moments.blocks), moments_oracle(samples, rate)):
             assert got.shape == want.shape
@@ -468,7 +490,7 @@ class TestWavWalker:
         payload = random_payload(np.random.default_rng(seed), kind, frames)
         path.write_bytes(riff((b"fmt ", fmt_body(kind, 4, rate)), (b"data", payload)))
         with mock.patch.object(tensor_io, "_SLAB_SECONDS", slab_seconds):
-            stats = read_clip_stats(path)
+            stats = read_foa_summary(path, clip_stats)
         clip = read_foa_wav(path)
         abs_means, w_squares = curation_stats_oracle(clip)
         assert stats.n_samples == frames
@@ -489,7 +511,7 @@ class TestWavWalker:
         write_wav(np.zeros((4, 16)), 44100, path)
         path.write_bytes(mutate(path.read_bytes()))
         outcomes = []
-        for reader in (read_wav, read_wav_header, read_foa_moments, read_clip_stats, read_foa_wav):
+        for reader in (read_wav, read_wav_header, *FOA_READERS.values()):
             with pytest.raises(WavFormatError) as info:
                 reader(path)
             outcomes.append((type(info.value), str(info.value)))
@@ -512,19 +534,19 @@ class TestWavWalker:
         try:
             header = read_wav_header(path)
         except WavFormatError as exc:
-            for reader in (read_wav, read_foa_moments, read_clip_stats):
+            for reader in (read_wav, *FOA_READERS.values()):
                 with pytest.raises(WavFormatError, match="^" + re.escape(str(exc)) + "$"):
                     reader(path)
             return
         samples, rate = read_wav(path)
         assert samples.shape == (header.channels, header.frames) and rate == header.sample_rate
-        for reader in (read_foa_moments, read_clip_stats):
+        for reader in FOA_READERS.values():
             try:
                 reader(path)
             except WavFormatError as exc:
                 assert header.channels != 4 or str(exc) == f"{path}: samples must be finite"
 
-    @pytest.mark.parametrize("reader", [read_foa_wav, read_foa_moments, read_clip_stats])
+    @pytest.mark.parametrize("reader", FOA_READERS.values(), ids=FOA_READERS)
     def test_non_finite_sample_names_file(self, tmp_path, reader):
         path = tmp_path / "nan.wav"
         write_wav(np.zeros((4, 300)), 1000, path)
@@ -577,3 +599,17 @@ class TestExportsAndAtomicity:
         with atomic_write(path) as handle:
             handle.write(b"new")
         assert path.read_bytes() == b"new"
+
+
+def test_tensor_io_imports_no_metric_module():
+    # The format layer sits below every metric, so a metric module may use it without an import cycle.
+    source = pathlib.Path(__file__).resolve().parents[1] / "src" / "foatools" / "tensor_io.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "foatools"]
+            imported |= {name.partition(".")[2] or name for name in names}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "foatools"):
+            module = (node.module or "").removeprefix("foatools").lstrip(".")
+            imported |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    assert imported <= {"code_pattern", "errors", "foa"}
