@@ -388,13 +388,12 @@ def cmd_eval_semantic(args) -> int:
         return _run_manifest(
             args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS
         )
-    if bool(args.gen_features) != bool(args.gt_features):
-        raise UsageError("--gen-features and --gt-features go together")
-    if bool(args.gen_probs) != bool(args.gt_probs):
-        raise UsageError("--gen-probs and --gt-probs go together")
-    if not (args.gen_features or args.gen_probs or args.channels):
-        raise UsageError("nothing to evaluate; pass feature, probability or channel inputs")
     record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
+    for kind in ("features", "probs"):
+        if (f"gen_{kind}" in record) != (f"gt_{kind}" in record):
+            raise UsageError(f"--gen-{kind} and --gt-{kind} go together")
+    if not (record or args.channels):
+        raise UsageError("nothing to evaluate; pass feature, probability or channel inputs")
     result = {}
     if record:
         result = {key: value for key, value in one(record).items() if key not in record}
@@ -741,7 +740,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega2", type=_finite_float, default=0.0, help="second scale (dual mode)")
     p.add_argument("--temperature", type=_positive_float, default=1.0, help="sampling temperature")
     p.add_argument("--top-p", type=_top_p, default=1.0, help="nucleus sampling mass")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="sampling seed")
     p.add_argument("--argmax", action="store_true", help="take the most likely code each step")
     p.add_argument("output", help="generated code matrix file")
     p.set_defaults(func=cmd_generate)
@@ -755,7 +754,7 @@ def build_parser() -> _Parser:
         help="per-second RMS floor on the W channel (amplitude units)",
     )
     p.add_argument(
-        "--amplitude-threshold", type=float, default=curation.DEFAULT_AMPLITUDE_FLOOR,
+        "--amplitude-threshold", type=_nonnegative_float, default=curation.DEFAULT_AMPLITUDE_FLOOR,
         help="per-second mean |amplitude| floor on every channel",
     )
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel clips")

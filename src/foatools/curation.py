@@ -44,45 +44,36 @@ class ClipWindow:
 ClipStats = namedtuple("ClipStats", "n_samples abs_means w_squares whole")
 
 
-def _abs_means(samples: np.ndarray, rate: int) -> np.ndarray:
-    """Mean |amplitude| of each channel over each whole second, (4, seconds)."""
-    k = samples.shape[1] // rate
-    return np.abs(samples[:, : k * rate]).reshape(4, k, rate).mean(axis=2)
-
-
-def _w_squares(samples: np.ndarray, rate: int) -> np.ndarray:
-    """Mean squared W over each whole second, (seconds,)."""
-    k = samples.shape[1] // rate
-    return (samples[0, : k * rate].reshape(k, rate) ** 2).mean(axis=1)
-
-
-def _whole(moments, tail: np.ndarray) -> np.ndarray:
-    """The whole-clip moment: the whole seconds' ``moments`` summed in order,
-    then the moment of the ``tail``, so it does not depend on how the clip was cut."""
-    return np.concatenate(moments).sum(axis=0) + tail @ tail.T
-
-
 def clip_stats(slabs_of, n_samples: int, sample_rate: int) -> ClipStats:
     """The ClipStats of a clip that ``slabs_of(sample_rate)`` yields in order
     as (4, frames) slabs of whole seconds, the last one shorter."""
     abs_means, w_squares, moments = [], [], []
     for slab in slabs_of(sample_rate):
-        abs_means.append(_abs_means(slab, sample_rate))
-        w_squares.append(_w_squares(slab, sample_rate))
+        k = slab.shape[1] // sample_rate
+        abs_means.append(np.abs(slab[:, : k * sample_rate]).reshape(4, k, sample_rate).mean(axis=2))
+        w_squares.append((slab[0, : k * sample_rate].reshape(k, sample_rate) ** 2).mean(axis=1))
         moments.append(block_moments(slab, sample_rate))
     tail = slab[:, moments[-1].shape[0] * sample_rate :]
-    whole = _whole(moments, tail)
+    # The whole seconds in order, then the tail: the same sum however the clip was cut.
+    whole = np.concatenate(moments).sum(axis=0) + tail @ tail.T
     return ClipStats(n_samples, np.concatenate(abs_means, axis=1), np.concatenate(w_squares), whole)
+
+
+def _stats(clip) -> ClipStats:
+    """``clip`` if it is a ClipStats, else the ClipStats of the FoaClip as one slab."""
+    if isinstance(clip, ClipStats):
+        return clip
+    return clip_stats(lambda unit: [clip.samples], clip.n_samples, clip.sample_rate)
 
 
 def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
     """True iff every channel keeps a mean |amplitude| >= threshold each second.
 
-    ``clip`` is a FoaClip or its ClipStats (as ``tensor_io.read_foa_summary(path,
-    clip_stats)`` reads them), here and in ``segment_mask`` and ``fov_center``;
-    a clip is one slab of the same per-slab arithmetic.
+    ``clip`` is a ClipStats (as ``tensor_io.read_foa_summary(path, clip_stats)``
+    reads it) or a FoaClip, here and in ``segment_mask`` and ``fov_center``; a
+    FoaClip's whole ClipStats is built first, as one slab.
     """
-    abs_means = clip.abs_means if isinstance(clip, ClipStats) else _abs_means(clip.samples, clip.sample_rate)
+    abs_means = _stats(clip).abs_means
     if abs_means.shape[1] < 1:
         raise ValueError("amplitude gate needs at least one full second of audio")
     return bool(np.all(abs_means >= threshold))
@@ -92,8 +83,7 @@ def segment_mask(clip, rms_threshold: float) -> np.ndarray:
     """Per-second validity: RMS of the W channel at or above the threshold."""
     if rms_threshold < 0.0:
         raise ValueError("rms_threshold must be nonnegative")
-    w_squares = clip.w_squares if isinstance(clip, ClipStats) else _w_squares(clip.samples, clip.sample_rate)
-    return np.sqrt(w_squares) >= rms_threshold
+    return np.sqrt(_stats(clip).w_squares) >= rms_threshold
 
 
 def select_windows(mask) -> list:
@@ -113,11 +103,7 @@ def fov_center(clip, grid: SphereGrid) -> Direction:
 
     Exact ties resolve to the lowest (elevation band, azimuth index) cell.
     """
-    if isinstance(clip, ClipStats):
-        n, whole = clip.n_samples, clip.whole
-    else:
-        n, samples, rate = clip.n_samples, clip.samples, clip.sample_rate
-        whole = _whole([block_moments(samples, rate)], samples[:, n // rate * rate :])
+    n, _, _, whole = _stats(clip)
     emap = EnergyMap(grid, power_maps(grid, whole[None] / n)[0], (0, n))
     if emap.values.max() <= 0.0:
         raise NoEnergyError("clip carries no energy; argmax direction undefined")

@@ -186,27 +186,17 @@ class SphereGrid:
         sin_edges = np.sin(edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
 
-        self.samples_per_band = [
-            max(1, int(round(self.max_azimuth_samples * math.cos(e)))) for e in centers
-        ]
-
-        band_index, azimuth_index, azimuths, elevations, weights = [], [], [], [], []
-        for band, (center, count) in enumerate(zip(centers, self.samples_per_band)):
-            # Band solid angle 2*pi*(sin top - sin bottom); the per-band sines
-            # telescope, so the weights sum to 1 up to rounding.
-            cell_weight = (sin_edges[band + 1] - sin_edges[band]) / (2.0 * count)
-            for j in range(count):
-                band_index.append(band)
-                azimuth_index.append(j)
-                azimuths.append(TWO_PI * j / count)
-                elevations.append(center)
-                weights.append(cell_weight)
-
-        self.band_index = np.asarray(band_index, dtype=np.intp)
-        self.azimuth_index = np.asarray(azimuth_index, dtype=np.intp)
-        self.azimuths = np.asarray(azimuths)
-        self.elevations = np.asarray(elevations)
-        self.weights = np.asarray(weights)
+        counts = np.maximum(1, np.rint(self.max_azimuth_samples * np.cos(centers))).astype(np.intp)
+        self.samples_per_band = counts.tolist()
+        # Cells run band-major; a cell's azimuth index counts from its band's first cell.
+        self.band_index = np.repeat(np.arange(self.n_elevation_bands, dtype=np.intp), counts)
+        first_cell = np.cumsum(counts) - counts
+        self.azimuth_index = np.arange(self.band_index.size) - first_cell[self.band_index]
+        self.azimuths = TWO_PI * self.azimuth_index / counts[self.band_index]
+        self.elevations = centers[self.band_index]
+        # Band solid angle 2*pi*(sin top - sin bottom); the per-band sines
+        # telescope, so the weights sum to 1 up to rounding.
+        self.weights = (np.diff(sin_edges) / (2.0 * counts))[self.band_index]
         ce = np.cos(self.elevations)
         self.unit_vectors = np.column_stack(
             [np.cos(self.azimuths) * ce, np.sin(self.azimuths) * ce, np.sin(self.elevations)]

@@ -210,6 +210,8 @@ def read_code_matrix(path):
             raise HeaderParseError(f"{path}: unknown pattern id {pattern_id}")
         if n < 1 or frames < 1 or vocab < 1:
             raise HeaderParseError(f"{path}: degenerate header (N={n}, L={frames}, V={vocab})")
+        if vocab > 0xFFFF:
+            raise HeaderParseError(f"{path}: vocabulary size {vocab} does not fit the u16 payload")
         pattern = _PATTERNS_BY_ID[pattern_id]
         columns = frames if pattern is None else pattern_steps(pattern, n, frames)
         codes = _read_payload(path, handle, "<u2", (4 * n, columns), f"{4 * n}x{columns} u16 codes")
@@ -259,8 +261,12 @@ def write_wav_slabs(
     """Write RIFF/WAVE from (channels, n) float64 ``slabs`` in order, ``frames`` in all."""
     if encoding not in WAV_ENCODINGS:
         raise ValueError(f"encoding must be one of {WAV_ENCODINGS}, got {encoding!r}")
+    try:
+        header = _wav_header(channels, sample_rate, frames, encoding)
+    except struct.error as exc:
+        raise ValueError(f"{path}: WAV header field out of range: {exc}") from None
     with atomic_write(path) as handle:
-        handle.write(_wav_header(channels, sample_rate, frames, encoding))
+        handle.write(header)
         for slab in slabs:
             handle.write(_encode_slab(slab, encoding))
             frames -= slab.shape[1]

@@ -88,6 +88,33 @@ def curation_stats_oracle(clip):
     return abs_means, w_squares
 
 
+def sphere_grid_cells_loop(n_elevation_bands, max_azimuth_samples):
+    """The per-cell loop SphereGrid once filled its cells with: the six cell
+    attributes of a grid, as a dict. The library's array construction must
+    equal these bit for bit."""
+    edges = -0.5 * math.pi + math.pi * np.arange(n_elevation_bands + 1) / n_elevation_bands
+    sin_edges = np.sin(edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    samples_per_band = [max(1, int(round(max_azimuth_samples * math.cos(e)))) for e in centers]
+    band_index, azimuth_index, azimuths, elevations, weights = [], [], [], [], []
+    for band, (center, count) in enumerate(zip(centers, samples_per_band)):
+        cell_weight = (sin_edges[band + 1] - sin_edges[band]) / (2.0 * count)
+        for j in range(count):
+            band_index.append(band)
+            azimuth_index.append(j)
+            azimuths.append(2.0 * math.pi * j / count)
+            elevations.append(center)
+            weights.append(cell_weight)
+    return {
+        "samples_per_band": samples_per_band,
+        "band_index": np.asarray(band_index, dtype=np.intp),
+        "azimuth_index": np.asarray(azimuth_index, dtype=np.intp),
+        "azimuths": np.asarray(azimuths),
+        "elevations": np.asarray(elevations),
+        "weights": np.asarray(weights),
+    }
+
+
 def grid_cells(grid):
     """Iterate (Direction, area_weight, samples_in_band) per grid cell."""
     for i in range(grid.n_cells):

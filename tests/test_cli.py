@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -124,6 +125,19 @@ class TestEncodeDecode:
         code, _, err = run(capsys, "encode", "--dir", "0,0", src, tmp_path / "out.wav")
         assert code == 2
         assert "mono" in err
+
+
+    def test_header_field_past_u32_names_the_output(self, capsys, tmp_path):
+        # A 4,294,967,295 Hz mono input: the output's byte rate does not fit u32.
+        src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
+        write_wav(np.zeros(16), 8000, src)
+        blob = bytearray(src.read_bytes())
+        blob[24:28] = (0xFFFFFFFF).to_bytes(4, "little")
+        src.write_bytes(bytes(blob))
+        code, out, err = run(capsys, "encode", "--dir", "0,0", src, dst)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {dst}: WAV header field out of range")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
 
 
 class TestRotate:
@@ -493,6 +507,27 @@ class TestEvalSemantic:
         code, out, err = run(capsys, "eval-semantic", "--channels", channels)
         assert (code, out, err) == (2, "", f"error: {channels}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gen-features"], "--gen-features and --gt-features go together"),
+            (["--gt-features"], "--gen-features and --gt-features go together"),
+            (["--gen-features", "--gen-probs"], "--gen-features and --gt-features go together"),
+            (["--gen-probs"], "--gen-probs and --gt-probs go together"),
+            (["--gen-features", "--gt-features", "--gt-probs"], "--gen-probs and --gt-probs go together"),
+            ([], "nothing to evaluate; pass feature, probability or channel inputs"),
+        ],
+        ids=["gen-features", "gt-features", "both-gen", "gen-probs", "gt-probs", "nothing"],
+    )
+    def test_usage_errors_before_any_read(self, capsys, tmp_path, monkeypatch, flags, message):
+        def refuse(path):
+            raise AssertionError(f"eval-semantic read {path} before checking its flags")
+
+        monkeypatch.setattr("foatools.cli.read_tensor", refuse)
+        argv = [item for flag in flags for item in (flag, tmp_path / "x.t")]
+        code, out, err = run(capsys, "eval-semantic", *argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
     def test_needs_some_input(self, capsys):
         code, _, _ = run(capsys, "eval-semantic")
         assert code == 1
@@ -588,6 +623,8 @@ class TestPatchEnergy:
                     ("eval-spatial-manifest", "--fixation-percentile", "150"),
                     ("curate", "--rms-threshold", "-1"),
                     ("curate", "--rms-threshold", "nan"),
+                    ("curate", "--amplitude-threshold", "nan"),
+                    ("curate", "--amplitude-threshold", "-1"),
                     ("eval-semantic", "--epsilon", "0"),
                     ("eval-semantic", "--epsilon", "nan"),
                     ("eval-semantic-manifest", "--epsilon", "0"),
@@ -599,6 +636,7 @@ class TestPatchEnergy:
                     ("generate", "--omega", "nan"),
                     ("generate", "--omega", "inf"),
                     ("generate", "--omega2", "-inf"),
+                    ("generate", "--seed", "-1"),
                 ]
             ),
         ],
@@ -870,6 +908,23 @@ class TestManifestRuns:
         assert records and all(isinstance(r, dict) for r in records)
         assert all(isinstance(r["path"], str) for r in records)
         assert all(isinstance(r.get("gen_probs", ""), str) for r in records)
+
+
+class TestVocabularyPastU16:
+    @pytest.mark.parametrize("vocab", [0x10000, 0xFFFFFFFF])
+    @pytest.mark.parametrize("command", ["info", "pattern-pack", "generate"])
+    def test_is_a_header_error_naming_the_file(self, capsys, tmp_path, command, vocab):
+        table, dst = tmp_path / "big.cmx", tmp_path / "out.cmx"
+        table.write_bytes(struct.pack("<4sIIIB", b"ACM1", 1, 2, vocab, 0) + bytes(16))
+        argv = {
+            "info": ["info", table],
+            "pattern-pack": ["pattern", "pack", table, dst],
+            "generate": ["generate", "--table", table, dst],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {table}: vocabulary size {vocab} does not fit the u16 payload\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.cmx"]
 
 
 class TestInfo:

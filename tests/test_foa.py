@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foatools import (
     Direction,
@@ -24,6 +26,7 @@ from helpers import (
     random_clip,
     random_direction,
     random_rotation,
+    sphere_grid_cells_loop,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -200,6 +203,16 @@ class TestSphereGrid:
         grid = SphereGrid(16, 48)
         for direction, _, samples_in_band in grid_cells(grid):
             assert samples_in_band == max(1, round(48 * math.cos(direction.elevation)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bands=st.integers(1, 90), azimuths=st.integers(1, 512))
+    def test_cells_bit_identical_to_the_per_cell_loop(self, bands, azimuths):
+        grid, want = SphereGrid(bands, azimuths), sphere_grid_cells_loop(bands, azimuths)
+        assert grid.samples_per_band == want["samples_per_band"]
+        assert all(type(count) is int for count in grid.samples_per_band)
+        for name in ("band_index", "azimuth_index", "azimuths", "elevations", "weights"):
+            assert np.array_equal(getattr(grid, name), want[name]), name
+        assert grid.band_index.dtype == np.intp and grid.azimuth_index.dtype == np.intp
 
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):

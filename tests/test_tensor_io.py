@@ -238,6 +238,14 @@ class TestCodeMatrixFiles:
             read_code_matrix(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("vocab", [0x10000, 0xFFFFFFFF])
+    def test_vocab_past_u16_is_header_error(self, tmp_path, vocab):
+        path = tmp_path / "big.cmx"
+        path.write_bytes(struct.pack("<4sIIIB", b"ACM1", 1, 2, vocab, 0) + bytes(16))
+        with pytest.raises(HeaderParseError) as info:
+            read_code_matrix(path)
+        assert str(info.value) == f"{path}: vocabulary size {vocab} does not fit the u16 payload"
+
     def test_vocab_too_large(self, tmp_path):
         matrix = CodeMatrix(np.zeros((4, 1), dtype=np.int64), 1, 0x10000)
         with pytest.raises(ValueError):
