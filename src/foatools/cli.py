@@ -19,28 +19,30 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
 from . import curation, guidance, patch_saliency, semantic_metrics, spatial_metrics
 from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pack, pattern_steps, unpack
-from .errors import FoaToolsError, IncompatibleClipsError, MalformedPatternError, NoUsableWindowsError
+from .errors import FoaToolsError
 from .foa import (
     ENERGY_MODE_POWER,
     ENERGY_MODES,
     Direction,
-    FoaClip,
     Rotation,
     SphereGrid,
-    decode_to_mono,
-    encode_mono,
+    _decode,
+    _encode,
+    _rotate,
     energy_map,
-    rotate,
 )
 from .tensor_io import (
     CODE_MAGIC,
     WAV_ENCODINGS,
+    _code_header,
+    _tensor_header,
     atomic_write,
     read_code_matrix,
     read_foa_summary,
@@ -156,9 +158,9 @@ def _direction_dict(direction: Direction) -> dict:
 
 # Input channels, output channels and slab transform of each streamed command.
 _SLAB_TRANSFORMS = {
-    "encode": (1, 4, lambda slab, rate, direction: encode_mono(slab[0], direction, rate).samples),
-    "decode": (4, 1, lambda slab, rate, direction: decode_to_mono(FoaClip(slab, rate), direction)[None]),
-    "rotate": (4, 4, lambda slab, rate, rotation: rotate(FoaClip(slab, rate), rotation).samples),
+    "encode": (1, 4, lambda slab, direction: _encode(slab[0], direction)),
+    "decode": (4, 1, lambda slab, direction: _decode(slab, direction)[None]),
+    "rotate": (4, 4, _rotate),
 }
 
 
@@ -172,12 +174,13 @@ def _transform_wav(args, parse) -> tuple:
     """The read, transform and write step of encode, decode and rotate: check
     the header of ``args.input``, parse the command's flags with ``parse(args)``,
     then write the command's transform of each slab, checked for a non-finite
-    sample, to ``args.output``. Returns the header and the flags."""
+    sample (the only check: a finite slab transforms to finite samples), to
+    ``args.output``. Returns the header and the flags."""
     channels, out_channels, transform = _SLAB_TRANSFORMS[args.command]
     with read_wav_slabs(args.input, channels) as (header, slabs_of):
         flags = parse(args)
         rate = header.sample_rate
-        slabs = (transform(_finite(args.input, slab), rate, flags) for slab in slabs_of(rate))
+        slabs = (transform(_finite(args.input, slab), flags) for slab in slabs_of(rate))
         write_wav_slabs(slabs, out_channels, rate, header.frames, args.output, args.encoding)
     return header, flags
 
@@ -313,13 +316,20 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
     return 2 if any(errors) else 0
 
 
+@contextmanager
+def _naming(where: str):
+    """Re-raise a data error of the block as its own type, its message led by ``where``."""
+    try:
+        yield
+    except (FoaToolsError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _spatial_one(record, grid, fixation_percentile) -> dict:
     gen, gt = record["gen"], record["gt"]
     gen_moments, gt_moments = (read_foa_summary(path, spatial_metrics.window_moments) for path in (gen, gt))
-    try:
+    with _naming(f"{gen} vs {gt}"):
         report = spatial_metrics.evaluate_windows(gen_moments, gt_moments, grid, fixation_percentile)
-    except (IncompatibleClipsError, NoUsableWindowsError) as exc:
-        raise type(exc)(f"{gen} vs {gt}: {exc}") from exc
     return {"gen": gen, "gt": gt, **report.to_dict()}
 
 
@@ -341,11 +351,18 @@ def cmd_eval_spatial(args) -> int:
     return 0
 
 
-def _features_2d(path) -> np.ndarray:
+def _feature_stats(path) -> semantic_metrics.GaussianStats:
     tensor = read_tensor(path)
     if tensor.ndim != 2:
         raise FoaToolsError(f"{path}: feature tensors must be 2-D, got shape {tensor.shape}")
-    return np.asarray(tensor, dtype=np.float64)
+    with _naming(path):
+        return semantic_metrics.gaussian_stats(np.asarray(tensor, dtype=np.float64))
+
+
+def _fad(gen_path, gt_path) -> float:
+    stats = _feature_stats(gen_path), _feature_stats(gt_path)
+    with _naming(f"{gen_path} vs {gt_path}"):
+        return semantic_metrics.frechet_distance(*stats)
 
 
 def _mean_kld(gen_path, gt_path, epsilon) -> float:
@@ -358,7 +375,8 @@ def _mean_kld(gen_path, gt_path, epsilon) -> float:
     if gen.ndim > 2:
         raise FoaToolsError(f"{gen_path}: probability tensors must be 1-D or 2-D")
     pairs = zip(np.atleast_2d(gen), np.atleast_2d(gt))
-    return float(np.mean([semantic_metrics.kld(g, t, epsilon) for g, t in pairs]))
+    with _naming(f"{gen_path} vs {gt_path}"):
+        return float(np.mean([semantic_metrics.kld(g, t, epsilon) for g, t in pairs]))
 
 
 _SEMANTIC_KEYS = ("gen_features", "gt_features", "gen_probs", "gt_probs")
@@ -373,10 +391,7 @@ def _semantic_one(record, epsilon) -> dict:
         raise FoaToolsError("manifest record carries neither features nor probabilities")
     row = dict(record)
     if "gen_features" in record:
-        row["fad"] = semantic_metrics.frechet_distance(
-            semantic_metrics.gaussian_stats(_features_2d(record["gen_features"])),
-            semantic_metrics.gaussian_stats(_features_2d(record["gt_features"])),
-        )
+        row["fad"] = _fad(record["gen_features"], record["gt_features"])
     if "gen_probs" in record:
         row["kld"] = _mean_kld(record["gen_probs"], record["gt_probs"], epsilon)
     return row
@@ -405,11 +420,15 @@ def cmd_eval_semantic(args) -> int:
                 raise FoaToolsError(f"{args.channels}: bad JSON: {exc}") from exc
         if not isinstance(mapping, dict):
             raise FoaToolsError(f"{args.channels}: expected an object of channel entries")
-        pairs = {}
         for name, entry in mapping.items():
             _check_record(entry, f"{args.channels}: channel {name!r}", ("gen", "gt"))
-            pairs[name] = (_features_2d(entry["gen"]), _features_2d(entry["gt"]))
-        result["fad_avg"] = semantic_metrics.fad_avg(pairs)
+        channels = semantic_metrics.CHANNEL_NAMES
+        missing = [name for name in channels if name not in mapping]
+        if missing:
+            raise FoaToolsError(f"{args.channels}: missing channel feature pairs: {', '.join(missing)}")
+        # semantic_metrics.fad_avg's mean, taken here so that each data error names its file.
+        distances = [_fad(mapping[name]["gen"], mapping[name]["gt"]) for name in channels]
+        result["fad_avg"] = float(np.mean(distances))
     _print_json(result)
     return 0
 
@@ -420,12 +439,8 @@ def cmd_patch_energy(args) -> int:
         raise FoaToolsError(
             f"{args.input}: patch embeddings must be 4-D, got shape {embeddings.shape}"
         )
-    try:
-        spatial, temporal = patch_saliency.patch_scores(
-            embeddings, args.spatial_window, args.temporal_window
-        )
-    except ValueError as exc:  # a non-finite value or an all-zero embedding vector
-        raise FoaToolsError(f"{args.input}: {exc}") from None
+    with _naming(args.input):  # a non-finite value or an all-zero embedding vector
+        spatial, temporal = patch_saliency.patch_scores(embeddings, args.spatial_window, args.temporal_window)
     energy = patch_saliency.energy_from_scores(spatial, temporal, args.temperature, args.top_p)
     write_tensor(energy.astype(np.float32), args.output)
     if args.pgm_dir:
@@ -453,10 +468,8 @@ def cmd_pattern(args) -> int:
     else:
         if not isinstance(matrix, ReorgMatrix):
             raise FoaToolsError(f"{args.input}: not pattern-scheduled; nothing to unpack")
-        try:
+        with _naming(args.input):
             raw, reorg = unpack(matrix), matrix
-        except MalformedPatternError as exc:
-            raise MalformedPatternError(f"{args.input}: {exc}") from exc
         write_code_matrix(raw, args.output)
     _print_json(
         {
@@ -556,33 +569,36 @@ def cmd_curate(args) -> int:
 
 
 def _describe_file(path) -> dict:
+    """The header fields of a WAV, code or tensor file, told apart by its leading
+    bytes; the payload size is checked, but no sample or code is read."""
     with open(path, "rb") as handle:
         head = handle.read(12)
-    if head[:4] == b"RIFF" or head[8:] == b"WAVE":
-        header = read_wav_header(path)
-        return {
-            "format": "wav",
-            "n_channels": header.channels,
-            "n_samples": header.frames,
-            "path": path,
-            "sample_rate": header.sample_rate,
-        }
-    if head[:4] == CODE_MAGIC:
-        matrix = read_code_matrix(path)
-        return {
-            "format": "code_matrix",
-            "n_codebooks_per_channel": matrix.n_codebooks_per_channel,
-            "n_frames": matrix.n_frames,
-            "path": path,
-            "pattern": matrix.pattern.value if isinstance(matrix, ReorgMatrix) else None,
-            "vocab_size": matrix.vocab_size,
-        }
-    tensor = read_tensor(path)
+        handle.seek(0)
+        if head[:4] == b"RIFF" or head[8:] == b"WAVE":
+            header = read_wav_header(path)
+            return {
+                "format": "wav",
+                "n_channels": header.channels,
+                "n_samples": header.frames,
+                "path": path,
+                "sample_rate": header.sample_rate,
+            }
+        if head[:4] == CODE_MAGIC:
+            n, frames, vocab, pattern, _ = _code_header(path, handle)
+            return {
+                "format": "code_matrix",
+                "n_codebooks_per_channel": n,
+                "n_frames": frames,
+                "path": path,
+                "pattern": None if pattern is None else pattern.value,
+                "vocab_size": vocab,
+            }
+        dtype, shape = _tensor_header(path, handle)
     return {
-        "dtype": str(tensor.dtype),
+        "dtype": str(np.dtype(dtype)),
         "format": "tensor",
         "path": path,
-        "shape": list(tensor.shape),
+        "shape": shape,
     }
 
 

@@ -278,9 +278,25 @@ def encode_mono(signal, direction: Direction, sample_rate: int = 44100) -> FoaCl
     s = np.asarray(signal, dtype=np.float64)
     if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
         raise ValueError("signal must be a nonempty finite 1-D array")
+    return FoaClip(_encode(s, direction), sample_rate)
+
+
+# The array cores of encode_mono, decode_to_mono and rotate: float64 samples in and
+# out, unchecked, so a streamed caller checks each slab once, where it reads it.
+def _encode(s: np.ndarray, direction: Direction) -> np.ndarray:
     ux, uy, uz = direction.unit_vector()
-    samples = np.vstack([s / math.sqrt(2.0), ux * s, uy * s, uz * s])
-    return FoaClip(samples, sample_rate)
+    return np.vstack([s / math.sqrt(2.0), ux * s, uy * s, uz * s])
+
+
+def _decode(samples: np.ndarray, direction: Direction) -> np.ndarray:
+    return samples[0] + direction.unit_vector() @ samples[1:]
+
+
+def _rotate(samples: np.ndarray, rotation: Rotation) -> np.ndarray:
+    turned = np.empty(samples.shape)
+    turned[0] = samples[0]
+    np.matmul(rotation.matrix, samples[1:], out=turned[1:])
+    return turned
 
 
 def decode_to_mono(clip: FoaClip, direction: Direction) -> np.ndarray:
@@ -289,16 +305,12 @@ def decode_to_mono(clip: FoaClip, direction: Direction) -> np.ndarray:
     Returns W + X cos(az)cos(el) + Y sin(az)cos(el) + Z sin(el) per sample,
     the 3-D cardioid pickup at that heading.
     """
-    u = direction.unit_vector()
-    return clip.samples[0] + u @ clip.samples[1:]
+    return _decode(clip.samples, direction)
 
 
 def rotate(clip: FoaClip, rotation: Rotation) -> FoaClip:
     """Rotate the sound field: W is untouched, (X, Y, Z) go through the matrix."""
-    turned = np.empty((4, clip.n_samples))
-    turned[0] = clip.samples[0]
-    np.matmul(rotation.matrix, clip.samples[1:], out=turned[1:])
-    return FoaClip(turned, clip.sample_rate)
+    return FoaClip(_rotate(clip.samples, rotation), clip.sample_rate)
 
 
 def _resolve_window(window, n_samples: int) -> tuple:

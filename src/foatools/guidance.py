@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import softmax, top_p_mask
+from ._util import softmax_, top_p_mask_
 from .code_pattern import CodeMatrix, Pattern, _schedule, pack
 
 MODES = ("none", "directional", "visual", "joint", "dual")
@@ -62,14 +62,37 @@ class GuidanceConfig:
 
 
 def _checked(name: str, logits, shape) -> np.ndarray:
+    """A float64 copy of ``logits``, checked for presence, shape and finiteness."""
     if logits is None:
         raise ValueError(f"guidance mode requires the {name!r} logit set")
-    arr = np.asarray(logits, dtype=np.float64)
+    arr = np.array(logits, dtype=np.float64)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name!r} logits shaped {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name!r} logits must be finite")
     return arr
+
+
+def _combine(mode: str, full, direction_only=None, visual_only=None, unconditional=None,
+             *, omega, omega2) -> np.ndarray:
+    """``combine``'s formulas computed in place, with their operands in their order:
+    ``t = d - u; t *= omega; t += full`` has the bits of ``full + omega * (d - u)``,
+    as rounded sums and products commute. Overwrites one or two of the guidance
+    sets, never ``full``, and returns the guided logits (``full`` in mode none)."""
+    if mode == "none":
+        return full
+    if mode == "joint":
+        guided = np.subtract(full, unconditional, out=unconditional)
+    else:
+        conditioned = visual_only if mode == "visual" else direction_only
+        guided = np.subtract(conditioned, unconditional, out=conditioned)
+    guided *= omega
+    guided += full
+    if mode == "dual":
+        visual = np.subtract(visual_only, unconditional, out=visual_only)
+        visual *= omega2
+        guided += visual
+    return guided
 
 
 def combine(
@@ -95,20 +118,33 @@ def combine(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     base = _checked("full", full, None)
-    if mode == "none":
-        return base.copy()
-    uncond = _checked("unconditional", unconditional, base.shape)
-    if mode == "directional":
-        return base + omega * (_checked("direction_only", direction_only, base.shape) - uncond)
-    if mode == "visual":
-        return base + omega * (_checked("visual_only", visual_only, base.shape) - uncond)
-    if mode == "joint":
-        return base + omega * (base - uncond)
-    return (
-        base
-        + omega * (_checked("direction_only", direction_only, base.shape) - uncond)
-        + omega2 * (_checked("visual_only", visual_only, base.shape) - uncond)
-    )
+    sets = {"direction_only": direction_only, "visual_only": visual_only, "unconditional": unconditional}
+    for name in ("unconditional", "direction_only", "visual_only"):
+        if name in _VARIANTS_BY_MODE[mode]:
+            sets[name] = _checked(name, sets[name], base.shape)
+    return _combine(mode, base, **sets, omega=omega, omega2=omega2)
+
+
+def _sample(logits: np.ndarray, temperature, top_p, rng, argmax, scratch) -> np.ndarray:
+    """``sample_step``'s codes for float64 ``logits``, which becomes its softmax;
+    ``scratch`` holds two more arrays shaped like it, to sort and sum into."""
+    if argmax:
+        return np.argmax(logits, axis=1)
+    if temperature <= 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
+    if rng is None:
+        raise ValueError("sampling requires a seeded numpy Generator")
+    probs = softmax_(np.divide(logits, temperature, out=logits), axis=1)
+    probs *= top_p_mask_(probs, top_p, *scratch)
+    cdf = np.cumsum(probs, axis=1, out=scratch[1])
+    total = cdf[:, -1:]
+    draws = rng.random((probs.shape[0], 1)) * total
+    codes = np.sum(cdf <= draws, axis=1)
+    # A draw that rounds up to the total must still land on a kept code:
+    # the last one, where the CDF first reaches the total.
+    return np.minimum(codes, np.argmax(cdf == total, axis=1))
 
 
 def sample_step(
@@ -125,28 +161,12 @@ def sample_step(
     by inverse CDF over the kept mass, in row order. With ``argmax`` the
     most likely code is taken and no randomness is consumed.
     """
-    arr = np.asarray(logits, dtype=np.float64)
+    arr = np.array(logits, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("logits must be a (rows x vocabulary) matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("logits must be finite")
-    if argmax:
-        return np.argmax(arr, axis=1)
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
-    if rng is None:
-        raise ValueError("sampling requires a seeded numpy Generator")
-    probs = softmax(arr / temperature, axis=1)
-    probs *= top_p_mask(probs, top_p)
-    cdf = np.cumsum(probs, axis=1)
-    total = cdf[:, -1:]
-    draws = rng.random((arr.shape[0], 1)) * total
-    codes = np.sum(cdf <= draws, axis=1)
-    # A draw that rounds up to the total must still land on a kept code:
-    # the last one, where the CDF first reaches the total.
-    return np.minimum(codes, np.argmax(cdf == total, axis=1))
+    return _sample(arr, temperature, top_p, rng, argmax, np.empty((2, *arr.shape)))
 
 
 def generate(
@@ -167,6 +187,8 @@ def generate(
     are sampled only for the rows the schedule activates at that step.
     The predictor sees a read-only view of the generated columns, and the
     finished schedule is read back into a raw (4N x L) matrix without padding.
+    Each step combines and samples in work buffers allocated once, so its
+    codes are those of ``combine`` and ``sample_step`` on the active rows.
     """
     pattern = Pattern(pattern)
     n = int(n_codebooks_per_channel)
@@ -179,7 +201,7 @@ def generate(
     generated.flags.writeable = False
     vocab_size = None
     for step, rows in enumerate(map(np.flatnonzero, occupied.T)):
-        variant_logits = {}
+        active = {}
         for variant in guidance.variants:
             logits = np.asarray(predictor(generated[:, :step], variant), dtype=np.float64)
             if logits.ndim != 2 or logits.shape[0] != 4 * n:
@@ -189,11 +211,16 @@ def generate(
             if vocab_size is None:
                 vocab_size = logits.shape[1]
                 buffer.fill(vocab_size)
+                # The active rows of each variant, then sort and cumsum scratch.
+                work = np.empty((len(guidance.variants) + 2, 4 * n, vocab_size))
             elif logits.shape[1] != vocab_size:
                 raise ValueError("predictor changed vocabulary size between calls")
-            variant_logits[variant] = _checked(variant, logits, None)[rows]
-        combined = combine(guidance.mode, **variant_logits, omega=guidance.omega, omega2=guidance.omega2)
-        buffer[rows, step] = sample_step(combined, temperature, top_p, rng=rng, argmax=argmax)
+            if not np.all(np.isfinite(logits)):
+                raise ValueError(f"{variant!r} logits must be finite")
+            out = work[len(active), : rows.size]
+            active[variant] = np.take(logits, rows, axis=0, out=out, mode="clip")
+        guided = _combine(guidance.mode, **active, omega=guidance.omega, omega2=guidance.omega2)
+        buffer[rows, step] = _sample(guided, temperature, top_p, rng, argmax, work[-2:, : rows.size])
     return CodeMatrix(buffer[index], n, vocab_size)
 
 
@@ -201,7 +228,9 @@ class TablePredictor:
     """Replays a known code matrix: a huge logit marks each scheduled code.
 
     Useful as a deterministic end-to-end fixture; any guidance mode leaves
-    the argmax unchanged because every variant returns the same logits.
+    the argmax unchanged because every variant returns the same logits: one
+    read-only matrix per step, built at the step's first query and shared by
+    every variant queried at that step.
     """
 
     PEAK = 1e4
@@ -212,13 +241,17 @@ class TablePredictor:
         self._packed = pack(matrix, self.pattern).codes
         self.vocab_size = matrix.vocab_size
         self.n_queries = 0
+        self._step = self._logits = None
 
     def __call__(self, prefix: np.ndarray, variant: str) -> np.ndarray:
         self.n_queries += 1
         step = prefix.shape[1] + 1
-        logits = np.zeros((self._packed.shape[0], self.vocab_size))
-        if step <= self._packed.shape[1]:
-            column = self._packed[:, step - 1]
-            rows = np.flatnonzero(column != self.vocab_size)
-            logits[rows, column[rows]] = self.PEAK
-        return logits
+        if step != self._step:
+            logits = np.zeros((self._packed.shape[0], self.vocab_size))
+            if step <= self._packed.shape[1]:
+                column = self._packed[:, step - 1]
+                rows = np.flatnonzero(column != self.vocab_size)
+                logits[rows, column[rows]] = self.PEAK
+            logits.flags.writeable = False
+            self._step, self._logits = step, logits
+        return self._logits

@@ -136,41 +136,46 @@ def write_tensor(tensor, path) -> None:
         handle.write(payload)
 
 
+def _tensor_header(path, handle) -> tuple:
+    """The payload dtype and shape of an open tensor file, its payload size checked."""
+    line = handle.readline()
+    if not line.endswith(b"\n"):
+        raise HeaderParseError(f"{path}: no header line found")
+    try:
+        header = json.loads(line[:-1].decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HeaderParseError(f"{path}: bad header: {exc}") from exc
+    if not isinstance(header, dict) or set(header) != {"dtype", "shape"}:
+        raise HeaderParseError(f"{path}: header must carry exactly dtype and shape")
+    name = header["dtype"]
+    if name not in _TENSOR_DTYPES:
+        raise UnknownDtypeError(f"{path}: unknown dtype {name!r}")
+    shape = header["shape"]
+    if (
+        not isinstance(shape, list)
+        or not shape
+        or not all(isinstance(s, int) and s >= 1 for s in shape)
+    ):
+        raise HeaderParseError(f"{path}: shape must be a list of positive integers")
+    _check_size(path, handle, _TENSOR_DTYPES[name], shape, f"{name} shape {shape}")
+    return _TENSOR_DTYPES[name], [int(s) for s in shape]  # JSON true passed the check as 1
+
+
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as handle:
-        line = handle.readline()
-        if not line.endswith(b"\n"):
-            raise HeaderParseError(f"{path}: no header line found")
-        try:
-            header = json.loads(line[:-1].decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HeaderParseError(f"{path}: bad header: {exc}") from exc
-        if not isinstance(header, dict) or set(header) != {"dtype", "shape"}:
-            raise HeaderParseError(f"{path}: header must carry exactly dtype and shape")
-        name = header["dtype"]
-        if name not in _TENSOR_DTYPES:
-            raise UnknownDtypeError(f"{path}: unknown dtype {name!r}")
-        shape = header["shape"]
-        if (
-            not isinstance(shape, list)
-            or not shape
-            or not all(isinstance(s, int) and s >= 1 for s in shape)
-        ):
-            raise HeaderParseError(f"{path}: shape must be a list of positive integers")
-        return _read_payload(path, handle, _TENSOR_DTYPES[name], shape, f"{name} shape {shape}")
+        dtype, shape = _tensor_header(path, handle)
+        return np.fromfile(handle, dtype=dtype, count=math.prod(shape)).reshape(shape)
 
 
-def _read_payload(path, handle, dtype: str, shape, what: str) -> np.ndarray:
-    """The rest of an open file as a ``shape`` array: one size check, one ``np.fromfile``."""
+def _check_size(path, handle, dtype: str, shape, what: str) -> None:
+    """Refuse an open file whose rest is not exactly a ``shape`` array of ``dtype``."""
     offset = handle.tell()
     size = os.fstat(handle.fileno()).st_size - offset
-    count = math.prod(shape)
-    expected = count * np.dtype(dtype).itemsize
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
     if size != expected:
         raise PayloadSizeError(
             f"{path}: payload holds {size} bytes from offset {offset}, expected {expected} for {what}"
         )
-    return np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +200,34 @@ def write_code_matrix(matrix, path) -> None:
         handle.write(payload)
 
 
+def _code_header(path, handle) -> tuple:
+    """N, L, V, the pattern (None for a raw matrix) and the payload shape of an
+    open code file, its payload size checked but not its codes."""
+    head = handle.read(_CODE_HEADER.size)
+    if len(head) < _CODE_HEADER.size:
+        raise HeaderParseError(
+            f"{path}: {len(head)} bytes cannot hold the {_CODE_HEADER.size}-byte header"
+        )
+    magic, n, frames, vocab, pattern_id = _CODE_HEADER.unpack(head)
+    if magic != CODE_MAGIC:
+        raise HeaderParseError(f"{path}: bad magic {magic!r} at byte 0")
+    if pattern_id not in _PATTERNS_BY_ID:
+        raise HeaderParseError(f"{path}: unknown pattern id {pattern_id}")
+    if n < 1 or frames < 1 or vocab < 1:
+        raise HeaderParseError(f"{path}: degenerate header (N={n}, L={frames}, V={vocab})")
+    if vocab > 0xFFFF:
+        raise HeaderParseError(f"{path}: vocabulary size {vocab} does not fit the u16 payload")
+    pattern = _PATTERNS_BY_ID[pattern_id]
+    shape = (4 * n, frames if pattern is None else pattern_steps(pattern, n, frames))
+    _check_size(path, handle, "<u2", shape, "{}x{} u16 codes".format(*shape))
+    return n, frames, vocab, pattern, shape
+
+
 def read_code_matrix(path):
     """Read a code file; returns CodeMatrix or ReorgMatrix per its pattern id."""
     with open(path, "rb") as handle:
-        head = handle.read(_CODE_HEADER.size)
-        if len(head) < _CODE_HEADER.size:
-            raise HeaderParseError(
-                f"{path}: {len(head)} bytes cannot hold the {_CODE_HEADER.size}-byte header"
-            )
-        magic, n, frames, vocab, pattern_id = _CODE_HEADER.unpack(head)
-        if magic != CODE_MAGIC:
-            raise HeaderParseError(f"{path}: bad magic {magic!r} at byte 0")
-        if pattern_id not in _PATTERNS_BY_ID:
-            raise HeaderParseError(f"{path}: unknown pattern id {pattern_id}")
-        if n < 1 or frames < 1 or vocab < 1:
-            raise HeaderParseError(f"{path}: degenerate header (N={n}, L={frames}, V={vocab})")
-        if vocab > 0xFFFF:
-            raise HeaderParseError(f"{path}: vocabulary size {vocab} does not fit the u16 payload")
-        pattern = _PATTERNS_BY_ID[pattern_id]
-        columns = frames if pattern is None else pattern_steps(pattern, n, frames)
-        codes = _read_payload(path, handle, "<u2", (4 * n, columns), f"{4 * n}x{columns} u16 codes")
+        n, _, vocab, pattern, shape = _code_header(path, handle)
+        codes = np.fromfile(handle, dtype="<u2", count=math.prod(shape)).reshape(shape)
     try:
         return CodeMatrix(codes, n, vocab) if pattern is None else ReorgMatrix(codes, pattern, n, vocab)
     except ValueError as exc:
@@ -245,9 +258,7 @@ def _wav_header(channels: int, sample_rate: int, frames: int, encoding: str) -> 
 
 
 def _encode_slab(samples: np.ndarray, encoding: str) -> bytes:
-    """(channels, frames) float64 samples as the frame-major bytes of a data chunk."""
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
+    """(channels, frames) finite float64 samples as the frame-major bytes of a data chunk."""
     if encoding == "pcm16":
         data = np.clip(np.rint(samples * _PCM_SCALE), -32768, 32767).astype("<i2")
     else:
@@ -258,7 +269,8 @@ def _encode_slab(samples: np.ndarray, encoding: str) -> bytes:
 def write_wav_slabs(
     slabs, channels: int, sample_rate: int, frames: int, path, encoding: str = "float32"
 ) -> None:
-    """Write RIFF/WAVE from (channels, n) float64 ``slabs`` in order, ``frames`` in all."""
+    """Write RIFF/WAVE from (channels, n) float64 ``slabs`` in order, ``frames`` in all.
+    The slabs must be finite: the caller checks them, as ``write_wav`` does."""
     if encoding not in WAV_ENCODINGS:
         raise ValueError(f"encoding must be one of {WAV_ENCODINGS}, got {encoding!r}")
     try:
@@ -281,6 +293,8 @@ def write_wav(samples, sample_rate: int, path, encoding: str = "float32") -> Non
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("samples must be (channels, frames) with at least one frame")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     write_wav_slabs([x], x.shape[0], sample_rate, x.shape[1], path, encoding)
 
 

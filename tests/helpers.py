@@ -11,7 +11,8 @@ import warnings
 
 import numpy as np
 
-from foatools import Direction, FoaClip, Group, Pattern, Rotation, encode_mono, group_of
+from foatools import CodeMatrix, Direction, FoaClip, Group, Pattern, Rotation, encode_mono, group_of
+from foatools.code_pattern import _schedule
 from foatools.tensor_io import write_wav
 
 
@@ -331,6 +332,113 @@ def top_p_mask_bruteforce(probs, top_p):
     if boundary is None:
         boundary = probs[order[-1]]
     return np.array([p >= boundary for p in probs], dtype=bool)
+
+
+def softmax_allocating(x, axis=-1):
+    """The allocating softmax: every pass writes a new array."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
+
+
+def top_p_mask_allocating(probs, top_p):
+    """The allocating nucleus mask: a sorted copy and a new cumulative sum."""
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
+    p = np.asarray(probs, dtype=np.float64)
+    desc = np.sort(p, axis=-1)[..., ::-1]
+    csum = np.cumsum(desc, axis=-1)
+    k = np.minimum(np.sum(csum < top_p, axis=-1, keepdims=True), p.shape[-1] - 1)
+    return p >= np.take_along_axis(desc, k, axis=-1)
+
+
+def _checked_allocating(name, logits, shape):
+    if logits is None:
+        raise ValueError(f"guidance mode requires the {name!r} logit set")
+    arr = np.asarray(logits, dtype=np.float64)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name!r} logits shaped {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name!r} logits must be finite")
+    return arr
+
+
+def combine_allocating(mode, full, direction_only=None, visual_only=None, unconditional=None,
+                       omega=2.5, omega2=0.0):
+    """Guided logits as the formulas of ``guidance.combine`` read, each
+    operation into a new array."""
+    base = _checked_allocating("full", full, None)
+    if mode == "none":
+        return base.copy()
+    uncond = _checked_allocating("unconditional", unconditional, base.shape)
+    if mode == "directional":
+        return base + omega * (_checked_allocating("direction_only", direction_only, base.shape) - uncond)
+    if mode == "visual":
+        return base + omega * (_checked_allocating("visual_only", visual_only, base.shape) - uncond)
+    if mode == "joint":
+        return base + omega * (base - uncond)
+    return (
+        base
+        + omega * (_checked_allocating("direction_only", direction_only, base.shape) - uncond)
+        + omega2 * (_checked_allocating("visual_only", visual_only, base.shape) - uncond)
+    )
+
+
+def sample_step_allocating(logits, temperature=1.0, top_p=1.0, rng=None, argmax=False):
+    """``guidance.sample_step`` with a new array for every pass; the library's
+    in-place sampler must draw the same codes from the same generator."""
+    arr = np.asarray(logits, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("logits must be a (rows x vocabulary) matrix")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("logits must be finite")
+    if argmax:
+        return np.argmax(arr, axis=1)
+    if temperature <= 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
+    if rng is None:
+        raise ValueError("sampling requires a seeded numpy Generator")
+    probs = softmax_allocating(arr / temperature, axis=1)
+    probs *= top_p_mask_allocating(probs, top_p)
+    cdf = np.cumsum(probs, axis=1)
+    total = cdf[:, -1:]
+    draws = rng.random((arr.shape[0], 1)) * total
+    codes = np.sum(cdf <= draws, axis=1)
+    return np.minimum(codes, np.argmax(cdf == total, axis=1))
+
+
+def generate_allocating(predictor, n_codebooks_per_channel, n_frames, pattern, guidance,
+                        temperature=1.0, top_p=1.0, seed=0, argmax=False):
+    """``guidance.generate`` as a chain of allocating calls: per step, every
+    predictor output is checked and its active rows copied out, then
+    ``combine_allocating`` and ``sample_step_allocating`` run on new arrays.
+    The library's buffered step must produce the same codes bit for bit."""
+    pattern = Pattern(pattern)
+    n = int(n_codebooks_per_channel)
+    index, occupied = _schedule(pattern, n, int(n_frames))
+    rng = np.random.default_rng(seed)
+    buffer = np.empty(occupied.shape, dtype=np.int64)
+    generated = buffer.view()
+    generated.flags.writeable = False
+    vocab_size = None
+    for step, rows in enumerate(map(np.flatnonzero, occupied.T)):
+        variant_logits = {}
+        for variant in guidance.variants:
+            logits = np.asarray(predictor(generated[:, :step], variant), dtype=np.float64)
+            if logits.ndim != 2 or logits.shape[0] != 4 * n:
+                raise ValueError(f"predictor returned shape {logits.shape}, expected ({4 * n}, V)")
+            if vocab_size is None:
+                vocab_size = logits.shape[1]
+                buffer.fill(vocab_size)
+            elif logits.shape[1] != vocab_size:
+                raise ValueError("predictor changed vocabulary size between calls")
+            variant_logits[variant] = _checked_allocating(variant, logits, None)[rows]
+        combined = combine_allocating(guidance.mode, **variant_logits, omega=guidance.omega,
+                                      omega2=guidance.omega2)
+        buffer[rows, step] = sample_step_allocating(combined, temperature, top_p, rng=rng, argmax=argmax)
+    return CodeMatrix(buffer[index], n, vocab_size)
 
 
 def pack_bruteforce(matrix, pattern):

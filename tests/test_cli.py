@@ -10,10 +10,12 @@ from foatools import (
     CodeMatrix,
     Direction,
     FoaClip,
+    GuidanceConfig,
     Pattern,
     ReorgMatrix,
     Rotation,
     SphereGrid,
+    TablePredictor,
     decode_to_mono,
     encode_mono,
     energy_from_scores,
@@ -33,7 +35,14 @@ from foatools.tensor_io import (
     write_tensor,
     write_wav,
 )
-from helpers import extensible_wav, patch_scores_clamped, pcm24_wav, set_float32_sample, write_foa_wav
+from helpers import (
+    extensible_wav,
+    generate_allocating,
+    patch_scores_clamped,
+    pcm24_wav,
+    set_float32_sample,
+    write_foa_wav,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -392,6 +401,23 @@ class TestGenerateCommand:
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_dual_top_p_bytes_match_allocating_oracle(self, capsys, tmp_path):
+        rng = np.random.default_rng(19)
+        matrix = CodeMatrix(rng.integers(0, 64, size=(12, 10)), 3, 64)
+        table, out_path, want = tmp_path / "table.cmx", tmp_path / "gen.cmx", tmp_path / "want.cmx"
+        write_code_matrix(matrix, table)
+        code, _, _ = run(
+            capsys, "generate", "--table", table, "--guidance", "dual", "--omega", "2.5",
+            "--omega2", "1.5", "--top-p", "0.9", "--seed", 3, out_path,
+        )
+        assert code == 0
+        config = GuidanceConfig("dual", 2.5, 1.5)
+        oracle = generate_allocating(
+            TablePredictor(matrix, Pattern.PROPOSED), 3, 10, Pattern.PROPOSED, config, top_p=0.9, seed=3
+        )
+        write_code_matrix(oracle, want)
+        assert out_path.read_bytes() == want.read_bytes()
+
 
 class TestEvalSpatial:
     def test_self_comparison_scores_one(self, capsys, tmp_path):
@@ -549,6 +575,75 @@ class TestEvalSemantic:
         rows = read_rows(out_path)
         assert len(rows) == 2
         assert all(r["fad"] == pytest.approx(0.0, abs=1e-6) for r in rows)
+
+
+def semantic_inputs(tmp_path, fault):
+    """Four W/X/Y/Z feature pairs whose W generated features carry ``fault``,
+    and the message that must name the file: "nan" puts a NaN in them, "psd"
+    makes them 3 rank-deficient rows of scale 1e6, whose covariance rounds to
+    a clearly negative eigenvalue."""
+    rng = np.random.default_rng(20)
+    pairs = {}
+    for name in "WXYZ":
+        gen, gt = tmp_path / f"{name}_gen.t", tmp_path / f"{name}_gt.t"
+        write_tensor(rng.normal(size=(40, 16)).astype(np.float32), gen)
+        write_tensor(rng.normal(size=(40, 16)).astype(np.float32), gt)
+        pairs[name] = {"gen": str(gen), "gt": str(gt)}
+    gen, gt = pairs["W"]["gen"], pairs["W"]["gt"]
+    if fault == "nan":
+        features = rng.normal(size=(40, 16)).astype(np.float32)
+        features[5, 3] = np.nan
+        message = f"{gen}: features must be finite"
+    else:
+        features = (rng.normal(size=(3, 16)) * 1e6).astype(np.float32)
+        message = f"{gen} vs {gt}: first covariance has eigenvalue"
+    write_tensor(features, gen)
+    return pairs, message
+
+
+class TestEvalSemanticDataErrors:
+    @pytest.mark.parametrize("fault", ["nan", "psd"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_single_mode_names_the_file(self, capsys, tmp_path, fault):
+        pairs, message = semantic_inputs(tmp_path, fault)
+        argv = ["--gen-features", pairs["W"]["gen"], "--gt-features", pairs["W"]["gt"]]
+        code, out, err = run(capsys, "eval-semantic", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("fault", ["nan", "psd"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_channels_mode_names_the_file(self, capsys, tmp_path, fault):
+        pairs, message = semantic_inputs(tmp_path, fault)
+        channels = tmp_path / "channels.json"
+        channels.write_text(json.dumps(pairs))
+        code, out, err = run(capsys, "eval-semantic", "--channels", channels)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("fault", ["nan", "psd"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_manifest_mode_names_the_file(self, capsys, tmp_path, fault):
+        pairs, message = semantic_inputs(tmp_path, fault)
+        manifest = tmp_path / "m.ndjson"
+        manifest.write_text("\n".join(
+            json.dumps({"gen_features": pairs[name]["gen"], "gt_features": pairs[name]["gt"]}) for name in "WX"
+        ) + "\n")
+        out_path = tmp_path / "res.ndjson"
+        code, _, err = run_manifest(capsys, out_path, "eval-semantic", "--manifest", manifest)
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        bad, good = read_rows(out_path)
+        assert bad["error"]["message"].startswith(message)
+        assert "fad" in good and "error" not in good
+
+    def test_missing_channel_names_the_channels_file(self, capsys, tmp_path):
+        pairs, _ = semantic_inputs(tmp_path, "nan")
+        del pairs["Y"]
+        channels = tmp_path / "channels.json"
+        channels.write_text(json.dumps(pairs))
+        code, out, err = run(capsys, "eval-semantic", "--channels", channels)
+        assert (code, out, err) == (2, "", f"error: {channels}: missing channel feature pairs: Y\n")
 
 
 class TestPatchEnergy:
@@ -959,6 +1054,30 @@ class TestInfo:
         assert code == 0
         described = [(f["n_channels"], f["n_samples"], f["sample_rate"]) for f in last_json(out)["files"]]
         assert described == [(4, 10, 44100), (4, 7, 22050), (1, 3, 8000), (4, 5, 48000), (2, 3, 96000)]
+
+    def test_tensor_and_code_probes_read_no_payload(self, capsys, tmp_path, monkeypatch):
+        codes, tensor = tmp_path / "a.cmx", tmp_path / "a.t"
+        write_code_matrix(pack(CodeMatrix(np.zeros((4, 2), dtype=np.int64), 1, 5), Pattern.PROPOSED), codes)
+        blob = bytearray(codes.read_bytes())
+        blob[17:19] = struct.pack("<H", 9)  # a code past V: info does not range-check codes
+        codes.write_bytes(bytes(blob))
+        write_tensor(np.zeros((2, 3), dtype=np.uint16), tensor)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("info read a payload")
+
+        monkeypatch.setattr(np, "fromfile", refuse)
+        code, out, _ = run(capsys, "info", codes, tensor)
+        assert code == 0
+        assert last_json(out)["files"] == [
+            {"format": "code_matrix", "n_codebooks_per_channel": 1, "n_frames": 2, "path": str(codes),
+             "pattern": "proposed", "vocab_size": 5},
+            {"dtype": "uint16", "format": "tensor", "path": str(tensor), "shape": [2, 3]},
+        ]
+        tensor.write_bytes(tensor.read_bytes()[:-1])
+        code, out, err = run(capsys, "info", tensor)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {tensor}: payload holds 11 bytes")
 
     def test_describes_all_formats(self, capsys, tmp_path):
         wav = tmp_path / "a.wav"

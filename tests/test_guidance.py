@@ -6,7 +6,16 @@ from hypothesis.extra import numpy as hnp
 from foatools import CodeMatrix, GuidanceConfig, Pattern, TablePredictor, combine, generate, sample_step
 from foatools._util import softmax, top_p_mask
 from foatools.code_pattern import pattern_steps
-from helpers import UniformPredictor, top_p_mask_bruteforce
+from foatools.guidance import MODES, VARIANTS
+from helpers import (
+    UniformPredictor,
+    combine_allocating,
+    generate_allocating,
+    sample_step_allocating,
+    softmax_allocating,
+    top_p_mask_allocating,
+    top_p_mask_bruteforce,
+)
 
 
 def variant_logits(rng, rows=4, vocab=6):
@@ -328,3 +337,109 @@ class TestGenerate:
         # code), so the NaN sits in a row that is not sampled.
         with pytest.raises(ValueError, match="finite"):
             generate(predictor, 1, 2, Pattern.PROPOSED, GuidanceConfig(mode))
+
+
+class SeededPredictor:
+    """Logits drawn from a generator seeded by (seed, step, variant), so two
+    runs see the same outputs. ``kind`` "normal" gives distinct values,
+    "tied" small integers with exact ties, "constant" one value per row."""
+
+    def __init__(self, n_rows, vocab_size, seed, kind, dtype):
+        self.shape = (n_rows, vocab_size)
+        self.seed, self.kind, self.dtype = seed, kind, dtype
+
+    def __call__(self, prefix, variant):
+        rng = np.random.default_rng([self.seed, prefix.shape[1], VARIANTS.index(variant)])
+        if self.kind == "normal":
+            logits = rng.normal(scale=3.0, size=self.shape)
+        elif self.kind == "tied":
+            logits = rng.integers(-2, 3, size=self.shape).astype(np.float64)
+        else:
+            logits = np.repeat(rng.normal(size=(self.shape[0], 1)), self.shape[1], axis=1)
+        return logits.astype(self.dtype)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+top_ps = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+temperatures = st.sampled_from((0.1, 0.7, 1.0, 3.0))
+scales = st.floats(-3.0, 3.0)
+
+
+class TestAllocatingOracles:
+    """The in-place combine and sampler against the allocating formulation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        pattern=st.sampled_from(list(Pattern)),
+        n=st.integers(1, 3),
+        n_frames=st.integers(1, 5),
+        vocab_size=st.integers(1, 40),
+        kind=st.sampled_from(("normal", "tied", "constant")),
+        dtype=st.sampled_from((np.float64, np.float32)),
+        argmax=st.booleans(),
+        temperature=temperatures,
+        top_p=top_ps,
+        omegas=st.tuples(scales, scales),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generate_codes_match(self, mode, pattern, n, n_frames, vocab_size, kind, dtype,
+                                  argmax, temperature, top_p, omegas, seed):
+        config = GuidanceConfig(mode, *omegas)
+        args = (n, n_frames, pattern, config, temperature, top_p, seed, argmax)
+        got = generate(SeededPredictor(4 * n, vocab_size, seed, kind, dtype), *args)
+        want = generate_allocating(SeededPredictor(4 * n, vocab_size, seed, kind, dtype), *args)
+        assert np.array_equal(got.codes, want.codes)
+        assert got.vocab_size == want.vocab_size == vocab_size
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        rows=st.integers(1, 6),
+        vocab_size=st.integers(1, 40),
+        kind=st.sampled_from(("normal", "tied", "constant")),
+        dtype=st.sampled_from((np.float64, np.float32)),
+        temperature=temperatures,
+        top_p=top_ps,
+        omegas=st.tuples(scales, scales),
+        seed=st.integers(0, 2**16),
+    )
+    def test_public_functions_match_and_keep_inputs(self, mode, rows, vocab_size, kind, dtype,
+                                                    temperature, top_p, omegas, seed):
+        predictor = SeededPredictor(rows, vocab_size, seed, kind, dtype)
+        sets = {variant: predictor(np.zeros((rows, 0)), variant) for variant in VARIANTS}
+        before = {variant: logits.copy() for variant, logits in sets.items()}
+        guided = combine(mode, **sets, omega=omegas[0], omega2=omegas[1])
+        assert same_bits(guided, combine_allocating(mode, **sets, omega=omegas[0], omega2=omegas[1]))
+        for argmax in (False, True):
+            got = sample_step(guided, temperature, top_p, rng=np.random.default_rng(seed), argmax=argmax)
+            want = sample_step_allocating(guided, temperature, top_p, rng=np.random.default_rng(seed),
+                                          argmax=argmax)
+            assert np.array_equal(got, want)
+        logits = sets["full"]
+        assert same_bits(softmax(logits, axis=1), softmax_allocating(logits, axis=1))
+        probs = softmax_allocating(np.asarray(logits, dtype=np.float64), axis=1)
+        assert same_bits(top_p_mask(probs, top_p), top_p_mask_allocating(probs, top_p))
+        assert all(same_bits(sets[variant], before[variant]) for variant in VARIANTS)
+
+    def test_sample_step_keeps_its_input(self):
+        logits = np.random.default_rng(17).normal(size=(5, 9))
+        before = logits.copy()
+        sample_step(logits, 0.5, 0.8, rng=np.random.default_rng(0))
+        sample_step(logits, argmax=True)
+        assert same_bits(logits, before)
+
+    def test_table_predictor_shares_one_read_only_matrix_per_step(self):
+        table = CodeMatrix(np.random.default_rng(18).integers(0, 9, size=(8, 4)), 2, 9)
+        predictor = TablePredictor(table, Pattern.PROPOSED)
+        prefix = np.zeros((8, 2), dtype=np.int64)
+        first = [predictor(prefix, variant) for variant in VARIANTS]
+        assert all(logits is first[0] for logits in first)
+        assert not first[0].flags.writeable
+        later = predictor(np.zeros((8, 3), dtype=np.int64), "full")
+        assert later is not first[0]
+        assert predictor.n_queries == 5

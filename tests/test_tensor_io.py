@@ -176,7 +176,10 @@ class TestMangledFiles:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["info", str(path)])
-        if isinstance(expected, TensorIOError):
+        # info reads headers only: a code file whose header and payload size pass
+        # is described even when its codes fail the reader's range check (a plain
+        # TensorIOError, not one of the header or payload-size subclasses).
+        if isinstance(expected, TensorIOError) and type(expected) is not TensorIOError:
             assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected}\n")
             return
         assert code == 0
@@ -184,8 +187,9 @@ class TestMangledFiles:
         if isinstance(expected, np.ndarray):
             assert (described["shape"], described["dtype"]) == (list(expected.shape), str(expected.dtype))
         else:
-            assert described["n_frames"] == expected.n_frames
-            assert described["vocab_size"] == expected.vocab_size
+            _, n, frames, vocab, _ = struct.unpack("<4sIIIB", blob[:17])
+            assert (described["n_codebooks_per_channel"], described["n_frames"]) == (n, frames)
+            assert described["vocab_size"] == vocab
 
 
 class TestCodeMatrixFiles:
