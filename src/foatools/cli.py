@@ -9,6 +9,8 @@ knows one). Output files are written atomically, so failures never leave
 partial files behind. A manifest run writes one row per record, in input
 order: a record that fails a data check gets an ``error`` row and the run
 exits 2, but every good row is still written and the output file is complete.
+``--jobs N`` maps records on min(N, records) forked processes with their own
+slab buffers; ``--jobs 1`` runs in-process (fork-with-threads caveats apply).
 """
 
 from __future__ import annotations
@@ -284,8 +286,17 @@ def _load_manifest(path, required, optional=()) -> list:
     return records
 
 
+def _row_or_error(one, keys, record):
+    """``(one(record), None)``, or for a data error the row ``{<keys>, "error"}`` and its message."""
+    try:
+        return one(record), None
+    except _DATA_ERRORS as exc:
+        where = {key: record[key] for key in keys if key in record}
+        return {**where, "error": {"message": str(exc), "type": type(exc).__name__}}, str(exc)
+
+
 def _run_manifest(args, one, summarize, required, optional=()) -> int:
-    """Write ``one(record)`` for every manifest record, mapped on ``args.jobs`` threads.
+    """Write ``one(record)`` for every record: on ``min(args.jobs, records)`` forked processes, or one thread.
 
     A record that raises a data error gets the row ``{<its path keys>, "error"}``.
     ``summarize(records, rows)`` may complete the rows or raise before the write,
@@ -297,23 +308,24 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
         raise UsageError("--manifest mode needs --out for the NDJSON results")
     records = _load_manifest(args.manifest, required, optional)
     summarize(records, ())
-
-    def row_or_error(record):
-        try:
-            return one(record), None
-        except _DATA_ERRORS as exc:
-            keys = {key: record[key] for key in (*required, *optional) if key in record}
-            return {**keys, "error": {"message": str(exc), "type": type(exc).__name__}}, exc
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows, errors = zip(*pool.map(row_or_error, records))
+    workers = min(args.jobs, len(records))
+    if workers > 1:
+        # Imported here, as their ~23 ms import would slow every command's start.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    else:  # a thread, as glibc page-faults more on the per-record arrays in the main thread
+        pool = ThreadPoolExecutor(max_workers=1)
+    with pool:
+        rows, messages = zip(*pool.map(partial(_row_or_error, one, (*required, *optional)), records))
+    failed = [message for message in messages if message is not None]
     summary = summarize(records, rows)
     lines = [json.dumps({"schema_version": SCHEMA_VERSION, **row}, sort_keys=True) for row in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
-    for exc in filter(None, errors):
-        print(f"error: {exc}", file=sys.stderr)
+    for message in failed:
+        print(f"error: {message}", file=sys.stderr)
     _print_json({**summary, "output": args.out})
-    return 2 if any(errors) else 0
+    return 2 if failed else 0
 
 
 @contextmanager
@@ -400,9 +412,7 @@ def _semantic_one(record, epsilon) -> dict:
 def cmd_eval_semantic(args) -> int:
     one = partial(_semantic_one, epsilon=args.epsilon)
     if args.manifest:
-        return _run_manifest(
-            args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS
-        )
+        return _run_manifest(args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS)
     record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
     for kind in ("features", "probs"):
         if (f"gen_{kind}" in record) != (f"gt_{kind}" in record):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import struct
@@ -23,6 +24,7 @@ from foatools import (
     pack,
     rotate,
 )
+from foatools import cli
 from foatools.cli import _load_manifest, main
 from foatools.errors import FoaToolsError
 from foatools.tensor_io import (
@@ -64,14 +66,16 @@ def read_rows(path):
 def run_manifest(capsys, out_path, *argv):
     """Run a manifest subcommand at --jobs 1 and at --jobs 2.
 
-    Both runs must exit alike and write byte-identical NDJSON. Returns the
-    exit code, stdout and stderr of the --jobs 1 run, whose rows are in out_path.
+    Both runs must exit alike, write byte-identical NDJSON, print the same
+    stderr, and print the same stdout once the output path is normalised.
+    Returns the exit code, stdout and stderr of the --jobs 1 run, whose rows
+    are in out_path.
     """
     first = run(capsys, *argv, "--out", out_path, "--jobs", 1)
     twin = out_path.with_name(out_path.name + ".jobs2")
-    second = run(capsys, *argv, "--out", twin, "--jobs", 2)
-    assert second[0] == first[0]
+    code, out, err = run(capsys, *argv, "--out", twin, "--jobs", 2)
     assert twin.read_bytes() == out_path.read_bytes()
+    assert (code, out.replace(str(twin), str(out_path)), err) == first
     return first
 
 
@@ -909,7 +913,68 @@ JSON_VALUES = st.recursive(
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
 
 
+def _path_row(record, **_):
+    """Stands in for a per-record function: a row naming the pair, no file read."""
+    return {"gen": record["gen"], "gt": record["gt"]}
+
+
+def _crash_on_b(record, **_):
+    """A per-record function that fails outside the data errors on b.wav.
+
+    Module-level, so that a worker process can unpickle it.
+    """
+    if record["gen"] == "b.wav":
+        raise RuntimeError(f"not a data error: {record['gen']}")
+    return _path_row(record)
+
+
+def _write_pairs(path, names):
+    path.write_text("".join(json.dumps({"gen": name, "gt": name}) + "\n" for name in names))
+    return path
+
+
 class TestManifestRuns:
+    @pytest.mark.parametrize("records, jobs, workers", [(3, 64, [3]), (3, 2, [2]), (3, 1, []), (1, 2, [])])
+    def test_workers_capped_at_record_count(self, capsys, tmp_path, monkeypatch, records, jobs, workers):
+        made = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its arguments and maps
+            in-process, so no worker process starts."""
+
+            def __init__(self, **kwargs):
+                made.append(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_spatial_one", _path_row)
+        names = ["a.wav", "b.wav", "c.wav"][:records]
+        manifest = _write_pairs(tmp_path / "m.ndjson", names)
+        out_path = tmp_path / "rows.ndjson"
+        code, _, err = run(capsys, "eval-spatial", "--manifest", manifest, "--out", out_path, "--jobs", jobs)
+        assert (code, err) == (0, "")
+        assert [row["gen"] for row in read_rows(out_path)] == names
+        assert [kwargs["max_workers"] for kwargs in made] == workers
+        assert all(kwargs["mp_context"].get_start_method() == "fork" for kwargs in made)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_data_error_escapes_main(self, capsys, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "_spatial_one", _crash_on_b)
+        manifest = _write_pairs(tmp_path / "m.ndjson", ["a.wav", "b.wav", "c.wav"])
+        out_path = tmp_path / "rows.ndjson"
+        with pytest.raises(RuntimeError, match="not a data error: b.wav"):
+            main(["eval-spatial", "--manifest", str(manifest), "--out", str(out_path), "--jobs", str(jobs)])
+        assert not out_path.exists()
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "case",
         ["spatial-missing", "spatial-mismatch", "spatial-nan", "semantic-missing", "semantic-half-pair",
