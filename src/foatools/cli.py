@@ -41,16 +41,13 @@ from .foa import (
     energy_map,
 )
 from .tensor_io import (
-    CODE_MAGIC,
     WAV_ENCODINGS,
-    _code_header,
-    _tensor_header,
     atomic_write,
+    describe_file,
     read_code_matrix,
     read_foa_summary,
     read_foa_wav,
     read_tensor,
-    read_wav_header,
     read_wav_slabs,
     write_code_matrix,
     write_energy_map_csv,
@@ -104,21 +101,14 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _direction_from_args(args) -> Direction:
-    text = args.dir
+def _parse_angles(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"direction must be 'azimuth,elevation', got {text!r}")
     try:
-        azimuth, elevation = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"direction components must be numbers, got {text!r}") from None
-    if args.degrees:
-        azimuth, elevation = math.radians(azimuth), math.radians(elevation)
-    try:
-        return Direction(azimuth, elevation)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _int_pair(text: str, sep: str, unparsed: str, not_a_pair: str) -> tuple:
@@ -143,9 +133,7 @@ def _parse_grid(text: str) -> SphereGrid:
     return SphereGrid(bands, azimuths)
 
 
-def _parse_window(text):
-    if text is None:
-        return None
+def _parse_window(text: str) -> tuple:
     usage = f"window must be 'START:END' in samples, got {text!r}"
     return _int_pair(text, ":", usage, usage)
 
@@ -172,24 +160,30 @@ def _finite(path, slab: np.ndarray) -> np.ndarray:
     return slab
 
 
-def _transform_wav(args, parse) -> tuple:
+def _transform_wav(args, flags):
     """The read, transform and write step of encode, decode and rotate: check
-    the header of ``args.input``, parse the command's flags with ``parse(args)``,
-    then write the command's transform of each slab, checked for a non-finite
-    sample (the only check: a finite slab transforms to finite samples), to
-    ``args.output``. Returns the header and the flags."""
+    the header of ``args.input``, then write the command's transform under
+    ``flags`` (the Direction or Rotation built before any read) of each slab,
+    checked for a non-finite sample (the only check: a finite slab transforms
+    to finite samples), to ``args.output``. Returns the header."""
     channels, out_channels, transform = _SLAB_TRANSFORMS[args.command]
     with read_wav_slabs(args.input, channels) as (header, slabs_of):
-        flags = parse(args)
         rate = header.sample_rate
         slabs = (transform(_finite(args.input, slab), flags) for slab in slabs_of(rate))
         write_wav_slabs(slabs, out_channels, rate, header.frames, args.output, args.encoding)
-    return header, flags
+    return header
 
 
 def cmd_pan(args) -> int:
     """``encode`` and ``decode``, which share their flags and stdout keys."""
-    header, direction = _transform_wav(args, _direction_from_args)
+    azimuth, elevation = args.dir
+    if args.degrees:
+        azimuth, elevation = math.radians(azimuth), math.radians(elevation)
+    try:
+        direction = Direction(azimuth, elevation)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    header = _transform_wav(args, direction)
     _print_json(
         {
             "direction": _direction_dict(direction),
@@ -210,14 +204,18 @@ def _rotation_from_args(args) -> Rotation:
             values = [float(e) for e in entries]
         except ValueError:
             raise UsageError("matrix entries must be numbers") from None
-        return Rotation(np.array(values).reshape(3, 3))
+        try:
+            return Rotation(np.array(values).reshape(3, 3))
+        except ValueError as exc:  # not a proper rotation
+            raise UsageError(str(exc)) from None
     if args.z_quarters is not None:
         return Rotation(np.linalg.matrix_power(Rotation.quarter_turn_z().matrix, args.z_quarters % 4))
     return Rotation.about_z(math.radians(args.z_degrees))
 
 
 def cmd_rotate(args) -> int:
-    header, rotation = _transform_wav(args, _rotation_from_args)
+    rotation = _rotation_from_args(args)
+    header = _transform_wav(args, rotation)
     _print_json(
         {
             "matrix": [[float(v) for v in row] for row in rotation.matrix],
@@ -230,20 +228,20 @@ def cmd_rotate(args) -> int:
 
 def cmd_energy_map(args) -> int:
     clip = read_foa_wav(args.input)
-    grid = _parse_grid(args.grid)
-    emap = energy_map(clip, grid, _parse_window(args.window), args.mode)
+    with _naming(args.input):  # a window past the clip's end
+        emap = energy_map(clip, args.grid, args.window, args.mode)
     if args.csv:
         write_energy_map_csv(emap, args.csv)
     if args.pgm:
         write_energy_map_pgm(emap, args.pgm)
-    argmax = grid.direction(emap.argmax_cell())
+    argmax = args.grid.direction(emap.argmax_cell())
     _print_json(
         {
             "argmax": _direction_dict(argmax),
             "mode": emap.mode,
-            "n_cells": grid.n_cells,
+            "n_cells": args.grid.n_cells,
             "value_max": float(emap.values.max()),
-            "value_weighted_mean": float(grid.weights @ emap.values),
+            "value_weighted_mean": float(args.grid.weights @ emap.values),
             "window": list(emap.window),
         }
     )
@@ -346,8 +344,7 @@ def _spatial_one(record, grid, fixation_percentile) -> dict:
 
 
 def cmd_eval_spatial(args) -> int:
-    grid = _parse_grid(args.grid)
-    one = partial(_spatial_one, grid=grid, fixation_percentile=args.fixation_percentile)
+    one = partial(_spatial_one, grid=args.grid, fixation_percentile=args.fixation_percentile)
     if args.manifest:
         if args.gen or args.gt:
             raise UsageError("give either a gen/gt pair or --manifest, not both")
@@ -394,23 +391,23 @@ def _mean_kld(gen_path, gt_path, epsilon) -> float:
 _SEMANTIC_KEYS = ("gen_features", "gt_features", "gen_probs", "gt_probs")
 
 
-def _semantic_one(record, epsilon) -> dict:
+def _semantic_one(record, args) -> dict:
     for kind in ("features", "probs"):
         gen, gt = record.get(f"gen_{kind}"), record.get(f"gt_{kind}")
         if (gen is None) != (gt is None):
             raise FoaToolsError(f"{gen or gt}: gen_{kind} and gt_{kind} go together")
     if "gen_features" not in record and "gen_probs" not in record:
-        raise FoaToolsError("manifest record carries neither features nor probabilities")
+        raise FoaToolsError(f"{args.manifest}: record carries neither features nor probabilities")
     row = dict(record)
     if "gen_features" in record:
         row["fad"] = _fad(record["gen_features"], record["gt_features"])
     if "gen_probs" in record:
-        row["kld"] = _mean_kld(record["gen_probs"], record["gt_probs"], epsilon)
+        row["kld"] = _mean_kld(record["gen_probs"], record["gt_probs"], args.epsilon)
     return row
 
 
 def cmd_eval_semantic(args) -> int:
-    one = partial(_semantic_one, epsilon=args.epsilon)
+    one = partial(_semantic_one, args=args)
     if args.manifest:
         return _run_manifest(args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS)
     record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
@@ -524,7 +521,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _curate_one(record, args, grid) -> dict:
+def _curate_one(record, args) -> dict:
     stats = read_foa_summary(record["path"], curation.clip_stats)
     # A clip with no whole second has no second that passed the gate.
     amplitude_ok = stats.w_squares.size > 0 and curation.amplitude_gate(stats, args.amplitude_threshold)
@@ -535,7 +532,7 @@ def _curate_one(record, args, grid) -> dict:
         else []
     )
     try:
-        center = _direction_dict(curation.fov_center(stats, grid))
+        center = _direction_dict(curation.fov_center(stats, args.grid))
     except FoaToolsError:
         center = None
     return {
@@ -574,46 +571,12 @@ def _curate_decide(manifest, records, rows) -> dict:
 
 
 def cmd_curate(args) -> int:
-    one = partial(_curate_one, args=args, grid=_parse_grid(args.grid))
+    one = partial(_curate_one, args=args)
     return _run_manifest(args, one, partial(_curate_decide, args.manifest), ("path",))
 
 
-def _describe_file(path) -> dict:
-    """The header fields of a WAV, code or tensor file, told apart by its leading
-    bytes; the payload size is checked, but no sample or code is read."""
-    with open(path, "rb") as handle:
-        head = handle.read(12)
-        handle.seek(0)
-        if head[:4] == b"RIFF" or head[8:] == b"WAVE":
-            header = read_wav_header(path)
-            return {
-                "format": "wav",
-                "n_channels": header.channels,
-                "n_samples": header.frames,
-                "path": path,
-                "sample_rate": header.sample_rate,
-            }
-        if head[:4] == CODE_MAGIC:
-            n, frames, vocab, pattern, _ = _code_header(path, handle)
-            return {
-                "format": "code_matrix",
-                "n_codebooks_per_channel": n,
-                "n_frames": frames,
-                "path": path,
-                "pattern": None if pattern is None else pattern.value,
-                "vocab_size": vocab,
-            }
-        dtype, shape = _tensor_header(path, handle)
-    return {
-        "dtype": str(np.dtype(dtype)),
-        "format": "tensor",
-        "path": path,
-        "shape": shape,
-    }
-
-
 def cmd_info(args) -> int:
-    _print_json({"files": [_describe_file(path) for path in args.paths]})
+    _print_json({"files": [describe_file(path) for path in args.paths]})
     return 0
 
 
@@ -638,6 +601,7 @@ def _add_encoding_flag(parser) -> None:
 def _add_grid_flag(parser) -> None:
     parser.add_argument(
         "--grid",
+        type=_parse_grid,
         default="32x64",
         help="sphere grid as 'BANDSxAZIMUTHS' (elevation bands x max azimuth samples)",
     )
@@ -654,7 +618,8 @@ def build_parser() -> _Parser:
          "mono output WAV"),
     ):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--dir", required=True, help="direction as 'azimuth,elevation' in radians")
+        p.add_argument("--dir", type=_parse_angles, required=True,
+                       help="direction as 'azimuth,elevation' in radians")
         p.add_argument(
             "--degrees", action="store_true", help="interpret --dir in degrees instead of radians"
         )
@@ -665,7 +630,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rotate", help="rotate the sound field of an ambisonic WAV")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--z-degrees", type=float, help="turn about the vertical axis, degrees")
+    group.add_argument("--z-degrees", type=_finite_float, help="turn about the vertical axis, degrees")
     group.add_argument(
         "--z-quarters",
         type=int,
@@ -683,7 +648,8 @@ def build_parser() -> _Parser:
         "--mode", choices=ENERGY_MODES, default=ENERGY_MODE_POWER,
         help="power = mean squared decoded signal; literal-linear = mean decoded signal",
     )
-    p.add_argument("--window", help="analysis window 'START:END' in samples (default full clip)")
+    p.add_argument("--window", type=_parse_window,
+                   help="analysis window 'START:END' in samples (default full clip)")
     p.add_argument("--csv", help="write per-cell CSV (azimuth, elevation, weight, value)")
     p.add_argument("--pgm", help="write a PGM heatmap (one row per elevation band)")
     p.add_argument("input", help="4-channel input WAV")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import softmax_, top_p_mask_
+from ._util import softmax, top_p_mask
 from .code_pattern import CodeMatrix, Pattern, _schedule, pack
 
 MODES = ("none", "directional", "visual", "joint", "dual")
@@ -136,8 +136,8 @@ def _sample(logits: np.ndarray, temperature, top_p, rng, argmax, scratch) -> np.
         raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
     if rng is None:
         raise ValueError("sampling requires a seeded numpy Generator")
-    probs = softmax_(np.divide(logits, temperature, out=logits), axis=1)
-    probs *= top_p_mask_(probs, top_p, *scratch)
+    probs = softmax(np.divide(logits, temperature, out=logits), axis=1)
+    probs *= top_p_mask(probs, top_p, *scratch)
     cdf = np.cumsum(probs, axis=1, out=scratch[1])
     total = cdf[:, -1:]
     draws = rng.random((probs.shape[0], 1)) * total

@@ -114,5 +114,5 @@ def energy_from_scores(
     flat_t = t.reshape(n_time, -1)
     averaged = (softmax(flat_s / temperature, axis=1) + softmax(flat_t / temperature, axis=1)) / 2.0
 
-    kept = averaged * top_p_mask(averaged, top_p)
+    kept = averaged * top_p_mask(averaged, top_p, np.empty_like(averaged), np.empty_like(averaged))
     return (kept / kept.sum(axis=1, keepdims=True)).reshape(n_time, n_rows, n_cols)

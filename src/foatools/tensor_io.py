@@ -398,6 +398,40 @@ def read_wav(path):
     return samples, header.sample_rate
 
 
+def describe_file(path) -> dict:
+    """The header fields of a WAV, code or tensor file, told apart by its leading
+    bytes; the payload size is checked, but no sample or code is read."""
+    with open(path, "rb") as handle:
+        head = handle.read(12)
+        handle.seek(0)
+        if head[:4] == b"RIFF" or head[8:] == b"WAVE":
+            header = _parse_wav_header(path, handle)
+            return {
+                "format": "wav",
+                "n_channels": header.channels,
+                "n_samples": header.frames,
+                "path": path,
+                "sample_rate": header.sample_rate,
+            }
+        if head[:4] == CODE_MAGIC:
+            n, frames, vocab, pattern, _ = _code_header(path, handle)
+            return {
+                "format": "code_matrix",
+                "n_codebooks_per_channel": n,
+                "n_frames": frames,
+                "path": path,
+                "pattern": None if pattern is None else pattern.value,
+                "vocab_size": vocab,
+            }
+        dtype, shape = _tensor_header(path, handle)
+    return {
+        "dtype": str(np.dtype(dtype)),
+        "format": "tensor",
+        "path": path,
+        "shape": shape,
+    }
+
+
 @contextmanager
 def read_wav_slabs(path, channels: int):
     """The one streamed WAV reader: the checked header of a ``channels``-channel
@@ -466,12 +500,9 @@ def write_pgm(image, path) -> None:
 def write_energy_map_pgm(emap: EnergyMap, path) -> None:
     """One PGM row per elevation band, top row = highest band, zero padded."""
     grid = emap.grid
-    width = max(grid.samples_per_band)
-    image = np.zeros((grid.n_elevation_bands, width))
-    for band in range(grid.n_elevation_bands):
-        row = grid.n_elevation_bands - 1 - band
-        cells = grid.band_index == band
-        image[row, : int(cells.sum())] = emap.values[cells]
+    bands = grid.n_elevation_bands
+    image = np.zeros((bands, max(grid.samples_per_band)))
+    image[bands - 1 - grid.band_index, grid.azimuth_index] = emap.values
     write_pgm(image, path)
 
 

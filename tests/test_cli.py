@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -99,6 +100,80 @@ class TestExitCodes:
         write_wav(np.zeros(16), 8000, wav)
         code, _, err = run(capsys, "encode", "--dir", "oops", wav, tmp_path / "out.wav")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["energy-map", "--grid", "8", "IN"], "grid must be 'BANDSxAZIMUTHS', e.g. 32x64, got '8'"),
+                (["energy-map", "--window", "x", "IN"], "window must be 'START:END' in samples, got 'x'"),
+                (["encode", "--dir", "1,x", "IN", "OUT"], "direction components must be numbers, got '1,x'"),
+                (["decode", "--dir", "0,2", "IN", "OUT"], "elevation must lie in [-pi/2, pi/2], got 2.0"),
+                (["rotate", "--matrix", "1,2", "IN", "OUT"], "matrix needs 9 comma-separated row-major entries"),
+                (["rotate", "--matrix", "1,0,0,0,1,0,0,0,2", "IN", "OUT"],
+                 "not a proper rotation (orthogonality error 3.000e+00, determinant error 1.000e+00)"),
+                (["rotate", "--matrix", "2,0,0,0,2,0,0,0,2", "IN", "OUT"],
+                 "not a proper rotation (orthogonality error 3.000e+00, determinant error 7.000e+00)"),
+                (["rotate", "--z-degrees", "nan", "IN", "OUT"], "argument --z-degrees: must be finite, got nan"),
+                (["curate", "--grid", "0x4", "--rms-threshold", "0.1", "--manifest", "IN", "--out", "OUT"],
+                 "grid must be 'BANDSxAZIMUTHS' with positive counts, got '0x4'"),
+                (["eval-spatial", "--manifest", "IN"], "--manifest mode needs --out for the NDJSON results"),
+                (["eval-spatial", "--manifest", "IN", "--out", "OUT", "IN", "IN"],
+                 "give either a gen/gt pair or --manifest, not both"),
+                (["eval-spatial", "IN"], "need generated and reference WAV paths (or --manifest)"),
+            ]
+        ],
+    )
+    def test_flag_errors_come_before_any_read(self, capsys, tmp_path, monkeypatch, argv, message):
+        def refuse(path, *rest):
+            raise AssertionError(f"{argv[0]} read {path} before checking its flags")
+
+        for reader in ("read_tensor", "read_code_matrix", "read_foa_summary", "read_foa_wav", "read_wav_slabs"):
+            monkeypatch.setattr(f"foatools.cli.{reader}", refuse)
+        paths = {"IN": tmp_path / "missing", "OUT": tmp_path / "out"}
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert not paths["OUT"].exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["eval-semantic", "--gen-features", "BAD", "--gt-features", "GOOD"],
+                         "BAD: feature tensors must be 2-D, got shape (2, 3, 4)", id="features-3d"),
+            pytest.param(["eval-semantic", "--gen-probs", "BAD", "--gt-probs", "GOOD"],
+                         "BAD and GOOD hold mismatched shapes (2, 3, 4) vs (4, 3)", id="probs-mismatched"),
+            pytest.param(["eval-semantic", "--gen-probs", "BAD", "--gt-probs", "BAD"],
+                         "BAD: probability tensors must be 1-D or 2-D", id="probs-3d"),
+            pytest.param(["eval-semantic", "--channels", "BAD"], "BAD: bad JSON: ", id="channels-not-json"),
+            pytest.param(["patch-energy", "BAD", "OUT"], "BAD: patch embeddings must be 4-D, got shape (2, 3, 4)",
+                         id="embeddings-3d"),
+            pytest.param(["pattern", "pack", "BAD", "OUT"], "BAD: already pattern-scheduled; unpack it first",
+                         id="pack-scheduled"),
+            pytest.param(["generate", "--table", "BAD", "OUT"], "BAD: table predictor needs a raw code matrix",
+                         id="generate-scheduled"),
+            pytest.param(["energy-map", "--window", "0:99999999", "BAD"],
+                         "BAD: window [0, 99999999) invalid for clip of 100 samples", id="window-past-the-clip"),
+        ],
+    )
+    def test_data_errors_name_the_file(self, capsys, tmp_path, argv, message):
+        paths = {"BAD": tmp_path / "bad", "GOOD": tmp_path / "good.t", "OUT": tmp_path / "out"}
+        bad = paths["BAD"]
+        write_tensor(np.ones((4, 3), dtype=np.float32), paths["GOOD"])
+        if argv[0] in ("pattern", "generate"):
+            write_code_matrix(pack(CodeMatrix(np.zeros((4, 2), dtype=np.int64), 1, 5), Pattern.PROPOSED), bad)
+        elif argv[0] == "energy-map":
+            write_foa_wav(FoaClip(np.ones((4, 100)), 8000), bad)
+        elif "--channels" in argv:
+            bad.write_text("{W: 1}")
+        else:
+            write_tensor(np.ones((2, 3, 4), dtype=np.float32), bad)
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out) == (2, "")
+        for name, path in paths.items():
+            message = message.replace(name, str(path))
+        assert err.startswith(f"error: {message}")
+        assert not paths["OUT"].exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -229,12 +304,6 @@ class TestRotate:
         assert code == 0
         assert path.read_bytes() == want.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "want.wav"]
-
-    def test_non_rotation_matrix_is_data_error(self, capsys, tmp_path):
-        src = tmp_path / "a.wav"
-        write_foa_wav(FoaClip(np.ones((4, 8)), 8000), src)
-        code, _, _ = run(capsys, "rotate", "--matrix", "2,0,0,0,2,0,0,0,2", src, tmp_path / "b.wav")
-        assert code == 2
 
 
 class TestEnergyMapCommand:
@@ -455,6 +524,11 @@ class TestEvalSpatial:
             "\n".join(json.dumps({"gen": str(p), "gt": str(p)}) for p in paths) + "\n"
         )
         out_path = tmp_path / "results.ndjson"
+        # OpenBLAS stops its threads at a fork and starts them again for a product this
+        # large, unless conftest.py's one BLAS thread holds: then --jobs 2 forks one thread.
+        np.ones((300, 300)) @ np.ones((300, 300))
+        if os.path.isdir("/proc/self/task"):
+            assert len(os.listdir("/proc/self/task")) == 1
         code, out, _ = run_manifest(
             capsys, out_path, "eval-spatial", "--grid", "8x16", "--manifest", manifest
         )
@@ -978,7 +1052,7 @@ class TestManifestRuns:
     @pytest.mark.parametrize(
         "case",
         ["spatial-missing", "spatial-mismatch", "spatial-nan", "semantic-missing", "semantic-half-pair",
-         "curate-missing", "curate-nan"],
+         "semantic-empty", "curate-missing", "curate-nan"],
     )
     def test_bad_record_keeps_the_good_rows(self, capsys, tmp_path, case):
         bad_path = str(tmp_path / "absent")
@@ -1004,6 +1078,9 @@ class TestManifestRuns:
             if case == "semantic-half-pair":
                 bad = {"gen_features": gen}
                 error = ("FoaToolsError", f"{gen}: gen_features and gt_features go together")
+            elif case == "semantic-empty":
+                bad = {}
+                error = ("FoaToolsError", f"{tmp_path / 'm.ndjson'}: record carries neither features nor probabilities")
             else:
                 bad = {"gen_probs": gen, "gt_probs": bad_path}
                 single_bad = argv + ["--gen-probs", gen, "--gt-probs", bad_path]

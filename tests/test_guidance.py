@@ -18,6 +18,16 @@ from helpers import (
 )
 
 
+def top_p_mask_of(probs, top_p):
+    """``top_p_mask`` of ``probs`` as float64 with fresh scratch arrays, checking
+    that it leaves ``probs`` unchanged."""
+    p = np.asarray(probs, dtype=np.float64)
+    before = p.copy()
+    mask = top_p_mask(p, top_p, np.empty_like(p), np.empty_like(p))
+    assert np.array_equal(p, before)
+    return mask
+
+
 def variant_logits(rng, rows=4, vocab=6):
     return {name: rng.normal(size=(rows, vocab)) for name in
             ("full", "direction_only", "visual_only", "unconditional")}
@@ -141,21 +151,21 @@ class TestTopPMask:
         top_p=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
     )
     def test_rows_match_oracle(self, probs, top_p):
-        mask = top_p_mask(probs, top_p)
+        mask = top_p_mask_of(probs, top_p)
         assert mask.shape == probs.shape
         for row, row_mask in zip(probs, mask):
             assert np.array_equal(row_mask, top_p_mask_bruteforce(row, top_p))
-            assert np.array_equal(top_p_mask(row, top_p), row_mask)
+            assert np.array_equal(top_p_mask_of(row, top_p), row_mask)
 
     def test_boundary_ties_kept(self):
         probs = np.array([[0.4, 0.3, 0.3], [0.25, 0.25, 0.5]])
-        assert top_p_mask(probs, 0.5).tolist() == [[True, True, True], [False, False, True]]
+        assert top_p_mask_of(probs, 0.5).tolist() == [[True, True, True], [False, False, True]]
 
     def test_full_mass_and_one_column(self):
         probs = np.array([[0.5, 0.25, 0.25, 0.0]])
-        assert top_p_mask(probs, 1.0).tolist() == [[True, True, True, False]]
-        assert top_p_mask(np.ones((3, 1)), 0.2).tolist() == [[True]] * 3
-        assert top_p_mask(np.array([0.1, 0.6, 0.3]), 0.6).tolist() == [False, True, False]
+        assert top_p_mask_of(probs, 1.0).tolist() == [[True, True, True, False]]
+        assert top_p_mask_of(np.ones((3, 1)), 0.2).tolist() == [[True]] * 3
+        assert top_p_mask_of(np.array([0.1, 0.6, 0.3]), 0.6).tolist() == [False, True, False]
 
 
 class EdgeRng:
@@ -173,7 +183,7 @@ class TestSampleStep:
         logits = np.log([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
         temperature, top_p, n = 0.8, 0.75, 20000
         probs = softmax(logits / temperature)
-        want = np.where(top_p_mask(probs, top_p), probs, 0.0)
+        want = np.where(top_p_mask_of(probs, top_p), probs, 0.0)
         want /= want.sum()
         assert np.count_nonzero(want) == 3
         rng = np.random.default_rng(13)
@@ -189,10 +199,10 @@ class TestSampleStep:
         # exp underflows to exactly 0 at -1e4, so the trailing columns and the
         # second row's first column carry no mass.
         logits = np.array([[2.0, 1.0, 0.5, -1e4, -1e4], [-1e4, 3.0, 0.0, 1.0, -1e4]])
-        probs = softmax(logits, axis=1)
+        probs = softmax(logits.copy(), axis=1)
         rows = np.repeat([0, 1], 5000)
         for top_p in (1.0, 0.6):
-            allowed = top_p_mask(probs, top_p) & (probs > 0.0)
+            allowed = top_p_mask_of(probs, top_p) & (probs > 0.0)
             codes = sample_step(logits[rows], top_p=top_p, rng=np.random.default_rng(14))
             assert np.all(allowed[rows, codes])
             # Draws at both ends of [0, total] land on the first and last code
@@ -421,9 +431,9 @@ class TestAllocatingOracles:
                                           argmax=argmax)
             assert np.array_equal(got, want)
         logits = sets["full"]
-        assert same_bits(softmax(logits, axis=1), softmax_allocating(logits, axis=1))
+        assert same_bits(softmax(logits.copy(), axis=1), softmax_allocating(logits, axis=1))
         probs = softmax_allocating(np.asarray(logits, dtype=np.float64), axis=1)
-        assert same_bits(top_p_mask(probs, top_p), top_p_mask_allocating(probs, top_p))
+        assert same_bits(top_p_mask_of(probs, top_p), top_p_mask_allocating(probs, top_p))
         assert all(same_bits(sets[variant], before[variant]) for variant in VARIANTS)
 
     def test_sample_step_keeps_its_input(self):
