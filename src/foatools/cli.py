@@ -167,10 +167,9 @@ def _transform_wav(args, flags):
     checked for a non-finite sample (the only check: a finite slab transforms
     to finite samples), to ``args.output``. Returns the header."""
     channels, out_channels, transform = _SLAB_TRANSFORMS[args.command]
-    with read_wav_slabs(args.input, channels) as (header, slabs_of):
-        rate = header.sample_rate
-        slabs = (transform(_finite(args.input, slab), flags) for slab in slabs_of(rate))
-        write_wav_slabs(slabs, out_channels, rate, header.frames, args.output, args.encoding)
+    with read_wav_slabs(args.input, channels) as (header, decoded):
+        slabs = (transform(_finite(args.input, slab), flags) for slab in decoded)
+        write_wav_slabs(slabs, out_channels, header.sample_rate, header.frames, args.output, args.encoding)
     return header
 
 
@@ -348,9 +347,13 @@ def cmd_eval_spatial(args) -> int:
     if args.manifest:
         if args.gen or args.gt:
             raise UsageError("give either a gen/gt pair or --manifest, not both")
+        if args.csv:
+            raise UsageError("--csv goes with a gen/gt pair, not --manifest")
         return _run_manifest(args, one, lambda _, rows: {"n_pairs": len(rows)}, ("gen", "gt"))
     if not (args.gen and args.gt):
         raise UsageError("need generated and reference WAV paths (or --manifest)")
+    if args.out:
+        raise UsageError("--out goes with --manifest only")
     report = one({"gen": args.gen, "gt": args.gt})
     del report["gen"], report["gt"]
     if args.csv:
@@ -409,7 +412,11 @@ def _semantic_one(record, args) -> dict:
 def cmd_eval_semantic(args) -> int:
     one = partial(_semantic_one, args=args)
     if args.manifest:
+        if args.channels or any(getattr(args, key) for key in _SEMANTIC_KEYS):
+            raise UsageError("give either feature, probability or channel inputs or --manifest, not both")
         return _run_manifest(args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS)
+    if args.out:
+        raise UsageError("--out goes with --manifest only")
     record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
     for kind in ("features", "probs"):
         if (f"gen_{kind}" in record) != (f"gt_{kind}" in record):

@@ -44,11 +44,11 @@ class ClipWindow:
 ClipStats = namedtuple("ClipStats", "n_samples abs_means w_squares whole")
 
 
-def clip_stats(slabs_of, n_samples: int, sample_rate: int) -> ClipStats:
-    """The ClipStats of a clip that ``slabs_of(sample_rate)`` yields in order
-    as (4, frames) slabs of whole seconds, the last one shorter."""
+def clip_stats(slabs, n_samples: int, sample_rate: int) -> ClipStats:
+    """The ClipStats of a clip that ``slabs`` yields in order as (4, frames)
+    slabs of whole seconds, the last one shorter."""
     abs_means, w_squares, moments = [], [], []
-    for slab in slabs_of(sample_rate):
+    for slab in slabs:
         k = slab.shape[1] // sample_rate
         abs_means.append(np.abs(slab[:, : k * sample_rate]).reshape(4, k, sample_rate).mean(axis=2))
         w_squares.append((slab[0, : k * sample_rate].reshape(k, sample_rate) ** 2).mean(axis=1))
@@ -63,7 +63,7 @@ def _stats(clip) -> ClipStats:
     """``clip`` if it is a ClipStats, else the ClipStats of the FoaClip as one slab."""
     if isinstance(clip, ClipStats):
         return clip
-    return clip_stats(lambda unit: [clip.samples], clip.n_samples, clip.sample_rate)
+    return clip_stats([clip.samples], clip.n_samples, clip.sample_rate)
 
 
 def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:

@@ -214,10 +214,6 @@ class SphereGrid:
         """Direction of one cell center."""
         return Direction(float(self.azimuths[cell]), float(self.elevations[cell]))
 
-    def nearest_cell(self, direction: Direction) -> int:
-        """Index of the cell whose center is closest by great-circle angle."""
-        return int(np.argmax(self.unit_vectors @ direction.unit_vector()))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SphereGrid)

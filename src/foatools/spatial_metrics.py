@@ -21,7 +21,7 @@ from .errors import (
     NoUsableWindowsError,
     UndefinedMetricError,
 )
-from .foa import EnergyMap, FoaClip, SphereGrid, block_moments, power_maps
+from .foa import EnergyMap, SphereGrid, block_moments, power_maps
 
 GRANULARITIES = ("all", "1fps", "5fps")
 
@@ -142,31 +142,25 @@ def auc(
 WindowMoments = namedtuple("WindowMoments", "n_samples sample_rate whole seconds blocks")
 
 
-def window_moments(slabs_of, n_samples: int, sample_rate: int) -> WindowMoments:
-    """Window moments of a clip that ``slabs_of(unit)`` yields in order as
-    (4, frames) slabs of whole ``unit``-frame blocks, the last one shorter;
-    the unit is the 200 ms block, or the second on a second walk. The whole
-    clip sums the 200 ms blocks, then the tail; 1000 ms windows add five
-    blocks when the rate divides by 5, else take the second walk."""
-
-    def walk(length):
-        parts = []
-        for slab in slabs_of(length):
-            parts.append(block_moments(slab, length))
-        tail = slab[:, parts[-1].shape[0] * length :]
-        return np.concatenate(parts), tail @ tail.T
-
-    blocks, tail = walk(max(1, sample_rate // 5))
-    whole = blocks.sum(axis=0) + tail
-    if sample_rate % 5 == 0:
-        seconds = blocks[: 5 * (n_samples // sample_rate)].reshape(-1, 5, 4, 4).sum(axis=1)
-    else:
-        seconds = walk(sample_rate)[0]
-    return WindowMoments(n_samples, sample_rate, whole, seconds, blocks)
-
-
-def _window_moments(clip: FoaClip) -> WindowMoments:
-    return window_moments(lambda unit: [clip.samples], clip.n_samples, clip.sample_rate)
+def window_moments(slabs, n_samples: int, sample_rate: int) -> WindowMoments:
+    """Window moments of a clip that ``slabs`` yields in order as (4, frames)
+    slabs of whole seconds, the last one shorter, walked once. The whole clip
+    sums the 200 ms blocks, then the tail; 1000 ms windows add five blocks
+    when the rate divides by 5. Else each slab's seconds are taken as they
+    come, and the partial block at a slab's end is joined to the next slab."""
+    length, split = max(1, sample_rate // 5), sample_rate % 5
+    blocks, seconds, tail = [], [], np.zeros((4, 0))
+    for slab in slabs:
+        if split:
+            seconds.append(block_moments(slab, sample_rate))
+            slab = np.concatenate([tail, slab], axis=1)
+        blocks.append(block_moments(slab, length))
+        tail = slab[:, blocks[-1].shape[0] * length :]
+    blocks = np.concatenate(blocks)
+    if not split:  # five 200 ms blocks make a second
+        seconds = [blocks[: 5 * (n_samples // sample_rate)].reshape(-1, 5, 4, 4).sum(axis=1)]
+    whole = blocks.sum(axis=0) + tail @ tail.T
+    return WindowMoments(n_samples, sample_rate, whole, np.concatenate(seconds), blocks)
 
 
 def evaluate_windows(
@@ -194,7 +188,10 @@ def evaluate_windows(
             f"{gt.n_samples}@{gt.sample_rate}"
         )
 
-    gen, gt = (m if isinstance(m, WindowMoments) else _window_moments(m) for m in (gen, gt))
+    gen, gt = (
+        m if isinstance(m, WindowMoments) else window_moments([m.samples], m.n_samples, m.sample_rate)
+        for m in (gen, gt)
+    )
     counts, length = (1, gen.seconds.shape[0], gen.blocks.shape[0]), max(1, gen.sample_rate // 5)
     # Mean moments of every window, whole clip first, then the 1000 ms and the 200 ms ones.
     gen_maps, gt_maps = (

@@ -85,7 +85,7 @@ _SUBFORMATS = {struct.pack("<IHH", t, 0, 0x10) + bytes.fromhex("800000aa00389b71
 # noise but held 2% more peak memory in rotate and curate, and 25 s slabs (35 MB of
 # float64 each) rotate and curate 1.5x more slowly.
 _SLAB_SECONDS = 1
-# What read_wav_slabs says of a file with another channel count, by the count it wants (1 or 4).
+# What the WAV header parser says of a file with another channel count, by the count wanted (1 or 4).
 _CHANNEL_ERRORS = {
     1: "expected mono audio, found {} channels",
     4: "ambisonic audio needs 4 channels, found {}",
@@ -302,9 +302,10 @@ def write_wav(samples, sample_rate: int, path, encoding: str = "float32") -> Non
 WavHeader = namedtuple("WavHeader", "channels sample_rate frames dtype scale offset")
 
 
-def _parse_wav_header(path, handle) -> WavHeader:
+def _parse_wav_header(path, handle, want=None) -> WavHeader:
     """The one WAV header parser: seek from chunk header to chunk header of
-    an open file, reading no body but fmt's."""
+    an open file, reading no body but fmt's; with ``want`` (1 or 4), refuse
+    another channel count."""
     end = os.fstat(handle.fileno()).st_size
     head = handle.read(12)
     if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
@@ -362,6 +363,8 @@ def _parse_wav_header(path, handle) -> WavHeader:
     frames = size // block_align
     if frames < 1:
         raise WavFormatError(f"{path}: data chunk holds no frames")
+    if want is not None and channels != want:
+        raise WavFormatError(f"{path}: " + _CHANNEL_ERRORS[want].format(channels))
     return WavHeader(channels, sample_rate, frames, *_WAV_DTYPES[fmt_tag, bits], start)
 
 
@@ -390,10 +393,11 @@ def read_wav_header(path) -> WavHeader:
         return _parse_wav_header(path, handle)
 
 
-def read_wav(path):
-    """Read a RIFF/WAVE file; returns (samples (channels, frames), sample_rate)."""
+def read_wav(path, channels=None):
+    """Read a RIFF/WAVE file, of ``channels`` channels if given, as one slab;
+    returns (samples (channels, frames), sample_rate)."""
     with open(path, "rb") as handle:
-        header = _parse_wav_header(path, handle)
+        header = _parse_wav_header(path, handle, channels)
         (samples,) = _wav_slabs(handle, header, header.frames)
     return samples, header.sample_rate
 
@@ -435,39 +439,32 @@ def describe_file(path) -> dict:
 @contextmanager
 def read_wav_slabs(path, channels: int):
     """The one streamed WAV reader: the checked header of a ``channels``-channel
-    file and ``slabs_of(unit)``, which decodes the data chunk in order as float64
-    (channels, frames) slabs of whole ``unit``-frame blocks, about
-    ``_SLAB_SECONDS`` each, the last one shorter. Iterate inside the ``with``
-    block; the slabs are not checked for non-finite samples."""
+    file and ``slabs``, an iterator that decodes the data chunk in order as
+    float64 (channels, frames) slabs of ``_SLAB_SECONDS`` whole seconds each,
+    the last one shorter. Iterate inside the ``with`` block; the slabs are not
+    checked for non-finite samples."""
     with open(path, "rb") as handle:
-        header = _parse_wav_header(path, handle)
-        if header.channels != channels:
-            raise WavFormatError(f"{path}: " + _CHANNEL_ERRORS[channels].format(header.channels))
-
-        def slabs_of(unit):
-            return _wav_slabs(handle, header, max(1, _SLAB_SECONDS * header.sample_rate // unit) * unit)
-
-        yield header, slabs_of
+        header = _parse_wav_header(path, handle, channels)
+        yield header, _wav_slabs(handle, header, _SLAB_SECONDS * header.sample_rate)
 
 
 def read_foa_wav(path) -> FoaClip:
-    """Read a 4-channel W, X, Y, Z WAV file as a clip."""
-    with read_wav_slabs(path, 4) as (header, slabs_of):
-        (samples,) = slabs_of(header.frames)  # the whole clip is one unit, so one slab
+    """Read a 4-channel W, X, Y, Z WAV file as a clip, decoded as one slab."""
+    samples, sample_rate = read_wav(path, 4)
     try:
-        return FoaClip(samples, header.sample_rate)
+        return FoaClip(samples, sample_rate)
     except ValueError as exc:  # a non-finite sample
         raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def read_foa_summary(path, summarize):
-    """``summarize(slabs_of, frames, sample_rate)`` of a 4-channel WAV file,
-    decoded slab by slab so the float64 clip is never held, and checked
-    through the summary's ``whole`` 4x4 moment for a non-finite sample.
-    ``spatial_metrics.window_moments`` and ``curation.clip_stats`` are the
-    summaries; each is bit-identical to the one of the ``read_foa_wav`` clip."""
-    with read_wav_slabs(path, 4) as (header, slabs_of):
-        summary = summarize(slabs_of, header.frames, header.sample_rate)
+    """``summarize(slabs, frames, sample_rate)`` of a 4-channel WAV file over the
+    whole-second slabs of ``read_wav_slabs``: one walk, and the float64 clip is
+    never held. Checked through the summary's ``whole`` 4x4 moment for a
+    non-finite sample. ``spatial_metrics.window_moments`` and ``curation.clip_stats``
+    are the summaries; each is bit-identical to the one of the ``read_foa_wav`` clip."""
+    with read_wav_slabs(path, 4) as (header, slabs):
+        summary = summarize(slabs, header.frames, header.sample_rate)
     # A non-finite sample makes its channel's summed square non-finite.
     if not np.all(np.isfinite(np.diagonal(summary.whole))):
         raise WavFormatError(f"{path}: samples must be finite")

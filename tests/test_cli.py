@@ -122,6 +122,17 @@ class TestExitCodes:
                 (["eval-spatial", "--manifest", "IN", "--out", "OUT", "IN", "IN"],
                  "give either a gen/gt pair or --manifest, not both"),
                 (["eval-spatial", "IN"], "need generated and reference WAV paths (or --manifest)"),
+                (["eval-spatial", "--manifest", "IN", "--out", "OUT", "--csv", "OUT"],
+                 "--csv goes with a gen/gt pair, not --manifest"),
+                (["eval-spatial", "IN", "IN", "--out", "OUT"], "--out goes with --manifest only"),
+                (["eval-semantic", "--manifest", "IN", "--out", "OUT",
+                  "--gen-features", "IN", "--gt-features", "IN"],
+                 "give either feature, probability or channel inputs or --manifest, not both"),
+                (["eval-semantic", "--manifest", "IN", "--out", "OUT", "--channels", "IN"],
+                 "give either feature, probability or channel inputs or --manifest, not both"),
+                (["eval-semantic", "--gen-probs", "IN", "--gt-probs", "IN", "--out", "OUT"],
+                 "--out goes with --manifest only"),
+                (["eval-semantic", "--channels", "IN", "--out", "OUT"], "--out goes with --manifest only"),
             ]
         ],
     )

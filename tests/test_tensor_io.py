@@ -508,7 +508,7 @@ class TestWavWalker:
         assert stats.n_samples == frames
         assert abs_means.shape == stats.abs_means.shape and np.array_equal(stats.abs_means, abs_means)
         assert w_squares.shape == stats.w_squares.shape and np.array_equal(stats.w_squares, w_squares)
-        assert np.array_equal(stats.whole, clip_stats(lambda unit: [clip.samples], frames, rate).whole)
+        assert np.array_equal(stats.whole, clip_stats([clip.samples], frames, rate).whole)
         direct = clip.samples @ clip.samples.T
         assert np.allclose(stats.whole, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
         assert segment_mask(stats, 0.3).tolist() == segment_mask(clip, 0.3).tolist()
@@ -516,6 +516,56 @@ class TestWavWalker:
             assert amplitude_gate(stats, 0.05) == amplitude_gate(clip, 0.05)
         grid = SphereGrid(4, 8)
         assert fov_center(stats, grid) == fov_center(clip, grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rate=st.integers(1, 120),
+        frames=st.integers(1, 1600),
+        cuts=st.lists(st.integers(1, 6), max_size=30),
+        slab_seconds=st.integers(1, 5),
+        contiguous=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_whole_second_cut_gives_the_same_summary(
+        self, tmp_path_factory, rate, frames, cuts, slab_seconds, contiguous, seed
+    ):
+        # Uneven whole-second slabs from a one-shot iterator, the last one shorter,
+        # and the file streamed at each slab size: bit for bit the one-slab clip.
+        path = tmp_path_factory.mktemp("cuts") / "clip.wav"
+        payload = random_payload(np.random.default_rng(seed), "float32", frames)
+        path.write_bytes(riff((b"fmt ", fmt_body("float32", 4, rate)), (b"data", payload)))
+        clip = read_foa_wav(path)
+        samples = np.ascontiguousarray(clip.samples) if contiguous else clip.samples
+        bounds = [0, *(int(end) for end in np.cumsum(cuts) * rate if end < frames), frames]
+        fields = {window_moments: ("whole", "seconds", "blocks"), clip_stats: ("whole", "abs_means", "w_squares")}
+        for summarize, names in fields.items():
+            want = summarize([clip.samples], frames, rate)
+            slabs = (samples[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+            with mock.patch.object(tensor_io, "_SLAB_SECONDS", slab_seconds):
+                streamed = read_foa_summary(path, summarize)
+            for got in (summarize(slabs, frames, rate), streamed):
+                for name in names:
+                    assert getattr(got, name).shape == getattr(want, name).shape
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+        oracle = moments_oracle(clip.samples, rate)
+        want = window_moments([clip.samples], frames, rate)
+        assert all(np.array_equal(a, b) for a, b in zip((want.whole, want.seconds, want.blocks), oracle))
+
+    @pytest.mark.parametrize("summarize", [window_moments, clip_stats], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("rate", [7, 44101])
+    def test_each_file_is_decoded_once(self, tmp_path, monkeypatch, summarize, rate):
+        path = tmp_path / "clip.wav"
+        write_wav(np.random.default_rng(rate).normal(size=(4, 3 * rate + 2)), rate, path)
+        decode, walks = tensor_io._wav_slabs, []
+
+        def spy(handle, header, size):
+            walks.append(size)
+            return decode(handle, header, size)
+
+        monkeypatch.setattr(tensor_io, "_wav_slabs", spy)
+        summary = read_foa_summary(path, summarize)
+        assert walks == [rate]  # one walk, one second per slab
+        assert np.array_equal(summary.whole, summarize([read_foa_wav(path).samples], 3 * rate + 2, rate).whole)
 
     @pytest.mark.parametrize("name, mutate", HEADER_MUTATIONS, ids=[m[0] for m in HEADER_MUTATIONS])
     def test_header_errors_agree_across_readers(self, tmp_path, capsys, name, mutate):
