@@ -9,8 +9,8 @@ knows one). Output files are written atomically, so failures never leave
 partial files behind. A manifest run writes one row per record, in input
 order: a record that fails a data check gets an ``error`` row and the run
 exits 2, but every good row is still written and the output file is complete.
-``--jobs N`` maps records on min(N, records) forked processes with their own
-slab buffers; ``--jobs 1`` runs in-process (fork-with-threads caveats apply).
+``--jobs N`` maps records on min(N, records) forked processes (fork-with-threads
+caveats apply); ``--jobs 1`` runs them on one worker thread of this process.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
 
 from . import curation, guidance, patch_saliency, semantic_metrics, spatial_metrics
 from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pack, pattern_steps, unpack
-from .errors import FoaToolsError
+from .errors import FoaToolsError, InvalidRotationError
 from .foa import (
     ENERGY_MODE_POWER,
     ENERGY_MODES,
@@ -138,10 +139,6 @@ def _parse_window(text: str) -> tuple:
     return _int_pair(text, ":", usage, usage)
 
 
-def _direction_dict(direction: Direction) -> dict:
-    return {"azimuth": direction.azimuth, "elevation": direction.elevation}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -185,7 +182,7 @@ def cmd_pan(args) -> int:
     header = _transform_wav(args, direction)
     _print_json(
         {
-            "direction": _direction_dict(direction),
+            "direction": asdict(direction),
             "n_samples": header.frames,
             "output": args.output,
             "sample_rate": header.sample_rate,
@@ -200,13 +197,11 @@ def _rotation_from_args(args) -> Rotation:
         if len(entries) != 9:
             raise UsageError("matrix needs 9 comma-separated row-major entries")
         try:
-            values = [float(e) for e in entries]
-        except ValueError:
-            raise UsageError("matrix entries must be numbers") from None
-        try:
-            return Rotation(np.array(values).reshape(3, 3))
-        except ValueError as exc:  # not a proper rotation
+            return Rotation(np.array([float(e) for e in entries]).reshape(3, 3))
+        except InvalidRotationError as exc:
             raise UsageError(str(exc)) from None
+        except ValueError:  # an entry that is not a number
+            raise UsageError("matrix entries must be numbers") from None
     if args.z_quarters is not None:
         return Rotation(np.linalg.matrix_power(Rotation.quarter_turn_z().matrix, args.z_quarters % 4))
     return Rotation.about_z(math.radians(args.z_degrees))
@@ -236,7 +231,7 @@ def cmd_energy_map(args) -> int:
     argmax = args.grid.direction(emap.argmax_cell())
     _print_json(
         {
-            "argmax": _direction_dict(argmax),
+            "argmax": asdict(argmax),
             "mode": emap.mode,
             "n_cells": args.grid.n_cells,
             "value_max": float(emap.values.max()),
@@ -305,13 +300,13 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
         raise UsageError("--manifest mode needs --out for the NDJSON results")
     records = _load_manifest(args.manifest, required, optional)
     summarize(records, ())
-    workers = min(args.jobs, len(records))
+    workers = min(args.jobs or 1, len(records))
     if workers > 1:
         # Imported here, as their ~23 ms import would slow every command's start.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-    else:  # a thread, as glibc page-faults more on the per-record arrays in the main thread
+    else:  # a thread, as glibc page-faults about 3x more on the main thread (README, Manifests)
         pool = ThreadPoolExecutor(max_workers=1)
     with pool:
         rows, messages = zip(*pool.map(partial(_row_or_error, one, (*required, *optional)), records))
@@ -352,8 +347,9 @@ def cmd_eval_spatial(args) -> int:
         return _run_manifest(args, one, lambda _, rows: {"n_pairs": len(rows)}, ("gen", "gt"))
     if not (args.gen and args.gt):
         raise UsageError("need generated and reference WAV paths (or --manifest)")
-    if args.out:
-        raise UsageError("--out goes with --manifest only")
+    for flag in ("out", "jobs"):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} goes with --manifest only")
     report = one({"gen": args.gen, "gt": args.gt})
     del report["gen"], report["gt"]
     if args.csv:
@@ -368,7 +364,7 @@ def _feature_stats(path) -> semantic_metrics.GaussianStats:
     if tensor.ndim != 2:
         raise FoaToolsError(f"{path}: feature tensors must be 2-D, got shape {tensor.shape}")
     with _naming(path):
-        return semantic_metrics.gaussian_stats(np.asarray(tensor, dtype=np.float64))
+        return semantic_metrics.gaussian_stats(tensor)
 
 
 def _fad(gen_path, gt_path) -> float:
@@ -378,8 +374,7 @@ def _fad(gen_path, gt_path) -> float:
 
 
 def _mean_kld(gen_path, gt_path, epsilon) -> float:
-    gen = np.asarray(read_tensor(gen_path), dtype=np.float64)
-    gt = np.asarray(read_tensor(gt_path), dtype=np.float64)
+    gen, gt = read_tensor(gen_path), read_tensor(gt_path)
     if gen.shape != gt.shape:
         raise FoaToolsError(
             f"{gen_path} and {gt_path} hold mismatched shapes {gen.shape} vs {gt.shape}"
@@ -415,8 +410,9 @@ def cmd_eval_semantic(args) -> int:
         if args.channels or any(getattr(args, key) for key in _SEMANTIC_KEYS):
             raise UsageError("give either feature, probability or channel inputs or --manifest, not both")
         return _run_manifest(args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS)
-    if args.out:
-        raise UsageError("--out goes with --manifest only")
+    for flag in ("out", "jobs"):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} goes with --manifest only")
     record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
     for kind in ("features", "probs"):
         if (f"gen_{kind}" in record) != (f"gt_{kind}" in record):
@@ -539,7 +535,7 @@ def _curate_one(record, args) -> dict:
         else []
     )
     try:
-        center = _direction_dict(curation.fov_center(stats, args.grid))
+        center = asdict(curation.fov_center(stats, args.grid))
     except FoaToolsError:
         center = None
     return {
@@ -673,7 +669,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="also write the six scores as one CSV line")
     p.add_argument("--manifest", help="NDJSON manifest of {'gen':..., 'gt':...} records")
     p.add_argument("--out", help="output NDJSON path (manifest mode)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel clip pairs (manifest mode)")
+    p.add_argument("--jobs", type=_positive_int, help="parallel clip pairs (manifest mode; default 1)")
     p.set_defaults(func=cmd_eval_spatial)
 
     p = sub.add_parser(
@@ -693,7 +689,7 @@ def build_parser() -> _Parser:
         help="NDJSON manifest of {'gen_features':..., 'gt_features':...} and/or *_probs records",
     )
     p.add_argument("--out", help="output NDJSON path (manifest mode)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel records (manifest mode)")
+    p.add_argument("--jobs", type=_positive_int, help="parallel records (manifest mode; default 1)")
     p.set_defaults(func=cmd_eval_semantic)
 
     p = sub.add_parser("patch-energy", help="patchwise energy map from an embedding tensor")

@@ -331,9 +331,10 @@ def block_moments(samples: np.ndarray, length: int) -> np.ndarray:
 
 
 def power_maps(grid: SphereGrid, moments: np.ndarray) -> np.ndarray:
-    """Power-mode cell energies, clamped at 0, for a stack of mean second
-    moments (n, 4, 4); one (n, 16) @ (16, cells) product gives (n, cells)."""
-    return np.maximum(moments.reshape(-1, 16) @ grid.quadratic_features, 0.0)
+    """Power-mode cell energies, clamped at 0, for a stack of mean second moments
+    (n, 4, 4): one (1, 16) @ (16, cells) product per row gives (n, cells), so a
+    row's rounding, unlike in one (n, 16) product, does not depend on the stack."""
+    return np.maximum((moments.reshape(-1, 1, 16) @ grid.quadratic_features)[:, 0], 0.0)
 
 
 def energy_map(

@@ -25,7 +25,8 @@ DEFAULT_WINDOW = 1
 
 def _as_embeddings(embeddings) -> tuple:
     """The checked float64 tensor and the norm of each of its patch vectors."""
-    x = np.asarray(embeddings, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN; checked just below
+        x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 4 or min(x.shape) < 1:
         raise ValueError("embeddings must be a (time, rows, cols, dim) tensor")
     if not np.all(np.isfinite(x)):

@@ -50,7 +50,8 @@ class GaussianStats:
 
 
 def _as_features(features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN; checked just below
+        x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D (samples x dims) matrix")
     if not np.all(np.isfinite(x)):
@@ -76,13 +77,14 @@ def gaussian_stats(features) -> GaussianStats:
     return GaussianStats(mean, cov)
 
 
-def _psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
+def _psd_eigh(matrix: np.ndarray, what: str) -> tuple:
+    """Eigenvalues (clamped at 0) and eigenvectors of symmetric ``matrix``, ``what`` in the error."""
     evals, evecs = np.linalg.eigh(matrix)
     if evals.min(initial=0.0) < -_PSD_TOL:
         raise NotPositiveSemidefiniteError(
             f"{what} has eigenvalue {evals.min():.3e} below -{_PSD_TOL:g}"
         )
-    return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
+    return np.maximum(evals, 0.0), evecs
 
 
 def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
@@ -95,15 +97,11 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sqrt_a = _psd_sqrt(a.covariance, "first covariance")
+    evals, evecs = _psd_eigh(a.covariance, "first covariance")
+    sqrt_a = (evecs * np.sqrt(evals)) @ evecs.T
     inner = sqrt_a @ b.covariance @ sqrt_a
     inner = (inner + inner.T) / 2.0
-    evals = np.linalg.eigh(inner)[0]
-    if evals.min(initial=0.0) < -_PSD_TOL:
-        raise NotPositiveSemidefiniteError(
-            f"covariance product has eigenvalue {evals.min():.3e} below -{_PSD_TOL:g}"
-        )
-    trace_sqrt = np.sum(np.sqrt(np.maximum(evals, 0.0)))
+    trace_sqrt = np.sum(np.sqrt(_psd_eigh(inner, "covariance product")[0]))
     diff = a.mean - b.mean
     value = float(
         diff @ diff + np.trace(a.covariance) + np.trace(b.covariance) - 2.0 * trace_sqrt
@@ -118,7 +116,8 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
 
 
 def _as_distribution(probs, name: str) -> np.ndarray:
-    p = np.asarray(probs, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN; checked just below
+        p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D probability vector")
     if not np.all(np.isfinite(p)) or np.min(p) < -1e-12:

@@ -27,6 +27,10 @@ GRANULARITIES = ("all", "1fps", "5fps")
 
 DEFAULT_FIXATION_PERCENTILE = 95.0
 
+# Windows per block in ``evaluate_windows``: small enough that glibc reuses a block's
+# (rows x cells) float64 temporaries from its heap, not from fresh page-faulted maps.
+_BLOCK_ROWS = 16
+
 
 @dataclass(frozen=True)
 class SpatialReport:
@@ -53,13 +57,14 @@ def _check_grids(gen: EnergyMap, gt: EnergyMap) -> SphereGrid:
 
 def correlation_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Area-weighted Pearson correlation of each row pair of (n, cells) maps;
-    NaN where either map is constant or has zero weighted variance."""
-    dx = gen - (gen @ weights)[:, None]
-    dy = gt - (gt @ weights)[:, None]
-    var_x = (dx * dx) @ weights
-    var_y = (dy * dy) @ weights
+    NaN where either map is constant or has zero weighted variance. Weighted sums
+    add products along the row, so a row's result does not depend on other rows."""
+    dx = gen - np.sum(gen * weights, axis=1)[:, None]
+    dy = gt - np.sum(gt * weights, axis=1)[:, None]
+    var_x = np.sum(dx * dx * weights, axis=1)
+    var_y = np.sum(dy * dy * weights, axis=1)
     ok = (np.ptp(gen, axis=1) > 0.0) & (np.ptp(gt, axis=1) > 0.0) & (var_x > 0.0) & (var_y > 0.0)
-    cc = ((dx * dy) @ weights) / np.sqrt(np.where(ok, var_x * var_y, 1.0))
+    cc = np.sum(dx * dy * weights, axis=1) / np.sqrt(np.where(ok, var_x * var_y, 1.0))
     return np.where(ok, np.clip(cc, -1.0, 1.0), np.nan)
 
 
@@ -84,7 +89,7 @@ def auc_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray, percentile: f
     A row whose reference map gives no fixation split (a constant map
     among them) reads NaN. Neither sort needs to be stable: tied gt values
     fall on one side of the threshold, and tied gen scores share one ROC
-    segment.
+    segment. As in ``correlation_rows``, no row depends on the other rows.
     """
     if not 0.0 < percentile < 100.0:
         raise ValueError("fixation_percentile must lie in (0, 100)")
@@ -96,7 +101,7 @@ def auc_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray, percentile: f
     cdf /= cdf[:, -1:]
     idx = np.minimum(np.sum(cdf < percentile / 100.0, axis=1), n_cells - 1)
     positive = gt >= gt[rows, order[rows, idx]][:, None]
-    total = (positive @ weights) * (~positive @ weights)
+    total = np.sum(positive * weights, axis=1) * np.sum(~positive * weights, axis=1)
 
     # ROC over descending gen scores. Each negative cell counts the positive
     # weight ranked above its tie group plus half of the group's own, which
@@ -175,12 +180,13 @@ def evaluate_windows(
     ``tensor_io.read_foa_summary(path, window_moments)`` reads them. The
     whole-clip window keeps every sample; the 1000 ms and 200 ms windows tile
     the clip from its start and drop a trailing partial window. All
-    power-mode maps come from one pass: summed second moments of every 200 ms
-    block, then one product for every window's map, then CC and AUC row by
-    row. Each granularity reports the mean over its usable windows. Windows
-    where either metric is undefined (a silent or otherwise constant map) are
-    counted in ``windows_skipped``; a granularity with no usable window raises
-    NoUsableWindowsError.
+    power-mode maps come from one pass over summed second moments of every
+    200 ms block. Then each block of ``_BLOCK_ROWS`` windows gets its maps,
+    CC and AUC, so no map array spans the clip, and a window's scores do not
+    depend on the block it falls in. Each granularity reports the mean over
+    its usable windows. Windows where either metric is undefined (a silent or
+    otherwise constant map) are counted in ``windows_skipped``; a granularity
+    with no usable window raises NoUsableWindowsError.
     """
     if gen.n_samples != gt.n_samples or gen.sample_rate != gt.sample_rate:
         raise IncompatibleClipsError(
@@ -194,14 +200,23 @@ def evaluate_windows(
     )
     counts, length = (1, gen.seconds.shape[0], gen.blocks.shape[0]), max(1, gen.sample_rate // 5)
     # Mean moments of every window, whole clip first, then the 1000 ms and the 200 ms ones.
-    gen_maps, gt_maps = (
-        power_maps(grid, np.concatenate([m.whole[None] / m.n_samples, m.seconds / m.sample_rate, m.blocks / length]))
+    gen_means, gt_means = (
+        np.concatenate([m.whole[None] / m.n_samples, m.seconds / m.sample_rate, m.blocks / length])
         for m in (gen, gt)
     )
-    if not (np.all(np.isfinite(gen_maps)) and np.all(np.isfinite(gt_maps))):
-        raise ValueError("energy values must be finite")
-    cc = correlation_rows(gen_maps, gt_maps, grid.weights)
-    roc = auc_rows(gen_maps, gt_maps, grid.weights, fixation_percentile)
+    cc, roc = np.empty(len(gen_means)), np.empty(len(gen_means))
+    # A bad percentile is raised only once every block's maps proved finite: non-finite maps come first.
+    percentile_ok = 0.0 < fixation_percentile < 100.0
+    for start in range(0, len(cc), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        gen_maps, gt_maps = power_maps(grid, gen_means[rows]), power_maps(grid, gt_means[rows])
+        if not (np.all(np.isfinite(gen_maps)) and np.all(np.isfinite(gt_maps))):
+            raise ValueError("energy values must be finite")
+        cc[rows] = correlation_rows(gen_maps, gt_maps, grid.weights)
+        if percentile_ok:
+            roc[rows] = auc_rows(gen_maps, gt_maps, grid.weights, fixation_percentile)
+    if not percentile_ok:
+        auc_rows(gen_maps, gt_maps, grid.weights, fixation_percentile)  # raises
     usable = ~(np.isnan(cc) | np.isnan(roc))
 
     means, used, skipped = {}, {}, {}

@@ -42,7 +42,7 @@ import os
 import struct
 import tempfile
 from collections import namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -102,10 +102,8 @@ def atomic_write(path):
             yield handle
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -381,7 +379,8 @@ def _wav_slabs(handle, header: WavHeader, size: int):
             raw = wide.view("<i4")[:, 0] >> 8
         else:
             raw = np.fromfile(handle, dtype=header.dtype, count=count)
-        samples = raw.reshape(-1, header.channels).T.astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a float32 signalling NaN; the callers check finiteness
+            samples = raw.reshape(-1, header.channels).T.astype(np.float64)
         if header.scale != 1.0:
             samples /= header.scale
         yield samples

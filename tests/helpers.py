@@ -13,6 +13,8 @@ import numpy as np
 
 from foatools import CodeMatrix, Direction, FoaClip, Group, Pattern, Rotation, encode_mono, group_of
 from foatools.code_pattern import _schedule
+from foatools.errors import IncompatibleClipsError, NoUsableWindowsError
+from foatools.spatial_metrics import WindowMoments, window_moments
 from foatools.tensor_io import write_wav
 
 
@@ -235,6 +237,87 @@ def evaluate_windows_bruteforce(gen, gt, grid, percentile=95.0):
         report[f"auc_{name}"] = sum(aucs) / len(aucs) if aucs else None
         report["windows_used"][name] = len(ccs)
         report["windows_skipped"][name] = skipped
+    return report
+
+
+def correlation_rows_whole(gen, gt, weights):
+    """The whole-batch correlation rows: the ``@ weights`` products are BLAS
+    calls whose rounding depends on the row count."""
+    dx = gen - (gen @ weights)[:, None]
+    dy = gt - (gt @ weights)[:, None]
+    var_x = (dx * dx) @ weights
+    var_y = (dy * dy) @ weights
+    ok = (np.ptp(gen, axis=1) > 0.0) & (np.ptp(gt, axis=1) > 0.0) & (var_x > 0.0) & (var_y > 0.0)
+    cc = ((dx * dy) @ weights) / np.sqrt(np.where(ok, var_x * var_y, 1.0))
+    return np.where(ok, np.clip(cc, -1.0, 1.0), np.nan)
+
+
+def auc_rows_whole(gen, gt, weights, percentile):
+    """The whole-batch AUC rows, with the general tie-group ROC for every row."""
+    if not 0.0 < percentile < 100.0:
+        raise ValueError("fixation_percentile must lie in (0, 100)")
+    n_rows, n_cells = gt.shape
+    rows = np.arange(n_rows)
+    order = np.argsort(gt, axis=1)
+    cdf = np.cumsum(weights[order], axis=1)
+    cdf /= cdf[:, -1:]
+    idx = np.minimum(np.sum(cdf < percentile / 100.0, axis=1), n_cells - 1)
+    positive = gt >= gt[rows, order[rows, idx]][:, None]
+    total = (positive @ weights) * (~positive @ weights)
+
+    order = np.argsort(-gen, axis=1)
+    flat = order + (rows * n_cells)[:, None]
+    scores = gen.take(flat)
+    w_sorted = weights[order]
+    pos = np.where(positive.take(flat), w_sorted, 0.0)
+    tp = np.cumsum(pos, axis=1)
+    starts = np.diff(scores, axis=1, prepend=np.inf) != 0.0
+    ends = np.roll(starts, -1, axis=1)
+    above = np.maximum.accumulate(np.where(starts, tp - pos, 0.0), axis=1)
+    through = np.minimum.accumulate(np.where(ends, tp, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    area = np.sum((w_sorted - pos) * (above + through), axis=1) / 2.0
+    ok = total > 0.0
+    return np.where(ok, np.clip(area / np.where(ok, total, 1.0), 0.0, 1.0), np.nan)
+
+
+def evaluate_windows_whole(gen, gt, grid, percentile=95.0):
+    """The windowed evaluation over whole-clip (windows x cells) map arrays:
+    one (windows, 16) @ (16, cells) product per clip, then CC and AUC over
+    every row at once. Returns the ``SpatialReport.to_dict`` layout."""
+    if gen.n_samples != gt.n_samples or gen.sample_rate != gt.sample_rate:
+        raise IncompatibleClipsError(
+            f"clips differ: {gen.n_samples}@{gen.sample_rate} vs "
+            f"{gt.n_samples}@{gt.sample_rate}"
+        )
+    gen, gt = (
+        m if isinstance(m, WindowMoments) else window_moments([m.samples], m.n_samples, m.sample_rate)
+        for m in (gen, gt)
+    )
+    counts, length = (1, gen.seconds.shape[0], gen.blocks.shape[0]), max(1, gen.sample_rate // 5)
+    gen_maps, gt_maps = (
+        np.maximum(
+            np.concatenate([m.whole[None] / m.n_samples, m.seconds / m.sample_rate, m.blocks / length])
+            .reshape(-1, 16) @ grid.quadratic_features,
+            0.0,
+        )
+        for m in (gen, gt)
+    )
+    if not (np.all(np.isfinite(gen_maps)) and np.all(np.isfinite(gt_maps))):
+        raise ValueError("energy values must be finite")
+    cc = correlation_rows_whole(gen_maps, gt_maps, grid.weights)
+    roc = auc_rows_whole(gen_maps, gt_maps, grid.weights, percentile)
+    usable = ~(np.isnan(cc) | np.isnan(roc))
+
+    report = {"windows_used": {}, "windows_skipped": {}}
+    bounds = np.cumsum((0,) + counts)
+    for name, lo, hi in zip(("all", "1fps", "5fps"), bounds[:-1], bounds[1:]):
+        ok = usable[lo:hi]
+        if not ok.any():
+            raise NoUsableWindowsError(f"no usable {name} window out of {hi - lo}")
+        report[f"cc_{name}"] = float(np.mean(cc[lo:hi][ok]))
+        report[f"auc_{name}"] = float(np.mean(roc[lo:hi][ok]))
+        report["windows_used"][name] = int(ok.sum())
+        report["windows_skipped"][name] = int(hi - lo) - report["windows_used"][name]
     return report
 
 

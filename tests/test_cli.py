@@ -3,6 +3,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,9 @@ class TestExitCodes:
                 (["eval-semantic", "--gen-probs", "IN", "--gt-probs", "IN", "--out", "OUT"],
                  "--out goes with --manifest only"),
                 (["eval-semantic", "--channels", "IN", "--out", "OUT"], "--out goes with --manifest only"),
+                (["eval-spatial", "IN", "IN", "--jobs", "4"], "--jobs goes with --manifest only"),
+                (["eval-semantic", "--gen-probs", "IN", "--gt-probs", "IN", "--jobs", "1"],
+                 "--jobs goes with --manifest only"),
             ]
         ],
     )
@@ -410,6 +414,63 @@ class TestNonFiniteSamples:
         else:
             assert out.read_bytes() == b"kept"
             assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.wav", "out"]
+
+
+# A float32 signalling NaN; converting it to float64 raises numpy's "invalid" flag.
+SIGNALLING_NAN = struct.pack("<I", 0x7F800001)
+SENTINEL = 1234.5
+
+
+def plant_signalling_nan(path):
+    """Replace the one float32 SENTINEL value written to ``path`` by a signalling NaN."""
+    blob = path.read_bytes()
+    assert blob.count(struct.pack("<f", SENTINEL)) == 1
+    path.write_bytes(blob.replace(struct.pack("<f", SENTINEL), SIGNALLING_NAN))
+
+
+class TestSignallingNan:
+    """A signalling NaN in any input file is a data error naming the file, with no warning on the way."""
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            pytest.param("wav", "BAD: samples must be finite", id="wav"),
+            pytest.param("features", "BAD: features must be finite", id="features"),
+            pytest.param("probs", "BAD vs GOOD: gen entries must be finite and nonnegative", id="probs"),
+            pytest.param("embeddings", "BAD: embeddings must be finite", id="embeddings"),
+        ],
+    )
+    def test_data_error_names_the_file(self, capsys, tmp_path, kind, message):
+        bad, good, out = tmp_path / "bad", tmp_path / "good", tmp_path / "out"
+        rng = np.random.default_rng(30)
+        values = {
+            "wav": rng.normal(size=(4, 200)) * 0.1,
+            "features": rng.normal(size=(40, 16)),
+            "probs": np.full((3, 4), 0.25),
+            "embeddings": rng.normal(size=(2, 3, 3, 4)),
+        }[kind]
+        if kind == "wav":
+            write_wav(values, 50, good)
+            values[2, 57] = SENTINEL
+            write_wav(values, 50, bad)
+        else:
+            write_tensor(values.astype(np.float32), good)
+            values.flat[7] = SENTINEL
+            write_tensor(values.astype(np.float32), bad)
+        plant_signalling_nan(bad)
+        argv = {
+            "wav": ["eval-spatial", "--grid", "4x8", bad, good],
+            "features": ["eval-semantic", "--gen-features", bad, "--gt-features", good],
+            "probs": ["eval-semantic", "--gen-probs", bad, "--gt-probs", good],
+            "embeddings": ["patch-energy", bad, out],
+        }[kind]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {message.replace('BAD', str(bad)).replace('GOOD', str(good))}\n"
+        assert not out.exists()
 
 
 class TestPatternCommands:

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foatools import (
     Direction,
@@ -15,6 +17,7 @@ from foatools import (
     evaluate_windows,
     rotate,
 )
+from foatools import spatial_metrics
 from foatools.spatial_metrics import auc_rows, correlation_rows, window_moments
 from foatools.tensor_io import read_foa_summary, read_foa_wav
 from foatools.errors import (
@@ -27,6 +30,7 @@ from helpers import (
     auc_bruteforce,
     encoded_noise,
     evaluate_windows_bruteforce,
+    evaluate_windows_whole,
     random_direction,
     random_rotation,
     weighted_pearson_bruteforce,
@@ -355,3 +359,88 @@ class TestRowKernels:
         _, gt = self.batch(24)
         with pytest.raises(UndefinedMetricError, match="no usable fixation split"):
             auc(one_map(np.linspace(0.0, 1.0, GRID.n_cells)), one_map(gt[3]))
+
+
+def noise_pair(seed, sample_rate, n_samples, silent_second):
+    """A moving-source reference and a noisy copy; ``silent_second`` zeroes
+    the candidate's first second, so some windows are skipped."""
+    rng = np.random.default_rng(seed)
+    gt = encode_mono(rng.normal(size=n_samples), random_direction(rng), sample_rate).samples.copy()
+    gt += 0.5 * rng.normal(size=gt.shape)
+    gen = gt + rng.normal(size=gt.shape)
+    if silent_second:
+        gen[:, :sample_rate] = 0.0
+    return FoaClip(gen, sample_rate), FoaClip(gt, sample_rate)
+
+
+def report_or_error(evaluate):
+    """``evaluate()``, or the repr of the NoUsableWindowsError it raises."""
+    try:
+        return evaluate()
+    except NoUsableWindowsError as exc:
+        return repr(exc)
+
+
+class TestBlockedWindows:
+    """``evaluate_windows`` scores its windows in blocks of rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sample_rate=st.sampled_from([50, 51, 60]),
+        seconds=st.integers(1, 4),
+        extra=st.integers(0, 49),
+        silent_second=st.booleans(),
+    )
+    def test_any_block_size_matches_whole_arrays(self, seed, sample_rate, seconds, extra, silent_second):
+        gen, gt = noise_pair(seed, sample_rate, seconds * sample_rate + extra, silent_second)
+        moments = [window_moments([clip.samples], clip.n_samples, sample_rate) for clip in (gen, gt)]
+        n = 1 + moments[0].seconds.shape[0] + moments[0].blocks.shape[0]
+        reports = []
+        for rows in sorted({1, 7, n - 1, n}):
+            with mock.patch.object(spatial_metrics, "_BLOCK_ROWS", rows):
+                reports.append(report_or_error(lambda: evaluate_windows(*moments, GRID).to_dict()))
+        assert all(report == reports[0] for report in reports)  # bit for bit
+        want = report_or_error(lambda: evaluate_windows_whole(*moments, GRID))
+        if isinstance(want, str):
+            assert reports[0] == want
+            return
+        assert reports[0]["windows_used"] == want["windows_used"]
+        assert reports[0]["windows_skipped"] == want["windows_skipped"]
+        for key in ("cc_all", "cc_1fps", "cc_5fps", "auc_all", "auc_1fps", "auc_5fps"):
+            assert reports[0][key] == pytest.approx(want[key], abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 24),
+        levels=st.sampled_from([3, 50, 0]),  # many ties, few, none
+        data=st.data(),
+    )
+    def test_row_subsets_match_the_full_batch(self, seed, n_rows, levels, data):
+        rng = np.random.default_rng(seed)
+        gen, gt = rng.random((n_rows, GRID.n_cells)), rng.random((n_rows, GRID.n_cells))
+        if levels:
+            gen = np.round(gen * levels) / levels
+        gen[rng.random(n_rows) < 0.2] = 0.5  # constant candidates
+        gt[rng.random(n_rows) < 0.2] = 0.25  # constant references
+        subset = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=n_rows))
+        for rows_of in (
+            lambda x, y: correlation_rows(x, y, GRID.weights),
+            lambda x, y: auc_rows(x, y, GRID.weights, 95.0),
+        ):
+            assert np.array_equal(rows_of(gen[subset], gt[subset]), rows_of(gen, gt)[subset], equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, 7, 48])
+    def test_errors_do_not_depend_on_the_block(self, rows):
+        # At 5 Hz a 200 ms block is one sample: the last sample's block map
+        # overflows, while the whole-clip and 1 s maps stay finite (if huge).
+        samples = np.random.default_rng(26).normal(size=(4, 40))
+        samples[:, -1] = 1e154
+        clip = FoaClip(samples, 5)
+        with mock.patch.object(spatial_metrics, "_BLOCK_ROWS", rows):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_windows(clip, clip, GRID, fixation_percentile=100.0)
+            with pytest.raises(ValueError, match="fixation_percentile"):
+                evaluate_windows(*noise_pair(27, 50, 200, False), GRID, fixation_percentile=100.0)
