@@ -50,7 +50,10 @@ def clip_stats(slabs, n_samples: int, sample_rate: int) -> ClipStats:
     abs_means, w_squares, moments = [], [], []
     for slab in slabs:
         k = slab.shape[1] // sample_rate
-        abs_means.append(np.abs(slab[:, : k * sample_rate]).reshape(4, k, sample_rate).mean(axis=2))
+        # |x| frame-major, so for any slab layout einsum adds each channel-second in sample order.
+        magnitudes = np.abs(slab[:, : k * sample_rate], out=np.empty((k * sample_rate, 4)).T)
+        abs_means.append(np.einsum("ckt->ck", magnitudes.reshape(4, k, sample_rate)) / sample_rate)
+        del magnitudes  # freed before the moments are taken: one slab-sized buffer at a time
         w_squares.append((slab[0, : k * sample_rate].reshape(k, sample_rate) ** 2).mean(axis=1))
         moments.append(block_moments(slab, sample_rate))
     tail = slab[:, moments[-1].shape[0] * sample_rate :]

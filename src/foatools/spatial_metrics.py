@@ -59,11 +59,14 @@ def correlation_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray) -> np
     """Area-weighted Pearson correlation of each row pair of (n, cells) maps;
     NaN where either map is constant or has zero weighted variance. Weighted sums
     add products along the row, so a row's result does not depend on other rows."""
-    dx = gen - np.sum(gen * weights, axis=1)[:, None]
-    dy = gt - np.sum(gt * weights, axis=1)[:, None]
+    range_x, range_y = np.ptp(gen, axis=1), np.ptp(gt, axis=1)
+    # Each row times 2**-exponent(range): exact, and CC does not depend on
+    # scale, so the squares of huge finite maps do not overflow.
+    dx = np.ldexp(gen - np.sum(gen * weights, axis=1)[:, None], -np.frexp(range_x)[1][:, None])
+    dy = np.ldexp(gt - np.sum(gt * weights, axis=1)[:, None], -np.frexp(range_y)[1][:, None])
     var_x = np.sum(dx * dx * weights, axis=1)
     var_y = np.sum(dy * dy * weights, axis=1)
-    ok = (np.ptp(gen, axis=1) > 0.0) & (np.ptp(gt, axis=1) > 0.0) & (var_x > 0.0) & (var_y > 0.0)
+    ok = (range_x > 0.0) & (range_y > 0.0) & (var_x > 0.0) & (var_y > 0.0)
     cc = np.sum(dx * dy * weights, axis=1) / np.sqrt(np.where(ok, var_x * var_y, 1.0))
     return np.where(ok, np.clip(cc, -1.0, 1.0), np.nan)
 

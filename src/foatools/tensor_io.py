@@ -255,15 +255,6 @@ def _wav_header(channels: int, sample_rate: int, frames: int, encoding: str) -> 
     return riff + chunks + struct.pack("<4sI", b"data", size)
 
 
-def _encode_slab(samples: np.ndarray, encoding: str) -> bytes:
-    """(channels, frames) finite float64 samples as the frame-major bytes of a data chunk."""
-    if encoding == "pcm16":
-        data = np.clip(np.rint(samples * _PCM_SCALE), -32768, 32767).astype("<i2")
-    else:
-        data = samples.astype("<f4")
-    return data.T.tobytes()
-
-
 def write_wav_slabs(
     slabs, channels: int, sample_rate: int, frames: int, path, encoding: str = "float32"
 ) -> None:
@@ -275,10 +266,13 @@ def write_wav_slabs(
         header = _wav_header(channels, sample_rate, frames, encoding)
     except struct.error as exc:
         raise ValueError(f"{path}: WAV header field out of range: {exc}") from None
+    dtype = _WAV_DTYPES[_WAV_ENCODINGS[encoding]][0]
     with atomic_write(path) as handle:
         handle.write(header)
         for slab in slabs:
-            handle.write(_encode_slab(slab, encoding))
+            if encoding == "pcm16":
+                slab = np.clip(np.rint(slab * _PCM_SCALE), -32768, 32767)
+            handle.write(slab.T.astype(dtype, order="C"))
             frames -= slab.shape[1]
         if frames:
             raise ValueError("slabs do not hold the frames the header announced")

@@ -83,10 +83,13 @@ def pcm24_wav(ints, sample_rate):
 
 def curation_stats_oracle(clip):
     """Per-second mean |amplitude| (4, seconds) and mean squared W (seconds,)
-    of a clip's whole seconds, each from one expression over the whole clip."""
+    of a clip's whole seconds, each from one expression over the whole clip.
+    Each channel-second's |amplitude| is added in sample order: the last entry
+    of ``np.cumsum``, which is a sequential chain of adds."""
     seconds = clip.n_samples // clip.sample_rate
     trimmed = clip.samples[:, : seconds * clip.sample_rate]
-    abs_means = np.abs(trimmed).reshape(4, seconds, clip.sample_rate).mean(axis=2)
+    magnitudes = np.abs(trimmed).reshape(4, seconds, clip.sample_rate)
+    abs_means = np.cumsum(magnitudes, axis=-1)[..., -1] / clip.sample_rate
     w_squares = (trimmed[0].reshape(seconds, clip.sample_rate) ** 2).mean(axis=1)
     return abs_means, w_squares
 

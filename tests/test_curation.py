@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foatools import (
     ClipWindow,
@@ -16,8 +17,9 @@ from foatools import (
     segment_mask,
     select_windows,
 )
+from foatools.curation import clip_stats
 from foatools.errors import NoEnergyError
-from helpers import nearest_cell_bruteforce, random_direction, random_rotation
+from helpers import curation_stats_oracle, nearest_cell_bruteforce, random_direction, random_rotation
 
 SR = 1000  # small "sample rate" keeps these tests cheap
 
@@ -50,6 +52,26 @@ class TestAmplitudeGate:
     def test_short_clip_errors(self):
         with pytest.raises(ValueError):
             amplitude_gate(FoaClip(np.ones((4, SR // 2)), SR))
+
+
+class TestClipStatsOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.integers(1, 300),
+        frames=st.integers(1, 1500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_abs_means_add_each_second_in_sample_order(self, rate, frames, seed):
+        # Magnitudes over exp(-40)..exp(5) round on most adds, so a pairwise or
+        # blocked sum would change bits that float32 or PCM payloads cannot.
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-1.0, 1.0], size=(4, frames)) * np.exp(rng.uniform(-40.0, 5.0, size=(4, frames)))
+        # C-contiguous, and channel-interleaved as the WAV readers decode it.
+        for samples in (x, np.asfortranarray(x)):
+            clip = FoaClip(samples, rate)
+            want, _ = curation_stats_oracle(clip)
+            got = clip_stats([clip.samples], frames, rate).abs_means
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestSegmentMask:

@@ -212,6 +212,17 @@ class TestEvaluateWindows:
             assert correlation(gen_rot, gt_rot) == pytest.approx(cc_before, abs=0.02)
             assert auc(gen_rot, gt_rot) == pytest.approx(auc_before, abs=0.02)
 
+    def test_huge_finite_clips_score_as_the_clip(self):
+        # Scaled by 2**266 (about 1e80), the maps reach 1e160 and their squares would
+        # overflow; CC and AUC do not depend on scale, and a power of two is exact.
+        rng = np.random.default_rng(17)
+        sr = 4410
+        gt = encoded_noise(rng, Direction(0.4, 0.3), n_samples=2 * sr, sample_rate=sr)
+        gen = FoaClip(gt.samples + 0.5 * rng.normal(size=gt.samples.shape), sr)
+        huge_gen, huge_gt = (FoaClip(np.ldexp(c.samples, 266), sr) for c in (gen, gt))
+        assert evaluate_windows(huge_gen, huge_gt, GRID) == evaluate_windows(gen, gt, GRID)
+        assert evaluate_windows(huge_gt, huge_gt, GRID).cc_all == pytest.approx(1.0, abs=1e-12)
+
     def test_report_round_trips_to_dict(self):
         rng = np.random.default_rng(17)
         sr = 4410
