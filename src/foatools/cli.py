@@ -40,6 +40,7 @@ from .foa import (
     _encode,
     _rotate,
     energy_map,
+    window_sums,
 )
 from .tensor_io import (
     WAV_ENCODINGS,
@@ -47,7 +48,6 @@ from .tensor_io import (
     describe_file,
     read_code_matrix,
     read_foa_summary,
-    read_foa_wav,
     read_tensor,
     read_wav_slabs,
     write_code_matrix,
@@ -221,9 +221,8 @@ def cmd_rotate(args) -> int:
 
 
 def cmd_energy_map(args) -> int:
-    clip = read_foa_wav(args.input)
-    with _naming(args.input):  # a window past the clip's end
-        emap = energy_map(clip, args.grid, args.window, args.mode)
+    sums = read_foa_summary(args.input, partial(window_sums, window=args.window))
+    emap = energy_map(sums, args.grid, mode=args.mode)
     if args.csv:
         write_energy_map_csv(emap, args.csv)
     if args.pgm:
@@ -432,12 +431,11 @@ def cmd_eval_semantic(args) -> int:
             raise FoaToolsError(f"{args.channels}: expected an object of channel entries")
         for name, entry in mapping.items():
             _check_record(entry, f"{args.channels}: channel {name!r}", ("gen", "gt"))
-        channels = semantic_metrics.CHANNEL_NAMES
-        missing = [name for name in channels if name not in mapping]
+        missing = ", ".join(name for name in semantic_metrics.CHANNEL_NAMES if name not in mapping)
         if missing:
-            raise FoaToolsError(f"{args.channels}: missing channel feature pairs: {', '.join(missing)}")
+            raise FoaToolsError(f"{args.channels}: missing channel feature pairs: {missing}")
         # semantic_metrics.fad_avg's mean, taken here so that each data error names its file.
-        distances = [_fad(mapping[name]["gen"], mapping[name]["gt"]) for name in channels]
+        distances = [_fad(mapping[c]["gen"], mapping[c]["gt"]) for c in semantic_metrics.CHANNEL_NAMES]
         result["fad_avg"] = float(np.mean(distances))
     _print_json(result)
     return 0

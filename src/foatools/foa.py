@@ -13,6 +13,7 @@ shared mutable state, so values can be handed across threads freely.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,13 +338,44 @@ def power_maps(grid: SphereGrid, moments: np.ndarray) -> np.ndarray:
     return np.maximum((moments.reshape(-1, 1, 16) @ grid.quadratic_features)[:, 0], 0.0)
 
 
+# What a map reads of a clip over its ``window`` (start, end): the samples'
+# summed 4x4 second moment ``whole`` and their channel sums ``sums`` (4,).
+WindowSums = namedtuple("WindowSums", "window whole sums")
+
+
+def window_sums(slabs, n_samples: int, sample_rate: int, window=None) -> WindowSums:
+    """The WindowSums of a clip that ``slabs`` yields in order as (4, frames)
+    slabs of whole seconds, the last one shorter; the window is checked before
+    a slab is taken. Samples outside the window count as 0, and each whole
+    second is added in order, then the tail, so the sums do not depend on where
+    the slabs end, and with no window ``whole`` is ``curation.clip_stats``'s."""
+    start, end = _resolve_window(window, n_samples)
+    moments, sums, offset = [], [], 0
+    for slab in slabs:
+        # Frame-major, so for any slab layout einsum adds each channel-second in sample order;
+        # times 0 outside the window, so a non-finite sample there still shows in ``whole``.
+        part = np.array(slab.T, order="C").T
+        part[:, : max(start - offset, 0)] *= 0.0
+        part[:, max(end - offset, 0) :] *= 0.0
+        offset += slab.shape[1]
+        k = part.shape[1] // sample_rate
+        moments.append(block_moments(part, sample_rate))
+        sums.append(np.einsum("ckt->kc", part[:, : k * sample_rate].reshape(4, k, sample_rate)))
+    tail = part[:, k * sample_rate :]
+    whole = np.concatenate(moments).sum(axis=0) + tail @ tail.T
+    return WindowSums((start, end), whole, np.concatenate(sums).sum(axis=0) + np.einsum("ct->c", tail))
+
+
 def energy_map(
-    clip: FoaClip,
+    clip,
     grid: SphereGrid,
     window=None,
     mode: str = ENERGY_MODE_POWER,
 ) -> EnergyMap:
     """Acoustic energy of ``clip`` at every grid cell over a sample window.
+
+    ``clip`` is a FoaClip, summarized as one slab, or its ``window_sums``,
+    which carry their window (``window`` is then None); both give one map.
 
     In ``power`` mode each cell holds the time mean of the squared decoded
     signal at the cell direction. The ``literal-linear`` mode returns the
@@ -357,13 +389,16 @@ def energy_map(
     """
     if mode not in ENERGY_MODES:
         raise ValueError(f"mode must be one of {ENERGY_MODES}, got {mode!r}")
-    start, end = _resolve_window(window, clip.n_samples)
-    segment = clip.samples[:, start:end]
+    if not isinstance(clip, WindowSums):
+        clip = window_sums([clip.samples], clip.n_samples, clip.sample_rate, window)
+    elif window is not None:
+        raise ValueError("WindowSums carry their window; pass window=None")
+    (start, end), whole, sums = clip
     if mode == ENERGY_MODE_POWER:
-        values = power_maps(grid, block_moments(segment, end - start) / (end - start))[0]
+        values = power_maps(grid, whole[None] / (end - start))[0]
     else:
         # The first four feature rows are 1 * b_j, the basis itself.
-        values = segment.mean(axis=1) @ grid.quadratic_features[:4]
+        values = (sums / (end - start)) @ grid.quadratic_features[:4]
     return EnergyMap(grid=grid, values=values, window=(start, end), mode=mode)
 
 

@@ -49,6 +49,7 @@ import numpy as np
 from .code_pattern import CodeMatrix, Pattern, ReorgMatrix, pattern_steps
 from .errors import (
     HeaderParseError,
+    InvalidWindowError,
     PayloadSizeError,
     TensorIOError,
     UnknownDtypeError,
@@ -380,12 +381,6 @@ def _wav_slabs(handle, header: WavHeader, size: int):
         yield samples
 
 
-def read_wav_header(path) -> WavHeader:
-    """The checked header of a RIFF/WAVE file, without decoding a sample."""
-    with open(path, "rb") as handle:
-        return _parse_wav_header(path, handle)
-
-
 def read_wav(path, channels=None):
     """Read a RIFF/WAVE file, of ``channels`` channels if given, as one slab;
     returns (samples (channels, frames), sample_rate)."""
@@ -454,10 +449,15 @@ def read_foa_summary(path, summarize):
     """``summarize(slabs, frames, sample_rate)`` of a 4-channel WAV file over the
     whole-second slabs of ``read_wav_slabs``: one walk, and the float64 clip is
     never held. Checked through the summary's ``whole`` 4x4 moment for a
-    non-finite sample. ``spatial_metrics.window_moments`` and ``curation.clip_stats``
-    are the summaries; each is bit-identical to the one of the ``read_foa_wav`` clip."""
-    with read_wav_slabs(path, 4) as (header, slabs):
-        summary = summarize(slabs, header.frames, header.sample_rate)
+    non-finite sample anywhere in the file. The summaries are ``spatial_metrics.window_moments``,
+    ``curation.clip_stats`` and ``partial(foa.window_sums, window=...)``, whose window error names
+    the file before a sample is decoded; each is bit-identical to the one of the ``read_foa_wav`` clip."""
+    # A non-finite sample may meet a 0 in a product ("invalid"); it is refused below.
+    with read_wav_slabs(path, 4) as (header, slabs), np.errstate(invalid="ignore"):
+        try:
+            summary = summarize(slabs, header.frames, header.sample_rate)
+        except InvalidWindowError as exc:
+            raise InvalidWindowError(f"{path}: {exc}") from exc
     # A non-finite sample makes its channel's summed square non-finite.
     if not np.all(np.isfinite(np.diagonal(summary.whole))):
         raise WavFormatError(f"{path}: samples must be finite")

@@ -1,7 +1,9 @@
+import ast
 import concurrent.futures
 import json
 import math
 import os
+import pathlib
 import struct
 import warnings
 
@@ -26,9 +28,10 @@ from foatools import (
     pack,
     rotate,
 )
-from foatools import cli
+from foatools import cli, tensor_io
 from foatools.cli import _load_manifest, main
 from foatools.errors import FoaToolsError
+from foatools.foa import energy_map
 from foatools.tensor_io import (
     read_code_matrix,
     read_foa_wav,
@@ -49,6 +52,9 @@ from helpers import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# Every file reader that foatools.cli imports; the tests that refuse reads patch them all.
+CLI_READERS = ("describe_file", "read_code_matrix", "read_foa_summary", "read_tensor", "read_wav_slabs")
 
 
 def run(capsys, *argv):
@@ -144,7 +150,7 @@ class TestExitCodes:
         def refuse(path, *rest):
             raise AssertionError(f"{argv[0]} read {path} before checking its flags")
 
-        for reader in ("read_tensor", "read_code_matrix", "read_foa_summary", "read_foa_wav", "read_wav_slabs"):
+        for reader in CLI_READERS:
             monkeypatch.setattr(f"foatools.cli.{reader}", refuse)
         paths = {"IN": tmp_path / "missing", "OUT": tmp_path / "out"}
         code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
@@ -195,6 +201,19 @@ class TestExitCodes:
             main(["encode", "--help"])
         assert info.value.code == 0
         assert "azimuth" in capsys.readouterr().out
+
+
+def test_cli_imports_no_whole_clip_reader():
+    # Every command streams its audio: cli names no reader that decodes a whole clip,
+    # and CLI_READERS, which the read-refusing tests patch, holds every reader it names.
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"read_foa_wav", "read_wav"}
+    assert {name for name in names if name.startswith("read_")} | {"describe_file"} == set(CLI_READERS)
 
 
 class TestEncodeDecode:
@@ -374,6 +393,48 @@ class TestEnergyMapCommand:
         assert payload["window"] == [0, 50]
         assert payload["value_max"] == pytest.approx(1 / SQRT2 + 1.0)
 
+    @pytest.mark.parametrize("mode", ["power", "literal-linear"])
+    @pytest.mark.parametrize(
+        "window",
+        [None, (120, 190), (50, 210), (120, 321)],
+        ids=["whole-clip", "inside-one-second", "across-slab-edges", "ends-in-the-tail"],
+    )
+    def test_csv_is_the_library_map(self, capsys, tmp_path, mode, window):
+        # 321 frames at 100 Hz: three one-second slabs and a 21-frame tail.
+        src, csv = tmp_path / "clip.wav", tmp_path / "map.csv"
+        write_wav(np.random.default_rng(14).normal(size=(4, 321)), 100, src)
+        flags = ["--window", f"{window[0]}:{window[1]}"] if window else []
+        code, out, _ = run(capsys, "energy-map", "--grid", "8x16", "--mode", mode, "--csv", csv, *flags, src)
+        assert code == 0
+        want = energy_map(read_foa_wav(src), SphereGrid(8, 16), window, mode)
+        values = [line.rsplit(",", 1)[1] for line in csv.read_text().splitlines()[1:]]
+        assert values == [f"{value:.17g}" for value in want.values]
+        assert last_json(out)["window"] == list(want.window)
+
+    def test_never_builds_a_clip(self, capsys, tmp_path, monkeypatch):
+        src = tmp_path / "clip.wav"
+        write_wav(np.random.default_rng(15).normal(size=(4, 3 * 4410 + 7)), 4410, src)
+
+        def refuse(self):
+            raise AssertionError("energy-map built a FoaClip")
+
+        monkeypatch.setattr(FoaClip, "__post_init__", refuse)
+        for mode in ("power", "literal-linear"):
+            code, out, _ = run(capsys, "energy-map", "--grid", "8x16", "--mode", mode, "--window", "100:9000", src)
+            assert code == 0 and last_json(out)["window"] == [100, 9000]
+
+    def test_window_error_comes_before_any_sample_is_decoded(self, capsys, tmp_path, monkeypatch):
+        src = tmp_path / "clip.wav"
+        write_wav(np.zeros((4, 250)), 100, src)
+
+        def refuse(*args):  # the slab generator: it fails when the first slab is taken
+            raise AssertionError("energy-map decoded a sample before checking its window")
+            yield
+
+        monkeypatch.setattr(tensor_io, "_wav_slabs", refuse)
+        code, out, err = run(capsys, "energy-map", "--window", "200:251", src)
+        assert (code, out, err) == (2, "", f"error: {src}: window [200, 251) invalid for clip of 250 samples\n")
+
 
 class TestNonFiniteSamples:
     @pytest.mark.parametrize(
@@ -392,7 +453,7 @@ class TestNonFiniteSamples:
         assert err == f"error: {src}: samples must be finite\n"
         assert not out_wav.exists()
 
-    @pytest.mark.parametrize("command", ["encode", "decode", "rotate", "curate"])
+    @pytest.mark.parametrize("command", ["encode", "decode", "rotate", "curate", "energy-map"])
     def test_nan_in_a_later_slab_names_file(self, capsys, tmp_path, command):
         src, out = tmp_path / "nan.wav", tmp_path / "out"
         channels = 1 if command == "encode" else 4
@@ -404,6 +465,8 @@ class TestNonFiniteSamples:
             manifest = tmp_path / "m.ndjson"
             manifest.write_text(json.dumps({"path": str(src)}) + "\n")
             argv = ["curate", "--rms-threshold", 0.01, "--manifest", manifest, "--out", out]
+        elif command == "energy-map":  # the window ends before the NaN; the file is still refused
+            argv = ["energy-map", "--window", "0:500", "--csv", out, src]
         else:
             flags = ["--z-quarters", 1] if command == "rotate" else ["--dir", "0,0"]
             argv = [command, *flags, src, out]
@@ -890,7 +953,7 @@ class TestPatchEnergy:
         def refuse(path, *rest):
             raise AssertionError(f"{command} read {path} before checking its flags")
 
-        for reader in ("read_tensor", "read_code_matrix", "read_foa_summary", "read_foa_wav"):
+        for reader in CLI_READERS:
             monkeypatch.setattr(f"foatools.cli.{reader}", refuse)
         wav, tensor, table, out = (tmp_path / name for name in ("clip.wav", "emb.t", "table.cmx", "out"))
         manifest = tmp_path / "in.ndjson"  # missing, so reading it is a data error
@@ -971,8 +1034,8 @@ class TestCurate:
         def refuse(path, *rest):
             raise AssertionError(f"curate read {path} before checking the scores")
 
-        monkeypatch.setattr("foatools.cli.read_foa_wav", refuse)
-        monkeypatch.setattr("foatools.cli.read_foa_summary", refuse)
+        for reader in CLI_READERS:
+            monkeypatch.setattr(f"foatools.cli.{reader}", refuse)
 
     def test_mixed_scores_rejected(self, capsys, tmp_path, monkeypatch):
         self.refuse_clip_reads(monkeypatch)

@@ -17,7 +17,9 @@ from foatools import (
     energy_map,
     rotate,
 )
+from foatools.curation import clip_stats
 from foatools.errors import InvalidRotationError, InvalidWindowError
+from foatools.foa import ENERGY_MODES, power_maps, window_sums
 from helpers import (
     encoded_noise,
     energy_map_bruteforce,
@@ -238,13 +240,67 @@ class TestEnergyMap:
             want = energy_map_bruteforce(clip, grid, mode=mode)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
-    def test_windowed_matches_bruteforce(self):
+    @pytest.mark.parametrize("mode", ENERGY_MODES)
+    @pytest.mark.parametrize("sample_rate, window", [(44100, (50, 200)), (100, (50, 280))])
+    def test_windowed_matches_bruteforce(self, mode, sample_rate, window):
+        # At 100 Hz the second window crosses two whole seconds and ends in the tail.
         rng = np.random.default_rng(9)
         grid = SphereGrid(8, 16)
-        clip = random_clip(rng, n_samples=300)
-        got = energy_map(clip, grid, window=(50, 200)).values
-        want = energy_map_bruteforce(clip, grid, window=(50, 200))
+        clip = random_clip(rng, n_samples=300, sample_rate=sample_rate)
+        got = energy_map(clip, grid, window=window, mode=mode).values
+        want = energy_map_bruteforce(clip, grid, window=window, mode=mode)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_whole_clip_power_map_is_fov_centers(self, layout):
+        # curation.fov_center's map: the mean of the clip_stats moment over every sample.
+        rng = np.random.default_rng(15)
+        clip = FoaClip(layout(rng.normal(size=(4, 2 * 441 + 13))), 441)
+        grid = SphereGrid(8, 16)
+        moment = clip_stats([clip.samples], clip.n_samples, clip.sample_rate).whole
+        assert np.array_equal(energy_map(clip, grid).values, power_maps(grid, moment[None] / clip.n_samples)[0])
+
+    def test_window_sums_carry_their_window(self):
+        clip = random_clip(np.random.default_rng(16), n_samples=300, sample_rate=100)
+        sums = window_sums([clip.samples[:, :200], clip.samples[:, 200:]], 300, 100, (20, 250))
+        grid = SphereGrid(4, 8)
+        for mode in ENERGY_MODES:
+            got = energy_map(sums, grid, mode=mode)
+            assert got.window == (20, 250)
+            assert np.array_equal(got.values, energy_map(clip, grid, (20, 250), mode).values)
+        with pytest.raises(ValueError, match="carry their window"):
+            energy_map(sums, grid, window=(20, 250))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rate=st.integers(1, 60),
+        frames=st.integers(1, 400),
+        cuts=st.lists(st.integers(1, 4), max_size=10),
+        contiguous=st.booleans(),
+        edges=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_window_sums_count_samples_outside_as_zero(self, rate, frames, cuts, contiguous, edges, seed):
+        # float64 samples over 25 octaves, so a sum taken in another order shows.
+        rng = np.random.default_rng(seed)
+        samples = (rng.normal(size=(frames, 4)) * np.exp(rng.uniform(-10, 8, size=(frames, 4)))).T
+        samples = np.ascontiguousarray(samples) if contiguous else samples
+        start = edges[0] % frames
+        window = (start, start + 1 + edges[1] % (frames - start))
+        inside = np.zeros(frames)
+        inside[window[0] : window[1]] = 1.0
+        masked = samples * inside
+        bounds = [0, *(int(end) for end in np.cumsum(cuts) * rate if end < frames), frames]
+        got = window_sums((samples[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])), frames, rate, window)
+        assert got.window == window
+        assert np.array_equal(got.whole, clip_stats([masked], frames, rate).whole)
+        # Each channel-second summed in sample order, then the seconds in order, then the tail.
+        k = frames // rate
+        want = np.zeros(4)
+        for part in [masked[:, i * rate : (i + 1) * rate] for i in range(k)] + [masked[:, k * rate :]]:
+            if part.size:
+                want = want + np.cumsum(part, axis=1)[:, -1]
+        assert np.array_equal(got.sums, want)
 
     def test_argmax_is_nearest_cell(self):
         rng = np.random.default_rng(10)

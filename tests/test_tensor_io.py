@@ -26,7 +26,7 @@ from foatools import (
 )
 from foatools.cli import main
 from foatools.curation import clip_stats
-from foatools.foa import block_moments
+from foatools.foa import block_moments, window_sums
 from foatools.spatial_metrics import window_moments
 from foatools.errors import (
     HeaderParseError,
@@ -37,12 +37,13 @@ from foatools.errors import (
 )
 from foatools.tensor_io import (
     atomic_write,
+    describe_file,
     read_code_matrix,
     read_foa_summary,
     read_foa_wav,
     read_tensor,
     read_wav,
-    read_wav_header,
+    read_wav_slabs,
     write_code_matrix,
     write_energy_map_csv,
     write_energy_map_pgm,
@@ -163,14 +164,14 @@ class TestMangledFiles:
         blob = bytes(blob[: len(blob) - cut])
         path.write_bytes(blob)
         outcomes = {}
-        for reader in (read_tensor, read_code_matrix, read_wav_header):
+        for reader in (read_tensor, read_code_matrix, read_wav):
             try:
                 outcomes[reader] = reader(path)
             except TensorIOError as exc:  # anything else fails the test
                 outcomes[reader] = exc
         # info picks its reader by the leading bytes.
         if blob[:4] == b"RIFF" or blob[8:12] == b"WAVE":
-            expected = outcomes[read_wav_header]
+            expected = outcomes[read_wav]
         else:
             expected = outcomes[read_code_matrix if blob[:4] == b"ACM1" else read_tensor]
         out, err = io.StringIO(), io.StringIO()
@@ -336,7 +337,8 @@ class TestWav:
             samples, rate = read_wav(path)
             assert rate == 48000
             assert np.array_equal(samples, ints.T / 8388607.0)
-            assert read_wav_header(path)[:3] == (4, 48000, 7)
+            with read_wav_slabs(path, 4) as (header, _):
+                assert header[:3] == (4, 48000, 7)
 
 
 class TestWavExtensible:
@@ -438,7 +440,7 @@ FOA_READERS = {
     "read_foa_wav": read_foa_wav,
     **{
         summarize.__name__: partial(read_foa_summary, summarize=summarize)
-        for summarize in (window_moments, clip_stats)
+        for summarize in (window_moments, clip_stats, window_sums)
     },
 }
 
@@ -481,7 +483,8 @@ class TestWavWalker:
         path.write_bytes(riff(*before, (b"fmt ", fmt_body(kind, 4, rate)), (b"data", payload), *after))
         samples, sample_rate = read_wav(path)
         assert (sample_rate, samples.shape) == (rate, (4, frames))
-        assert read_wav_header(path)[:3] == (4, rate, frames)
+        with read_wav_slabs(path, 4) as (header, _):
+            assert header[:3] == (4, rate, frames)
         moments = read_foa_summary(path, window_moments)
         assert (moments.n_samples, moments.sample_rate) == (frames, rate)
         for got, want in zip((moments.whole, moments.seconds, moments.blocks), moments_oracle(samples, rate)):
@@ -525,9 +528,10 @@ class TestWavWalker:
         slab_seconds=st.integers(1, 5),
         contiguous=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        edges=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
     )
     def test_any_whole_second_cut_gives_the_same_summary(
-        self, tmp_path_factory, rate, frames, cuts, slab_seconds, contiguous, seed
+        self, tmp_path_factory, rate, frames, cuts, slab_seconds, contiguous, seed, edges
     ):
         # Uneven whole-second slabs from a one-shot iterator, the last one shorter,
         # and the file streamed at each slab size: bit for bit the one-slab clip.
@@ -537,7 +541,15 @@ class TestWavWalker:
         clip = read_foa_wav(path)
         samples = np.ascontiguousarray(clip.samples) if contiguous else clip.samples
         bounds = [0, *(int(end) for end in np.cumsum(cuts) * rate if end < frames), frames]
-        fields = {window_moments: ("whole", "seconds", "blocks"), clip_stats: ("whole", "abs_means", "w_squares")}
+        # Any window: it may cross slab edges, lie in one second or end in the tail.
+        start = edges[0] % frames
+        window = (start, start + 1 + edges[1] % (frames - start))
+        fields = {
+            window_moments: ("whole", "seconds", "blocks"),
+            clip_stats: ("whole", "abs_means", "w_squares"),
+            window_sums: ("whole", "sums"),
+            partial(window_sums, window=window): ("whole", "sums"),
+        }
         for summarize, names in fields.items():
             want = summarize([clip.samples], frames, rate)
             slabs = (samples[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
@@ -547,13 +559,22 @@ class TestWavWalker:
                 for name in names:
                     assert getattr(got, name).shape == getattr(want, name).shape
                     assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert read_foa_summary(path, partial(window_sums, window=window)).window == window
         oracle = moments_oracle(clip.samples, rate)
         want = window_moments([clip.samples], frames, rate)
         assert all(np.array_equal(a, b) for a, b in zip((want.whole, want.seconds, want.blocks), oracle))
 
-    @pytest.mark.parametrize("summarize", [window_moments, clip_stats], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "summarize",
+        [window_moments, clip_stats, window_sums, "across", "tail"],
+        ids=["window_moments", "clip_stats", "window_sums", "window_sums-across", "window_sums-tail"],
+    )
     @pytest.mark.parametrize("rate", [7, 44101])
     def test_each_file_is_decoded_once(self, tmp_path, monkeypatch, summarize, rate):
+        # Windows across two slab edges, and from the third second into the two-frame tail.
+        windows = {"across": (rate // 2, 2 * rate + 1), "tail": (2 * rate + 3, 3 * rate + 1)}
+        if summarize in windows:
+            summarize = partial(window_sums, window=windows[summarize])
         path = tmp_path / "clip.wav"
         write_wav(np.random.default_rng(rate).normal(size=(4, 3 * rate + 2)), rate, path)
         decode, walks = tensor_io._wav_slabs, []
@@ -573,7 +594,7 @@ class TestWavWalker:
         write_wav(np.zeros((4, 16)), 44100, path)
         path.write_bytes(mutate(path.read_bytes()))
         outcomes = []
-        for reader in (read_wav, read_wav_header, *FOA_READERS.values()):
+        for reader in (read_wav, describe_file, *FOA_READERS.values()):
             with pytest.raises(WavFormatError) as info:
                 reader(path)
             outcomes.append((type(info.value), str(info.value)))
@@ -594,25 +615,35 @@ class TestWavWalker:
         path = tmp_path_factory.mktemp("mangled") / "m.wav"
         path.write_bytes(bytes(blob[: len(blob) - cut]))
         try:
-            header = read_wav_header(path)
+            samples, rate = read_wav(path)  # a header error, or one slab of a checked header
         except WavFormatError as exc:
-            for reader in (read_wav, *FOA_READERS.values()):
+            for reader in FOA_READERS.values():
                 with pytest.raises(WavFormatError, match="^" + re.escape(str(exc)) + "$"):
                     reader(path)
             return
-        samples, rate = read_wav(path)
-        assert samples.shape == (header.channels, header.frames) and rate == header.sample_rate
+        described = describe_file(path)
+        assert samples.shape == (described["n_channels"], described["n_samples"])
+        assert rate == described["sample_rate"]
         for reader in FOA_READERS.values():
             try:
                 reader(path)
             except WavFormatError as exc:
-                assert header.channels != 4 or str(exc) == f"{path}: samples must be finite"
+                assert samples.shape[0] != 4 or str(exc) == f"{path}: samples must be finite"
 
-    @pytest.mark.parametrize("reader", FOA_READERS.values(), ids=FOA_READERS)
-    def test_non_finite_sample_names_file(self, tmp_path, reader):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            *FOA_READERS.values(),
+            *(partial(read_foa_summary, summarize=partial(window_sums, window=w)) for w in [(0, 100), (200, 300)]),
+        ],
+        ids=[*FOA_READERS, "window_sums-before-the-sample", "window_sums-after-the-sample"],
+    )
+    def test_non_finite_sample_names_file(self, tmp_path, reader, value):
+        # Among zeros, an infinite sample makes "invalid" products, which must not warn.
         path = tmp_path / "nan.wav"
         write_wav(np.zeros((4, 300)), 1000, path)
-        set_float32_sample(path, 517, float("nan"))
+        set_float32_sample(path, 517, value)  # frame 129, outside both windows
         with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: samples must be finite$"):
             reader(path)
 
