@@ -151,21 +151,15 @@ _SLAB_TRANSFORMS = {
 }
 
 
-def _finite(path, slab: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(slab)):
-        raise FoaToolsError(f"{path}: samples must be finite")
-    return slab
-
-
 def _transform_wav(args, flags):
     """The read, transform and write step of encode, decode and rotate: check
     the header of ``args.input``, then write the command's transform under
-    ``flags`` (the Direction or Rotation built before any read) of each slab,
-    checked for a non-finite sample (the only check: a finite slab transforms
-    to finite samples), to ``args.output``. Returns the header."""
+    ``flags`` (the Direction or Rotation built before any read) of each slab
+    to ``args.output``. The decoder refuses a non-finite sample, and a finite
+    slab transforms to finite samples, so nothing more is checked. Returns the header."""
     channels, out_channels, transform = _SLAB_TRANSFORMS[args.command]
     with read_wav_slabs(args.input, channels) as (header, decoded):
-        slabs = (transform(_finite(args.input, slab), flags) for slab in decoded)
+        slabs = (transform(slab, flags) for slab in decoded)
         write_wav_slabs(slabs, out_channels, header.sample_rate, header.frames, args.output, args.encoding)
     return header
 
@@ -467,11 +461,13 @@ def cmd_patch_energy(args) -> int:
 
 
 def cmd_pattern(args) -> int:
+    if args.action == "unpack" and args.pattern is not None:
+        raise UsageError("--pattern goes with pack only; unpack reads it from the file header")
     matrix = read_code_matrix(args.input)
     if args.action == "pack":
         if not isinstance(matrix, CodeMatrix):
             raise FoaToolsError(f"{args.input}: already pattern-scheduled; unpack it first")
-        raw, reorg = matrix, pack(matrix, Pattern(args.pattern))
+        raw, reorg = matrix, pack(matrix, Pattern(args.pattern or Pattern.PROPOSED))
         write_code_matrix(reorg, args.output)
     else:
         if not isinstance(matrix, ReorgMatrix):
@@ -709,8 +705,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--pattern",
         choices=[pat.value for pat in Pattern],
-        default=Pattern.PROPOSED.value,
-        help="step schedule (pack only; unpack reads it from the file header)",
+        help="step schedule (pack only, default proposed; unpack reads it from the file header)",
     )
     p.add_argument("input", help="input code matrix file")
     p.add_argument("output", help="output code matrix file")

@@ -353,7 +353,7 @@ def window_sums(slabs, n_samples: int, sample_rate: int, window=None) -> WindowS
     moments, sums, offset = [], [], 0
     for slab in slabs:
         # Frame-major, so for any slab layout einsum adds each channel-second in sample order;
-        # times 0 outside the window, so a non-finite sample there still shows in ``whole``.
+        # times 0 outside the window, so the sums are those of the clip times its 0/1 mask, signed zeros too.
         part = np.array(slab.T, order="C").T
         part[:, : max(start - offset, 0)] *= 0.0
         part[:, max(end - offset, 0) :] *= 0.0

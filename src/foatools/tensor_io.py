@@ -363,7 +363,9 @@ def _parse_wav_header(path, handle, want=None) -> WavHeader:
 
 def _wav_slabs(handle, header: WavHeader, size: int):
     """Decode the data chunk ``size`` frames at a time into float64 (channels,
-    frames) slabs that stay channel-interleaved in memory."""
+    frames) slabs that stay channel-interleaved in memory. The one finiteness
+    check of WAV input: a slab holding a non-finite sample is refused, naming
+    the file, before it is yielded."""
     handle.seek(header.offset)
     for start in range(0, header.frames, size):
         count = min(size, header.frames - start) * header.channels
@@ -374,8 +376,10 @@ def _wav_slabs(handle, header: WavHeader, size: int):
             raw = wide.view("<i4")[:, 0] >> 8
         else:
             raw = np.fromfile(handle, dtype=header.dtype, count=count)
-        with np.errstate(invalid="ignore"):  # a float32 signalling NaN; the callers check finiteness
-            samples = raw.reshape(-1, header.channels).T.astype(np.float64)
+        # Float samples only (PCM is always finite), before the cast, which a signalling NaN would flag.
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw)):
+            raise WavFormatError(f"{handle.name}: samples must be finite")
+        samples = raw.reshape(-1, header.channels).T.astype(np.float64)
         if header.scale != 1.0:
             samples /= header.scale
         yield samples
@@ -383,7 +387,7 @@ def _wav_slabs(handle, header: WavHeader, size: int):
 
 def read_wav(path, channels=None):
     """Read a RIFF/WAVE file, of ``channels`` channels if given, as one slab;
-    returns (samples (channels, frames), sample_rate)."""
+    returns (samples (channels, frames), sample_rate). A non-finite sample is refused."""
     with open(path, "rb") as handle:
         header = _parse_wav_header(path, handle, channels)
         (samples,) = _wav_slabs(handle, header, header.frames)
@@ -429,8 +433,8 @@ def read_wav_slabs(path, channels: int):
     """The one streamed WAV reader: the checked header of a ``channels``-channel
     file and ``slabs``, an iterator that decodes the data chunk in order as
     float64 (channels, frames) slabs of ``_SLAB_SECONDS`` whole seconds each,
-    the last one shorter. Iterate inside the ``with`` block; the slabs are not
-    checked for non-finite samples."""
+    the last one shorter. Iterate inside the ``with`` block; a slab holding a
+    non-finite sample is refused when it is taken."""
     with open(path, "rb") as handle:
         header = _parse_wav_header(path, handle, channels)
         yield header, _wav_slabs(handle, header, _SLAB_SECONDS * header.sample_rate)
@@ -438,30 +442,21 @@ def read_wav_slabs(path, channels: int):
 
 def read_foa_wav(path) -> FoaClip:
     """Read a 4-channel W, X, Y, Z WAV file as a clip, decoded as one slab."""
-    samples, sample_rate = read_wav(path, 4)
-    try:
-        return FoaClip(samples, sample_rate)
-    except ValueError as exc:  # a non-finite sample
-        raise WavFormatError(f"{path}: {exc}") from exc
+    return FoaClip(*read_wav(path, 4))
 
 
 def read_foa_summary(path, summarize):
     """``summarize(slabs, frames, sample_rate)`` of a 4-channel WAV file over the
-    whole-second slabs of ``read_wav_slabs``: one walk, and the float64 clip is
-    never held. Checked through the summary's ``whole`` 4x4 moment for a
-    non-finite sample anywhere in the file. The summaries are ``spatial_metrics.window_moments``,
-    ``curation.clip_stats`` and ``partial(foa.window_sums, window=...)``, whose window error names
-    the file before a sample is decoded; each is bit-identical to the one of the ``read_foa_wav`` clip."""
-    # A non-finite sample may meet a 0 in a product ("invalid"); it is refused below.
-    with read_wav_slabs(path, 4) as (header, slabs), np.errstate(invalid="ignore"):
+    whole-second slabs of ``read_wav_slabs``: one walk, which stops at the first slab
+    holding a non-finite sample, and the float64 clip is never held. The summaries are
+    ``spatial_metrics.window_moments``, ``curation.clip_stats`` and
+    ``partial(foa.window_sums, window=...)``, whose window error names the file before a
+    sample is decoded; each is bit-identical to the one of the ``read_foa_wav`` clip."""
+    with read_wav_slabs(path, 4) as (header, slabs):
         try:
-            summary = summarize(slabs, header.frames, header.sample_rate)
+            return summarize(slabs, header.frames, header.sample_rate)
         except InvalidWindowError as exc:
             raise InvalidWindowError(f"{path}: {exc}") from exc
-    # A non-finite sample makes its channel's summed square non-finite.
-    if not np.all(np.isfinite(np.diagonal(summary.whole))):
-        raise WavFormatError(f"{path}: samples must be finite")
-    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,13 @@ def write_foa_wav(clip, path, encoding="float32"):
 
 def set_float32_sample(path, index, value):
     """Overwrite sample ``index`` (frame-major) of a float32 WAV file in place;
-    the writers refuse non-finite samples, so NaN files are made this way."""
+    the writers refuse non-finite samples, so NaN files are made this way.
+    ``value`` is a float or its 4 little-endian bytes, as a float32 signalling
+    NaN does not survive a Python float."""
     blob = path.read_bytes()
     start = blob.index(b"data") + 8 + 4 * index
-    path.write_bytes(blob[:start] + struct.pack("<f", value) + blob[start + 4 :])
+    raw = value if isinstance(value, bytes) else struct.pack("<f", value)
+    path.write_bytes(blob[:start] + raw + blob[start + 4 :])
 
 
 def extensible_wav(frames, sample_rate, subformat, bits, payload):

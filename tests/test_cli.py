@@ -143,6 +143,8 @@ class TestExitCodes:
                 (["eval-spatial", "IN", "IN", "--jobs", "4"], "--jobs goes with --manifest only"),
                 (["eval-semantic", "--gen-probs", "IN", "--gt-probs", "IN", "--jobs", "1"],
                  "--jobs goes with --manifest only"),
+                (["pattern", "unpack", "--pattern", "residual_only", "IN", "OUT"],
+                 "--pattern goes with pack only; unpack reads it from the file header"),
             ]
         ],
     )
@@ -547,6 +549,9 @@ class TestPatternCommands:
         code, _, _ = run(capsys, "pattern", "unpack", packed, unpacked)
         assert code == 0
         assert raw.read_bytes() == unpacked.read_bytes()
+        default = tmp_path / "default.cmx"  # proposed is pack's default
+        assert run(capsys, "pattern", "pack", raw, default)[0] == 0
+        assert default.read_bytes() == packed.read_bytes()
 
     def test_unpack_of_raw_is_data_error(self, capsys, tmp_path):
         raw = tmp_path / "raw.cmx"

@@ -630,14 +630,17 @@ class TestWavWalker:
             except WavFormatError as exc:
                 assert samples.shape[0] != 4 or str(exc) == f"{path}: samples must be finite"
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), pytest.param(struct.pack("<I", 0x7F800001), id="signalling-nan")]
+    )
     @pytest.mark.parametrize(
         "reader",
         [
             *FOA_READERS.values(),
             *(partial(read_foa_summary, summarize=partial(window_sums, window=w)) for w in [(0, 100), (200, 300)]),
+            read_wav,
         ],
-        ids=[*FOA_READERS, "window_sums-before-the-sample", "window_sums-after-the-sample"],
+        ids=[*FOA_READERS, "window_sums-before-the-sample", "window_sums-after-the-sample", "read_wav"],
     )
     def test_non_finite_sample_names_file(self, tmp_path, reader, value):
         # Among zeros, an infinite sample makes "invalid" products, which must not warn.
@@ -645,6 +648,43 @@ class TestWavWalker:
         write_wav(np.zeros((4, 300)), 1000, path)
         set_float32_sample(path, 517, value)  # frame 129, outside both windows
         with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: samples must be finite$"):
+            reader(path)
+
+    @pytest.mark.parametrize(
+        "summarize",
+        [window_moments, clip_stats, window_sums, partial(window_sums, window=(0, 500))],
+        ids=["window_moments", "clip_stats", "window_sums", "window_sums-before-the-sample"],
+    )
+    def test_walk_stops_at_the_slab_with_a_non_finite_sample(self, tmp_path, monkeypatch, summarize):
+        # Frame 987 of 1,234 at 100 Hz lies in the tenth of thirteen one-second slabs.
+        path = tmp_path / "nan.wav"
+        write_wav(np.full((4, 1234), 0.1), 100, path)
+        set_float32_sample(path, 4 * 987 + 2, float("nan"))
+        decode, yielded = tensor_io._wav_slabs, []
+
+        def spy(handle, header, size):
+            for slab in decode(handle, header, size):
+                yielded.append(slab.shape[1])
+                yield slab
+
+        monkeypatch.setattr(tensor_io, "_wav_slabs", spy)
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: samples must be finite$"):
+            read_foa_summary(path, summarize)
+        assert yielded == [100] * 9
+
+    @pytest.mark.parametrize("kind", ["pcm16", "pcm24", "ext-pcm16", "ext-pcm24"])
+    def test_full_scale_pcm_is_never_refused(self, tmp_path, kind):
+        # Both ends of the integer range, in every channel, over three slabs.
+        bits = 24 if kind.endswith("pcm24") else 16
+        low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        ints = np.resize([low, high, 0, low, high, -1, high, low], (250, 4))
+        payload = pcm24_bytes(ints) if bits == 24 else ints.astype("<i2").tobytes()
+        path = tmp_path / "full.wav"
+        path.write_bytes(riff((b"fmt ", fmt_body(kind, 4, 100)), (b"data", payload)))
+        samples, _ = read_wav(path)
+        assert np.array_equal(samples, ints.T / high)
+        assert (samples.min(), samples.max()) == (low / high, 1.0)
+        for reader in FOA_READERS.values():
             reader(path)
 
 
@@ -706,3 +746,22 @@ def test_tensor_io_imports_no_metric_module():
             module = (node.module or "").removeprefix("foatools").lstrip(".")
             imported |= {module.split(".")[0]} if module else {a.name for a in node.names}
     assert imported <= {"code_pattern", "errors", "foa"}
+
+
+def test_wav_samples_are_checked_in_one_place():
+    # The slab decoder refuses a non-finite sample before its cast, so the format layer
+    # needs no numpy error state, and the CLI checks no sample itself.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "foatools"
+
+    def numpy_names(module):
+        """Every ``np.<name>`` a module uses, and every name it imports from numpy."""
+        found = set()
+        for node in ast.walk(ast.parse((package / module).read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np":
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found |= {alias.name for alias in node.names}
+        return found
+
+    assert "isfinite" in numpy_names("tensor_io.py") and "errstate" not in numpy_names("tensor_io.py")
+    assert "isfinite" not in numpy_names("cli.py")
