@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoEnergyError
-from .foa import Direction, EnergyMap, SphereGrid, block_moments, power_maps
+from .foa import Direction, EnergyMap, SphereGrid, block_moments, power_maps, second_sums
 
 DEFAULT_AMPLITUDE_FLOOR = 1e-20
 
@@ -50,15 +50,12 @@ def clip_stats(slabs, n_samples: int, sample_rate: int) -> ClipStats:
     abs_means, w_squares, moments = [], [], []
     for slab in slabs:
         k = slab.shape[1] // sample_rate
-        # |x| frame-major, so for any slab layout einsum adds each channel-second in sample order.
-        magnitudes = np.abs(slab[:, : k * sample_rate], out=np.empty((k * sample_rate, 4)).T)
-        abs_means.append(np.einsum("ckt->ck", magnitudes.reshape(4, k, sample_rate)) / sample_rate)
-        del magnitudes  # freed before the moments are taken: one slab-sized buffer at a time
+        abs_means.append(second_sums(np.abs(slab[:, : k * sample_rate]).reshape(4, k, sample_rate)).T / sample_rate)
         w_squares.append((slab[0, : k * sample_rate].reshape(k, sample_rate) ** 2).mean(axis=1))
         moments.append(block_moments(slab, sample_rate))
     tail = slab[:, moments[-1].shape[0] * sample_rate :]
     # The whole seconds in order, then the tail: the same sum however the clip was cut.
-    whole = np.concatenate(moments).sum(axis=0) + tail @ tail.T
+    whole = np.concatenate(moments).sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
     return ClipStats(n_samples, np.concatenate(abs_means, axis=1), np.concatenate(w_squares), whole)
 
 

@@ -322,13 +322,17 @@ def _resolve_window(window, n_samples: int) -> tuple:
 
 
 def block_moments(samples: np.ndarray, length: int) -> np.ndarray:
-    """Summed 4x4 second moments of each whole ``length``-sample block of
-    ``samples`` (4, L), as (n_blocks, 4, 4). The blocks are a strided view,
-    so neither memory layout is copied."""
-    n_blocks = samples.shape[1] // length
-    row, col = samples.strides
-    blocks = np.lib.stride_tricks.as_strided(samples, (n_blocks, 4, length), (col * length, row, col))
-    return blocks @ blocks.transpose(0, 2, 1)
+    """Summed 4x4 second moments of each whole ``length``-sample block of ``samples`` (4, L),
+    as (n_blocks, 4, 4): exactly symmetric, the same bits for any layout. A block of the
+    channel-major rows (other layouts are copied) times its X, Y, Z rows is one 4x3 gemm,
+    not OpenBLAS's 2-5x slower syrk; W.W is a (2,K)@(K,1) gemv, as a ddot's bits vary with threads."""
+    samples = np.ascontiguousarray(samples)
+    blocks = samples[:, : samples.shape[1] // length * length].reshape(4, -1, length).transpose(1, 0, 2)
+    moments = np.empty((len(blocks), 4, 4))
+    np.matmul(blocks, blocks[:, 1:].transpose(0, 2, 1), out=moments[:, :, 1:])
+    moments[:, 0, 0] = (blocks[:, :2] @ blocks[:, 0, :, None])[:, 0, 0]
+    moments[:, [1, 2, 3, 2, 3, 3], [0, 0, 0, 1, 1, 2]] = moments[:, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]]
+    return moments
 
 
 def power_maps(grid: SphereGrid, moments: np.ndarray) -> np.ndarray:
@@ -336,6 +340,11 @@ def power_maps(grid: SphereGrid, moments: np.ndarray) -> np.ndarray:
     (n, 4, 4): one (1, 16) @ (16, cells) product per row gives (n, cells), so a
     row's rounding, unlike in one (n, 16) product, does not depend on the stack."""
     return np.maximum((moments.reshape(-1, 1, 16) @ grid.quadratic_features)[:, 0], 0.0)
+
+
+def second_sums(seconds: np.ndarray) -> np.ndarray:
+    """Sums (k, 4) over t of ``seconds`` (4, k, t) in sample order, any layout (einsum's own order blocks a contiguous t)."""
+    return np.einsum("ckt->kc", seconds, order="F", out=np.empty(seconds.shape[1::-1]))
 
 
 # What a map reads of a clip over its ``window`` (start, end): the samples'
@@ -351,19 +360,19 @@ def window_sums(slabs, n_samples: int, sample_rate: int, window=None) -> WindowS
     the slabs end, and with no window ``whole`` is ``curation.clip_stats``'s."""
     start, end = _resolve_window(window, n_samples)
     moments, sums, offset = [], [], 0
-    for slab in slabs:
-        # Frame-major, so for any slab layout einsum adds each channel-second in sample order;
-        # times 0 outside the window, so the sums are those of the clip times its 0/1 mask, signed zeros too.
-        part = np.array(slab.T, order="C").T
-        part[:, : max(start - offset, 0)] *= 0.0
-        part[:, max(end - offset, 0) :] *= 0.0
-        offset += slab.shape[1]
+    for part in slabs:
+        if offset < start or end < offset + part.shape[1]:
+            # Times 0 outside the window, so the sums are those of the clip times its 0/1 mask, signed zeros too.
+            part = np.array(part, order="C")
+            part[:, : max(start - offset, 0)] *= 0.0
+            part[:, max(end - offset, 0) :] *= 0.0
+        offset += part.shape[1]
         k = part.shape[1] // sample_rate
         moments.append(block_moments(part, sample_rate))
-        sums.append(np.einsum("ckt->kc", part[:, : k * sample_rate].reshape(4, k, sample_rate)))
+        sums.append(second_sums(part[:, : k * sample_rate].reshape(4, k, sample_rate)))
     tail = part[:, k * sample_rate :]
-    whole = np.concatenate(moments).sum(axis=0) + tail @ tail.T
-    return WindowSums((start, end), whole, np.concatenate(sums).sum(axis=0) + np.einsum("ct->c", tail))
+    whole = np.concatenate(moments).sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
+    return WindowSums((start, end), whole, np.concatenate(sums).sum(axis=0) + second_sums(tail[:, None])[0])
 
 
 def energy_map(

@@ -167,7 +167,7 @@ def window_moments(slabs, n_samples: int, sample_rate: int) -> WindowMoments:
     blocks = np.concatenate(blocks)
     if not split:  # five 200 ms blocks make a second
         seconds = [blocks[: 5 * (n_samples // sample_rate)].reshape(-1, 5, 4, 4).sum(axis=1)]
-    whole = blocks.sum(axis=0) + tail @ tail.T
+    whole = blocks.sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
     return WindowMoments(n_samples, sample_rate, whole, np.concatenate(seconds), blocks)
 
 

@@ -158,6 +158,21 @@ def nearest_cell_bruteforce(grid, direction):
     return best
 
 
+def block_moments_bruteforce(samples, length):
+    """Summed 4x4 second moment of each whole ``length``-sample block: the
+    outer products of the block's (W, X, Y, Z) sample columns, each entry's
+    products summed with ``math.fsum``, so only the products round."""
+    x = np.asarray(samples, dtype=np.float64)
+    moments = np.zeros((x.shape[1] // length, 4, 4))
+    for b, moment in enumerate(moments):
+        columns = x[:, b * length : (b + 1) * length]
+        products = [np.outer(column, column) for column in columns.T]
+        for i in range(4):
+            for j in range(4):
+                moment[i, j] = math.fsum(p[i, j] for p in products)
+    return moments
+
+
 def energy_map_bruteforce(clip, grid, window=None, mode="power"):
     """Per-cell energies by decoding at every cell, one cell at a time."""
     start, end = window if window is not None else (0, clip.n_samples)

@@ -66,7 +66,7 @@ class TestClipStatsOrder:
         # blocked sum would change bits that float32 or PCM payloads cannot.
         rng = np.random.default_rng(seed)
         x = rng.choice([-1.0, 1.0], size=(4, frames)) * np.exp(rng.uniform(-40.0, 5.0, size=(4, frames)))
-        # C-contiguous, and channel-interleaved as the WAV readers decode it.
+        # Channel-major as the WAV readers decode it, and a caller's channel-interleaved array.
         for samples in (x, np.asfortranarray(x)):
             clip = FoaClip(samples, rate)
             want, _ = curation_stats_oracle(clip)

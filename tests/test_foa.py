@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foatools
 from foatools import (
     Direction,
     EnergyMap,
@@ -19,8 +24,9 @@ from foatools import (
 )
 from foatools.curation import clip_stats
 from foatools.errors import InvalidRotationError, InvalidWindowError
-from foatools.foa import ENERGY_MODES, power_maps, window_sums
+from foatools.foa import ENERGY_MODES, block_moments, power_maps, window_sums
 from helpers import (
+    block_moments_bruteforce,
     encoded_noise,
     energy_map_bruteforce,
     grid_cells,
@@ -223,6 +229,70 @@ class TestSphereGrid:
     def test_equality_is_by_resolution(self):
         assert SphereGrid(8, 16) == SphereGrid(8, 16)
         assert SphereGrid(8, 16) != SphereGrid(8, 17)
+
+
+class TestBlockMoments:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        length=st.integers(1, 40),
+        per_slab=st.integers(1, 5),
+        slabs=st.integers(1, 4),
+        tail=st.integers(0, 60),
+        offset=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_for_any_layout_and_cut(self, length, per_slab, slabs, tail, offset, seed):
+        # Samples over 17 octaves, so a sum taken in another order shows.
+        rng = np.random.default_rng(seed)
+        rate = per_slab * length  # one decoder slab of whole blocks
+        frames = slabs * rate + tail
+        x = rng.normal(size=(4, frames)) * np.exp(rng.uniform(-6, 6, size=(4, frames)))
+        want = block_moments(x, length)
+        padded = np.zeros((6, frames + offset + 3))
+        padded[1:5, offset : offset + frames] = x
+        spaced = np.zeros((4, 2 * frames))
+        spaced[:, ::2] = x
+        # Channel-interleaved (Fortran order), an offset view with a longer row, every other column.
+        for samples in (np.asfortranarray(x), padded[1:5, offset : offset + frames], spaced[:, ::2]):
+            assert np.array_equal(block_moments(samples, length), want)
+        # Each slab fresh in memory, as the WAV decoder yields it.
+        cut = [block_moments(np.array(x[:, s * rate : (s + 1) * rate]), length) for s in range(slabs)]
+        assert np.array_equal(np.concatenate(cut), want[: slabs * per_slab])
+        assert np.array_equal(want, want.transpose(0, 2, 1))
+        # Relative to sqrt(M_ii M_jj), which bounds |M_ij| and the sum of its |products|.
+        oracle = block_moments_bruteforce(x, length)
+        scale = np.sqrt(np.einsum("bii,bjj->bij", oracle, oracle))
+        assert np.all(np.abs(want - oracle) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("rate, length", [(44100, 8820), (44100, 44100), (44101, 44101)])
+    def test_second_slabs_give_the_clips_bits_at_audio_rates(self, rate, length):
+        # Rows as long as the decoder's: how a dot product blocks its sum can depend on length and alignment.
+        x = np.random.default_rng(rate).normal(size=(4, 3 * rate + 5))
+        cut = [block_moments(np.array(x[:, s * rate : (s + 1) * rate]), length) for s in range(3)]
+        assert np.array_equal(np.concatenate(cut), block_moments(x, length)[: 3 * rate // length])
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        # OpenBLAS splits a long ddot over its threads, which changes its bits; the conftest
+        # only sets a default thread count, so each run here sets its own.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from foatools.foa import block_moments\n"
+            "x = np.random.default_rng(5).normal(size=(4, 60 * 44100))\n"
+            "moments = [block_moments(x, length) for length in (8820, 44100, x.shape[1])]\n"
+            "print(hashlib.sha256(b''.join(m.tobytes() for m in moments)).hexdigest())\n"
+        )
+        path = str(pathlib.Path(foatools.__file__).parents[1])
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(runs[0]) == 65 and runs[0] == runs[1]
 
 
 class TestEnergyMap:

@@ -424,7 +424,7 @@ def moments_oracle(samples, rate):
     n, length = samples.shape[1], max(1, rate // 5)
     blocks = block_moments(samples, length)
     tail = samples[:, blocks.shape[0] * length :]
-    whole = blocks.sum(axis=0) + tail @ tail.T
+    whole = blocks.sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
     if rate % 5:
         return whole, block_moments(samples, rate), blocks
     return whole, blocks[: 5 * (n // rate)].reshape(-1, 5, 4, 4).sum(axis=1), blocks
@@ -467,6 +467,19 @@ HEADER_MUTATIONS = [
 
 
 class TestWavWalker:
+    @pytest.mark.parametrize("kind", WAV_KINDS)
+    def test_readers_decode_channel_major_float64(self, tmp_path, kind):
+        # Channel-major rows are what block_moments runs its gemm on without a copy.
+        path = tmp_path / "clip.wav"
+        payload = random_payload(np.random.default_rng(7), kind, 25)
+        path.write_bytes(riff((b"fmt ", fmt_body(kind, 4, 10)), (b"data", payload)))
+        samples, _ = read_wav(path)
+        with read_wav_slabs(path, 4) as (_, slabs):
+            decoded = [samples, *slabs]
+        assert len(decoded) == 4
+        for got in decoded:
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+
     @settings(max_examples=120, deadline=None)
     @given(
         kind=st.sampled_from(WAV_KINDS),
