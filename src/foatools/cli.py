@@ -10,7 +10,7 @@ partial files behind. A manifest run writes one row per record, in input
 order: a record that fails a data check gets an ``error`` row and the run
 exits 2, but every good row is still written and the output file is complete.
 ``--jobs N`` maps records on min(N, records) forked processes (fork-with-threads
-caveats apply); ``--jobs 1`` runs them on one worker thread of this process.
+caveats apply); ``--jobs 1`` runs them in order in the calling thread.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
@@ -281,7 +280,7 @@ def _row_or_error(one, keys, record):
 
 
 def _run_manifest(args, one, summarize, required, optional=()) -> int:
-    """Write ``one(record)`` for every record: on ``min(args.jobs, records)`` forked processes, or one thread.
+    """Write ``one(record)`` for every record: on ``min(args.jobs, records)`` forked processes, or inline.
 
     A record that raises a data error gets the row ``{<its path keys>, "error"}``.
     ``summarize(records, rows)`` may complete the rows or raise before the write,
@@ -294,15 +293,14 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
     records = _load_manifest(args.manifest, required, optional)
     summarize(records, ())
     workers = min(args.jobs or 1, len(records))
-    if workers > 1:
-        # Imported here, as their ~23 ms import would slow every command's start.
+    row_of = partial(_row_or_error, one, (*required, *optional))
+    if workers == 1:  # in the calling thread, as a worker thread would only add its start and hand-off
+        rows, messages = zip(*map(row_of, records))
+    else:  # imported here, as their ~23 ms import would slow every command's start
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-    else:  # a thread, as glibc page-faults about 3x more on the main thread (README, Manifests)
-        pool = ThreadPoolExecutor(max_workers=1)
-    with pool:
-        rows, messages = zip(*pool.map(partial(_row_or_error, one, (*required, *optional)), records))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            rows, messages = zip(*pool.map(row_of, records))
     failed = [message for message in messages if message is not None]
     summary = summarize(records, rows)
     lines = [json.dumps({"schema_version": SCHEMA_VERSION, **row}, sort_keys=True) for row in rows]

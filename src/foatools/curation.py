@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoEnergyError
-from .foa import Direction, EnergyMap, SphereGrid, block_moments, power_maps, second_sums
+from .foa import Direction, SphereGrid, WindowSums, energy_map, second_sums, walk_moments
 
 DEFAULT_AMPLITUDE_FLOOR = 1e-20
 
@@ -46,16 +46,12 @@ ClipStats = namedtuple("ClipStats", "n_samples abs_means w_squares whole")
 
 def clip_stats(slabs, n_samples: int, sample_rate: int) -> ClipStats:
     """The ClipStats of a clip that ``slabs`` yields in order as (4, frames)
-    slabs of whole seconds, the last one shorter."""
-    abs_means, w_squares, moments = [], [], []
-    for slab in slabs:
+    slabs of whole seconds, the last one shorter; ``whole`` is ``foa.walk_moments``'."""
+    abs_means, w_squares = [], []
+    for slab, whole in walk_moments(slabs, sample_rate):
         k = slab.shape[1] // sample_rate
         abs_means.append(second_sums(np.abs(slab[:, : k * sample_rate]).reshape(4, k, sample_rate)).T / sample_rate)
         w_squares.append((slab[0, : k * sample_rate].reshape(k, sample_rate) ** 2).mean(axis=1))
-        moments.append(block_moments(slab, sample_rate))
-    tail = slab[:, moments[-1].shape[0] * sample_rate :]
-    # The whole seconds in order, then the tail: the same sum however the clip was cut.
-    whole = np.concatenate(moments).sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
     return ClipStats(n_samples, np.concatenate(abs_means, axis=1), np.concatenate(w_squares), whole)
 
 
@@ -104,7 +100,7 @@ def fov_center(clip, grid: SphereGrid) -> Direction:
     Exact ties resolve to the lowest (elevation band, azimuth index) cell.
     """
     n, _, _, whole = _stats(clip)
-    emap = EnergyMap(grid, power_maps(grid, whole[None] / n)[0], (0, n))
+    emap = energy_map(WindowSums((0, n), whole, None), grid)
     if emap.values.max() <= 0.0:
         raise NoEnergyError("clip carries no energy; argmax direction undefined")
     return grid.direction(emap.argmax_cell())

@@ -343,8 +343,9 @@ def power_maps(grid: SphereGrid, moments: np.ndarray) -> np.ndarray:
 
 
 def second_sums(seconds: np.ndarray) -> np.ndarray:
-    """Sums (k, 4) over t of ``seconds`` (4, k, t) in sample order, any layout (einsum's own order blocks a contiguous t)."""
-    return np.einsum("ckt->kc", seconds, order="F", out=np.empty(seconds.shape[1::-1]))
+    """Sums (k, 4) over t of ``seconds`` (4, k, t) in sample order, any layout (einsum's own order blocks a contiguous t).
+    An empty stack drops its t axis first, as einsum steps along t even when there are no seconds to sum."""
+    return np.einsum("ckt->kc", seconds if seconds.size else seconds[..., :0], order="F", out=np.empty(seconds.shape[1::-1]))
 
 
 # What a map reads of a clip over its ``window`` (start, end): the samples'
@@ -352,27 +353,37 @@ def second_sums(seconds: np.ndarray) -> np.ndarray:
 WindowSums = namedtuple("WindowSums", "window whole sums")
 
 
+def walk_moments(slabs, length: int, start=0, end=math.inf):
+    """Yield each (4, frames) slab of ``slabs`` with the ``block_moments`` of its whole ``length``-sample blocks, counted
+    from the clip start (a block cut at a slab's end joins the next slab), then the leftover samples and the whole moment:
+    the blocks in order, then the leftover, the same sum however the clip was cut. Samples outside ``[start, end)`` are
+    multiplied by 0; a slab wholly outside is skipped. The leftover is a copy: no slab is viewed once the next is taken."""
+    moments, tail, offset = [], np.zeros((4, 0)), 0
+    for slab in slabs:
+        lo, offset = offset, offset + slab.shape[1]
+        if offset <= start or end <= lo:  # zeros before the window still set where the next block starts
+            tail = np.zeros((4, offset % length)) if offset <= start else tail
+            continue
+        if lo < start or end < offset:  # a copy, times 1 inside the window and 0 outside
+            slab = slab * ((start <= np.arange(lo, offset)) & (np.arange(lo, offset) < end))
+        joined = np.concatenate([tail, slab], axis=1) if tail.shape[1] else slab
+        moments.append(block_moments(joined, length))
+        tail = joined[:, len(moments[-1]) * length :].copy()
+        yield slab, moments[-1]
+    yield tail, np.concatenate(moments).sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
+
+
 def window_sums(slabs, n_samples: int, sample_rate: int, window=None) -> WindowSums:
-    """The WindowSums of a clip that ``slabs`` yields in order as (4, frames)
-    slabs of whole seconds, the last one shorter; the window is checked before
-    a slab is taken. Samples outside the window count as 0, and each whole
-    second is added in order, then the tail, so the sums do not depend on where
-    the slabs end, and with no window ``whole`` is ``curation.clip_stats``'s."""
+    """The WindowSums of a clip that ``slabs`` yields in order as (4, frames) slabs of whole seconds, the last one
+    shorter; the window is checked before a slab is taken. ``whole`` is ``walk_moments``' over seconds (with no window,
+    ``curation.clip_stats``'s); the channel sums add the seconds in order, then the leftover: both sum the clip times
+    its 0/1 window mask, but for the sign of an exact-zero sum: sequential adds of a skipped slab's zeros could move it."""
     start, end = _resolve_window(window, n_samples)
-    moments, sums, offset = [], [], 0
-    for part in slabs:
-        if offset < start or end < offset + part.shape[1]:
-            # Times 0 outside the window, so the sums are those of the clip times its 0/1 mask, signed zeros too.
-            part = np.array(part, order="C")
-            part[:, : max(start - offset, 0)] *= 0.0
-            part[:, max(end - offset, 0) :] *= 0.0
-        offset += part.shape[1]
+    sums = []
+    for part, whole in walk_moments(slabs, sample_rate, start, end):
         k = part.shape[1] // sample_rate
-        moments.append(block_moments(part, sample_rate))
         sums.append(second_sums(part[:, : k * sample_rate].reshape(4, k, sample_rate)))
-    tail = part[:, k * sample_rate :]
-    whole = np.concatenate(moments).sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
-    return WindowSums((start, end), whole, np.concatenate(sums).sum(axis=0) + second_sums(tail[:, None])[0])
+    return WindowSums((start, end), whole, np.concatenate(sums).sum(axis=0) + second_sums(part[:, None])[0])
 
 
 def energy_map(

@@ -21,7 +21,7 @@ from .errors import (
     NoUsableWindowsError,
     UndefinedMetricError,
 )
-from .foa import EnergyMap, SphereGrid, block_moments, power_maps
+from .foa import EnergyMap, SphereGrid, block_moments, power_maps, walk_moments
 
 GRANULARITIES = ("all", "1fps", "5fps")
 
@@ -151,24 +151,19 @@ WindowMoments = namedtuple("WindowMoments", "n_samples sample_rate whole seconds
 
 
 def window_moments(slabs, n_samples: int, sample_rate: int) -> WindowMoments:
-    """Window moments of a clip that ``slabs`` yields in order as (4, frames)
-    slabs of whole seconds, the last one shorter, walked once. The whole clip
-    sums the 200 ms blocks, then the tail; 1000 ms windows add five blocks
-    when the rate divides by 5. Else each slab's seconds are taken as they
-    come, and the partial block at a slab's end is joined to the next slab."""
+    """Window moments of a clip that ``slabs`` yields in order as (4, frames) slabs of whole seconds,
+    the last one shorter, walked once by ``foa.walk_moments`` in 200 ms blocks. 1000 ms windows add
+    five blocks when the rate divides by 5; else each slab's seconds are taken as they come."""
     length, split = max(1, sample_rate // 5), sample_rate % 5
-    blocks, seconds, tail = [], [], np.zeros((4, 0))
-    for slab in slabs:
+    walked, seconds = [], []
+    for slab, moments in walk_moments(slabs, length):
+        walked.append(moments)
         if split:
             seconds.append(block_moments(slab, sample_rate))
-            slab = np.concatenate([tail, slab], axis=1)
-        blocks.append(block_moments(slab, length))
-        tail = slab[:, blocks[-1].shape[0] * length :]
-    blocks = np.concatenate(blocks)
+    blocks = np.concatenate(walked[:-1])  # the last item is the whole moment
     if not split:  # five 200 ms blocks make a second
         seconds = [blocks[: 5 * (n_samples // sample_rate)].reshape(-1, 5, 4, 4).sum(axis=1)]
-    whole = blocks.sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
-    return WindowMoments(n_samples, sample_rate, whole, np.concatenate(seconds), blocks)
+    return WindowMoments(n_samples, sample_rate, walked[-1], np.concatenate(seconds), blocks)
 
 
 def evaluate_windows(

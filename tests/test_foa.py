@@ -24,7 +24,7 @@ from foatools import (
 )
 from foatools.curation import clip_stats
 from foatools.errors import InvalidRotationError, InvalidWindowError
-from foatools.foa import ENERGY_MODES, block_moments, power_maps, window_sums
+from foatools.foa import ENERGY_MODES, block_moments, power_maps, walk_moments, window_sums
 from helpers import (
     block_moments_bruteforce,
     encoded_noise,
@@ -371,6 +371,32 @@ class TestEnergyMap:
             if part.size:
                 want = want + np.cumsum(part, axis=1)[:, -1]
         assert np.array_equal(got.sums, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        length=st.integers(1, 9),
+        frames=st.integers(1, 120),
+        cuts=st.lists(st.integers(0, 25), max_size=12),
+        edges=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walk_moments_does_not_depend_on_the_cuts(self, length, frames, cuts, edges, seed):
+        # Slabs of any width, empty ones too, so blocks straddle slab edges and skipped slabs.
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(4, frames)) * np.exp(rng.uniform(-10, 8, size=(4, frames)))
+        bounds = [0, *(int(end) for end in np.cumsum(cuts) if end < frames), frames]
+        start = edges[0] % frames
+        window = (start, start + 1 + edges[1] % (frames - start))
+        for limits in ((), window):
+            *one, (leftover, whole) = walk_moments([samples], length, *limits)
+            *cut, (cut_leftover, cut_whole) = walk_moments(
+                (samples[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])), length, *limits
+            )
+            assert np.array_equal(cut_whole, whole)
+            if not limits:  # every slab is yielded as it came, with the blocks that end in it
+                assert np.array_equal(cut_leftover, leftover)
+                assert np.array_equal(np.concatenate([m for _, m in cut]), one[0][1])
+                assert np.array_equal(np.concatenate([s for s, _ in cut], axis=1), samples)
 
     def test_argmax_is_nearest_cell(self):
         rng = np.random.default_rng(10)

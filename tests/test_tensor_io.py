@@ -19,6 +19,7 @@ from foatools import (
     Pattern,
     SphereGrid,
     amplitude_gate,
+    foa,
     fov_center,
     pack,
     segment_mask,
@@ -582,24 +583,40 @@ class TestWavWalker:
         [window_moments, clip_stats, window_sums, "across", "tail"],
         ids=["window_moments", "clip_stats", "window_sums", "window_sums-across", "window_sums-tail"],
     )
-    @pytest.mark.parametrize("rate", [7, 44101])
+    @pytest.mark.parametrize("rate", [7, 44100, 44101])
     def test_each_file_is_decoded_once(self, tmp_path, monkeypatch, summarize, rate):
         # Windows across two slab edges, and from the third second into the two-frame tail.
         windows = {"across": (rate // 2, 2 * rate + 1), "tail": (2 * rate + 3, 3 * rate + 1)}
-        if summarize in windows:
-            summarize = partial(window_sums, window=windows[summarize])
+        window = windows.get(summarize)
+        if window:
+            summarize = partial(window_sums, window=window)
         path = tmp_path / "clip.wav"
         write_wav(np.random.default_rng(rate).normal(size=(4, 3 * rate + 2)), rate, path)
-        decode, walks = tensor_io._wav_slabs, []
+        want = summarize([read_foa_wav(path).samples], 3 * rate + 2, rate)
+        decode, walks, kernel_inputs = tensor_io._wav_slabs, [], []
 
-        def spy(handle, header, size):
+        def reusing(handle, header, size):
+            # A decoder that reuses its buffer: the slab it yielded last turns to NaN when
+            # the next is taken, so a summary that keeps a view of it past that point shows.
             walks.append(size)
-            return decode(handle, header, size)
+            previous = None
+            for slab in decode(handle, header, size):
+                if previous is not None:
+                    previous.fill(np.nan)
+                yield slab
+                previous = slab
 
-        monkeypatch.setattr(tensor_io, "_wav_slabs", spy)
+        def spy(samples, length):
+            kernel_inputs.append(np.array(samples))
+            return block_moments(samples, length)
+
+        monkeypatch.setattr(tensor_io, "_wav_slabs", reusing)
+        monkeypatch.setattr(foa, "block_moments", spy)
         summary = read_foa_summary(path, summarize)
         assert walks == [rate]  # one walk, one second per slab
-        assert np.array_equal(summary.whole, summarize([read_foa_wav(path).samples], 3 * rate + 2, rate).whole)
+        assert all(np.array_equal(got, expected) for got, expected in zip(summary, want, strict=True))
+        if window:  # a slab wholly outside the window never reaches the moment kernel, which would see only zeros
+            assert all(np.any(samples) for samples in kernel_inputs if samples.size)
 
     @pytest.mark.parametrize("name, mutate", HEADER_MUTATIONS, ids=[m[0] for m in HEADER_MUTATIONS])
     def test_header_errors_agree_across_readers(self, tmp_path, capsys, name, mutate):
@@ -759,6 +776,33 @@ def test_tensor_io_imports_no_metric_module():
             module = (node.module or "").removeprefix("foatools").lstrip(".")
             imported |= {module.split(".")[0]} if module else {a.name for a in node.names}
     assert imported <= {"code_pattern", "errors", "foa"}
+
+
+def test_summaries_leave_the_slab_walk_to_walk_moments():
+    # foa.walk_moments alone joins, masks and skips slabs and adds up the whole moment, so a
+    # summary that takes block moments of its own would keep a second copy of that rule.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "foatools"
+    modules = ("curation.py", "foa.py", "spatial_metrics.py")
+    trees = {module: ast.parse((package / module).read_text()) for module in modules}
+
+    def calls(tree, name):
+        """(enclosing function, source) of every call of ``name`` in a module."""
+        return [
+            (function.name, ast.unparse(call))
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+
+    assert calls(trees["curation.py"], "block_moments") == []
+    # The one call left: per-slab 1000 ms moments, under ``if split:`` (the rate does not divide by 5).
+    assert calls(trees["spatial_metrics.py"], "block_moments") == [("window_moments", "block_moments(slab, sample_rate)")]
+    branches = [node for node in ast.walk(trees["spatial_metrics.py"]) if isinstance(node, ast.If)]
+    (branch,) = [node for node in branches if ast.unparse(node.test) == "split"]
+    assert "block_moments(slab, sample_rate)" in ast.unparse(branch.body)
+    for module, summary in zip(modules, ("clip_stats", "window_sums", "window_moments")):
+        assert [function for function, _ in calls(trees[module], "walk_moments")] == [summary]
 
 
 def test_wav_samples_are_checked_in_one_place():
