@@ -18,8 +18,9 @@ Code matrix file
 
 WAV
     Canonical RIFF/WAVE with a single data chunk, channels interleaved
-    frame-major. 16-bit PCM (format 1, scaled by 32767), 24-bit PCM (read
-    only, scaled by 8388607) and 32-bit float (format 3) are supported, also
+    frame-major. 16-bit PCM (format 1, scaled by 32767) and 32-bit float
+    (format 3) are supported; 24-bit PCM (scaled by 8388607), 32-bit PCM
+    (scaled by 2147483647) and 64-bit float are read only. All are read also
     as WAVE_FORMAT_EXTENSIBLE (0xFFFE) with a PCM or IEEE-float subformat
     GUID; ambisonic files carry 4 channels in W, X, Y, Z order. Readers skip
     other chunks and use the first data chunk.
@@ -77,7 +78,8 @@ WAV_ENCODINGS = tuple(_WAV_ENCODINGS)
 _PCM_SCALE = 32767.0
 # (format tag, bits per sample) -> sample dtype and the scale that maps it to [-1, 1];
 # numpy has no 24-bit dtype, so "<i3" is widened to int32 by the slab decoder.
-_WAV_DTYPES = {(1, 16): ("<i2", _PCM_SCALE), (1, 24): ("<i3", 8388607.0), (3, 32): ("<f4", 1.0)}
+_WAV_DTYPES = {(1, 16): ("<i2", _PCM_SCALE), (1, 24): ("<i3", 8388607.0), (1, 32): ("<i4", 2147483647.0),
+               (3, 32): ("<f4", 1.0), (3, 64): ("<f8", 1.0)}
 _WAVE_EXTENSIBLE = 0xFFFE
 # The PCM and IEEE-float subformat GUIDs of WAVE_FORMAT_EXTENSIBLE, as stored.
 _SUBFORMATS = {struct.pack("<IHH", t, 0, 0x10) + bytes.fromhex("800000aa00389b71"): t for t in (1, 3)}
@@ -344,7 +346,7 @@ def _parse_wav_header(path, handle, want=None) -> WavHeader:
     if (fmt_tag, bits) not in _WAV_DTYPES:
         raise WavFormatError(
             f"{path}: unsupported format tag {fmt_tag} with {bits} bits "
-            "(need 16- or 24-bit PCM or 32-bit float)"
+            "(need 16-, 24- or 32-bit PCM or 32- or 64-bit float)"
         )
     start, size = data
     if block_align != channels * bits // 8:

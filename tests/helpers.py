@@ -301,6 +301,46 @@ def auc_rows_whole(gen, gt, weights, percentile):
     return np.where(ok, np.clip(area / np.where(ok, total, 1.0), 0.0, 1.0), np.nan)
 
 
+# ``spatial_metrics.auc_rows`` as it was before its threshold came from a top-k selection:
+# one full argsort and cumsum per row and the tie-group pass on every row. The new form keeps its bits.
+def auc_rows_sorted(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray, percentile: float) -> np.ndarray:
+    """ROC AUC of each row pair of (n, cells) maps, as ``auc`` defines it.
+
+    A row whose reference map gives no fixation split (a constant map
+    among them) reads NaN. Neither sort needs to be stable: tied gt values
+    fall on one side of the threshold, and tied gen scores share one ROC
+    segment. As in ``correlation_rows``, no row depends on the other rows.
+    """
+    if not 0.0 < percentile < 100.0:
+        raise ValueError("fixation_percentile must lie in (0, 100)")
+    n_rows, n_cells = gt.shape
+    rows = np.arange(n_rows)
+    # Threshold: the smallest gt value whose weighted CDF reaches q/100.
+    order = np.argsort(gt, axis=1)
+    cdf = np.cumsum(weights[order], axis=1)
+    cdf /= cdf[:, -1:]
+    idx = np.minimum(np.sum(cdf < percentile / 100.0, axis=1), n_cells - 1)
+    positive = gt >= gt[rows, order[rows, idx]][:, None]
+    total = np.sum(positive * weights, axis=1) * np.sum(~positive * weights, axis=1)
+
+    # ROC over descending gen scores. Each negative cell counts the positive
+    # weight ranked above its tie group plus half of the group's own, which
+    # is the trapezoid of the group's segment.
+    order = np.argsort(-gen, axis=1)
+    flat = order + (rows * n_cells)[:, None]
+    scores = gen.take(flat)
+    w_sorted = weights[order]
+    pos = np.where(positive.take(flat), w_sorted, 0.0)
+    tp = np.cumsum(pos, axis=1)
+    starts = np.diff(scores, axis=1, prepend=np.inf) != 0.0
+    ends = np.roll(starts, -1, axis=1)
+    above = np.maximum.accumulate(np.where(starts, tp - pos, 0.0), axis=1)
+    through = np.minimum.accumulate(np.where(ends, tp, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    area = np.sum((w_sorted - pos) * (above + through), axis=1) / 2.0
+    ok = total > 0.0
+    return np.where(ok, np.clip(area / np.where(ok, total, 1.0), 0.0, 1.0), np.nan)
+
+
 def evaluate_windows_whole(gen, gt, grid, percentile=95.0):
     """The windowed evaluation over whole-clip (windows x cells) map arrays:
     one (windows, 16) @ (16, cells) product per clip, then CC and AUC over

@@ -28,6 +28,7 @@ from foatools.errors import (
 )
 from helpers import (
     auc_bruteforce,
+    auc_rows_sorted,
     encoded_noise,
     evaluate_windows_bruteforce,
     evaluate_windows_whole,
@@ -452,3 +453,82 @@ class TestBlockedWindows:
                 evaluate_windows(clip, clip, GRID, fixation_percentile=100.0)
             with pytest.raises(ValueError, match="fixation_percentile"):
                 evaluate_windows(*noise_pair(27, 50, 200, False), GRID, fixation_percentile=100.0)
+
+
+# Equal-weight rows whose weighted CDF lands one ulp above q (20, 40 and 60 cells at
+# 95) or exactly on it (100 cells at 95, 4 cells at 75), by (cells, percentile), at
+# weights of 1 / cells. At weights of 0.7 (60 cells) and 1/3 (100 cells) the full sort's
+# CDF and the top cells' CDF at 95 round to opposite sides of q.
+NEAR_Q_ROWS = [(20, 95.0), (40, 95.0), (60, 95.0), (100, 95.0), (4, 75.0)]
+
+
+def full_sort_calls():
+    """A patch that counts the calls to ``auc_rows``' full-sort threshold and passes them on."""
+    return mock.patch.object(spatial_metrics, "_sorted_thresholds", wraps=spatial_metrics._sorted_thresholds)
+
+
+class TestAucBySelection:
+    """``auc_rows`` takes its threshold from each row's top cells and skips the tie-group pass
+    on rows without tied gen scores; ``auc_rows_sorted`` sorts every row and takes tie groups."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 12),
+        levels=st.sampled_from([3, 50, 0]),  # many ties, few, none
+        gt_levels=st.sampled_from([4, 0]),
+        percentile=st.sampled_from([50.0, 60.0, 95.0, 99.0]),
+        weights=st.sampled_from(["grid", "random", "near q"]),
+    )
+    def test_same_bits_as_the_full_sort(self, seed, n_rows, levels, gt_levels, percentile, weights):
+        rng = np.random.default_rng(seed)
+        if weights == "near q":
+            n_cells, percentile = NEAR_Q_ROWS[seed % len(NEAR_Q_ROWS)]
+            weights = np.full(n_cells, rng.choice([1.0 / n_cells, 0.7, 1.0 / 3.0]))
+        else:
+            n_cells = GRID.n_cells
+            weights = GRID.weights if weights == "grid" else rng.uniform(0.5, 1.5, n_cells)
+        gen, gt = rng.random((n_rows, n_cells)), rng.random((n_rows, n_cells))
+        if levels:
+            gen = np.round(gen * levels) / levels
+        if gt_levels:
+            gt = np.round(gt * gt_levels) / gt_levels
+        gen[rng.random(n_rows) < 0.2] = 0.5  # constant candidates
+        gt[rng.random(n_rows) < 0.2] = 0.25  # constant references
+        want = auc_rows_sorted(gen, gt, weights, percentile)
+        assert np.array_equal(auc_rows(gen, gt, weights, percentile), want, equal_nan=True)
+
+    @pytest.mark.parametrize("n_cells, percentile", NEAR_Q_ROWS)
+    def test_near_q_rows_take_the_full_sort(self, n_cells, percentile):
+        rng = np.random.default_rng(n_cells)
+        weights = np.full(n_cells, 1.0 / n_cells)
+        gen, gt = rng.random((3, n_cells)), rng.random((3, n_cells))
+        with full_sort_calls() as sorted_thresholds:
+            got = auc_rows(gen, gt, weights, percentile)
+        assert sorted_thresholds.call_count == 1
+        assert np.array_equal(sorted_thresholds.call_args.args[0], gt)
+        assert np.array_equal(got, auc_rows_sorted(gen, gt, weights, percentile), equal_nan=True)
+
+    def test_only_the_near_q_row_takes_the_full_sort(self):
+        # Cell 0 holds 5% of the weight: only the row whose top cell it is has a CDF at q.
+        rng = np.random.default_rng(30)
+        rest = rng.uniform(0.5, 1.5, 59)
+        weights = np.concatenate([[0.05], 0.95 * rest / rest.sum()])
+        gen, gt = rng.random((4, 60)), rng.random((4, 60))
+        gt[2, 0], gt[[0, 1, 3], 0] = 2.0, -1.0
+        with full_sort_calls() as sorted_thresholds:
+            got = auc_rows(gen, gt, weights, 95.0)
+        assert sorted_thresholds.call_count == 1
+        assert np.array_equal(sorted_thresholds.call_args.args[0], gt[[2]])
+        assert np.array_equal(got, auc_rows_sorted(gen, gt, weights, 95.0), equal_nan=True)
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_encoded_noise_never_takes_the_full_sort(self, seed):
+        # The fast path must not slide back to sorting every row: no row of these maps is near q.
+        grid = SphereGrid(32, 64)
+        gen, gt = noise_pair(seed, 50, 4 * 50, False)
+        moments = [window_moments([clip.samples], clip.n_samples, 50) for clip in (gen, gt)]
+        with full_sort_calls() as sorted_thresholds, mock.patch.object(spatial_metrics, "auc_rows", wraps=auc_rows) as rows_of:
+            report = evaluate_windows(*moments, grid)
+        assert rows_of.call_count == 2 and report.windows_used == {"all": 1, "1fps": 4, "5fps": 20}
+        assert sorted_thresholds.call_count == 0

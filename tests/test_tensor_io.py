@@ -341,6 +341,58 @@ class TestWav:
             with read_wav_slabs(path, 4) as (header, _):
                 assert header[:3] == (4, 48000, 7)
 
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_pcm32_and_float64_decode_as_scaled(self, tmp_path, bits):
+        # 32-bit PCM reads as integer / (2**31 - 1), like 24-bit PCM; 64-bit float as it is.
+        rng = np.random.default_rng(bits)
+        if bits == 32:
+            tag, frames = 1, rng.integers(-(2**31), 2**31, size=(7, 4)).astype("<i4")
+            frames[0] = [-(2**31), 2**31 - 1, 0, -1]  # both extremes, zero and the sign boundary
+            want = frames.T / 2147483647.0
+        else:
+            tag, frames = 3, rng.normal(size=(7, 4)) * np.array([1.0, 1e-300, 1e300, -3.5])
+            want = frames.T
+        fmt = struct.pack("<HHIIHH", tag, 4, 48000, 48000 * 4 * bits // 8, 4 * bits // 8, bits)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", frames.nbytes) + frames.tobytes()
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        ext.write_bytes(extensible_wav(frames, 48000, tag, bits, frames.tobytes()))
+        for path in (plain, ext):
+            samples, rate = read_wav(path)
+            assert rate == 48000 and np.array_equal(samples, want)
+            assert np.array_equal(read_foa_wav(path).samples, want)
+            assert describe_file(path) == {
+                "format": "wav", "n_channels": 4, "n_samples": 7, "path": path, "sample_rate": 48000,
+            }
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["info", str(path)]) == 0
+            (described,) = json.loads(out.getvalue())["files"]
+            assert (described["n_channels"], described["n_samples"], described["sample_rate"]) == (4, 7, 48000)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("extensible", [False, True])
+    def test_non_finite_float64_sample_names_file(self, tmp_path, value, extensible):
+        frames = np.zeros((300, 4))
+        frames[129, 2] = value
+        path = tmp_path / "nan64.wav"
+        if extensible:
+            path.write_bytes(extensible_wav(frames, 1000, 3, 64, frames.tobytes()))
+        else:
+            path.write_bytes(riff((b"fmt ", fmt_body("float64", 4, 1000)), (b"data", frames.tobytes())))
+        for reader in (read_wav, *FOA_READERS.values()):
+            with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: samples must be finite$"):
+                reader(path)
+        assert describe_file(path)["n_samples"] == 300  # info reads the header only
+
+    def test_other_formats_list_the_supported_ones(self, tmp_path):
+        path = tmp_path / "pcm8.wav"
+        path.write_bytes(riff((b"fmt ", struct.pack("<HHIIHH", 1, 4, 100, 400, 4, 8)), (b"data", bytes(8))))
+        want = "unsupported format tag 1 with 8 bits (need 16-, 24- or 32-bit PCM or 32- or 64-bit float)"
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: {re.escape(want)}$"):
+            read_wav(path)
+
 
 class TestWavExtensible:
     def test_float_four_channels(self, tmp_path):
@@ -396,8 +448,10 @@ def riff(*chunks):
 
 
 def fmt_body(kind, channels, rate):
-    """The fmt chunk body of a ``float32``, ``pcm16`` or ``pcm24`` file, plain or 0xFFFE (``ext-``)."""
-    tag, bits = {"float32": (3, 32), "pcm16": (1, 16), "pcm24": (1, 24)}[kind.rpartition("-")[2]]
+    """The fmt chunk body of a ``float32``, ``float64``, ``pcm16``, ``pcm24`` or ``pcm32`` file,
+    plain or 0xFFFE (``ext-``)."""
+    formats = {"float32": (3, 32), "float64": (3, 64), "pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32)}
+    tag, bits = formats[kind.rpartition("-")[2]]
     align = channels * bits // 8
     if not kind.startswith("ext"):
         return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
@@ -406,15 +460,19 @@ def fmt_body(kind, channels, rate):
     ) + bytes.fromhex("800000aa00389b71")
 
 
-WAV_KINDS = ["float32", "pcm16", "pcm24", "ext-float32", "ext-pcm16", "ext-pcm24"]
+WAV_KINDS = [
+    "float32", "float64", "pcm16", "pcm24", "pcm32", "ext-float32", "ext-float64", "ext-pcm16", "ext-pcm24", "ext-pcm32"
+]
 
 
 def random_payload(rng, kind, frames):
     """A data chunk of ``frames`` random 4-channel frames in the sample format of ``kind``."""
-    if kind.endswith("float32"):
-        return rng.normal(size=(frames, 4)).astype("<f4").tobytes()
+    if "float" in kind:
+        return rng.normal(size=(frames, 4)).astype("<f4" if kind.endswith("32") else "<f8").tobytes()
     if kind.endswith("pcm24"):
         return pcm24_bytes(rng.integers(-(2**23), 2**23, size=(frames, 4)))
+    if kind.endswith("pcm32"):
+        return rng.integers(-(2**31), 2**31, size=(frames, 4)).astype("<i4").tobytes()
     return rng.integers(-32768, 32768, size=(frames, 4)).astype("<i2").tobytes()
 
 
@@ -458,6 +516,7 @@ HEADER_MUTATIONS = [
     ("zero channels", lambda b: b[:22] + struct.pack("<H", 0) + b[24:]),
     ("zero rate", lambda b: b[:24] + struct.pack("<I", 0) + b[28:]),
     ("24-bit", lambda b: b[:34] + struct.pack("<H", 24) + b[36:]),
+    ("64-bit pcm", lambda b: b[:20] + struct.pack("<H", 1) + b[22:34] + struct.pack("<H", 64) + b[36:]),
     ("block align", lambda b: b[:32] + struct.pack("<H", 12) + b[34:]),
     ("ragged data", lambda b: with_data_size(b, 4 * 16 - 2)),
     ("empty data", lambda b: with_data_size(b, 0)),
@@ -481,7 +540,7 @@ class TestWavWalker:
         for got in decoded:
             assert got.dtype == np.float64 and got.flags.c_contiguous
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         kind=st.sampled_from(WAV_KINDS),
         rate=st.integers(1, 120),
@@ -505,7 +564,7 @@ class TestWavWalker:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         kind=st.sampled_from(WAV_KINDS),
         rate=st.integers(1, 120),
@@ -635,11 +694,17 @@ class TestWavWalker:
             assert main(["info", str(path)]) == 2
             assert capsys.readouterr().err == f"error: {outcomes[0][1]}\n"
 
-    @settings(max_examples=150, deadline=None)
-    @given(cut=st.integers(0, 120), at=st.integers(0, 80), value=st.binary(min_size=1, max_size=4))
-    def test_mangled_headers_give_one_outcome(self, tmp_path_factory, cut, at, value):
-        frames = np.arange(40, dtype="<f4").reshape(10, 4)
-        chunks = (b"junk", b"abc"), (b"fmt ", fmt_body("ext-float32", 4, 50)), (b"data", frames.tobytes())
+    @settings(max_examples=750, deadline=None)
+    @given(
+        kind=st.sampled_from(["ext-float32", "ext-float64", "ext-pcm32", "float64", "pcm32"]),
+        cut=st.integers(0, 120),
+        at=st.integers(0, 80),
+        value=st.binary(min_size=1, max_size=4),
+    )
+    def test_mangled_headers_give_one_outcome(self, tmp_path_factory, kind, cut, at, value):
+        dtype = {"float32": "<f4", "float64": "<f8", "pcm32": "<i4"}[kind.rpartition("-")[2]]
+        frames = np.arange(40, dtype=dtype).reshape(10, 4)
+        chunks = (b"junk", b"abc"), (b"fmt ", fmt_body(kind, 4, 50)), (b"data", frames.tobytes())
         blob = bytearray(riff(*chunks))
         blob[at : at + len(value)] = value
         path = tmp_path_factory.mktemp("mangled") / "m.wav"
@@ -702,13 +767,13 @@ class TestWavWalker:
             read_foa_summary(path, summarize)
         assert yielded == [100] * 9
 
-    @pytest.mark.parametrize("kind", ["pcm16", "pcm24", "ext-pcm16", "ext-pcm24"])
+    @pytest.mark.parametrize("kind", ["pcm16", "pcm24", "pcm32", "ext-pcm16", "ext-pcm24", "ext-pcm32"])
     def test_full_scale_pcm_is_never_refused(self, tmp_path, kind):
         # Both ends of the integer range, in every channel, over three slabs.
-        bits = 24 if kind.endswith("pcm24") else 16
+        bits = int(kind[-2:])
         low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
         ints = np.resize([low, high, 0, low, high, -1, high, low], (250, 4))
-        payload = pcm24_bytes(ints) if bits == 24 else ints.astype("<i2").tobytes()
+        payload = pcm24_bytes(ints) if bits == 24 else ints.astype(f"<i{bits // 8}").tobytes()
         path = tmp_path / "full.wav"
         path.write_bytes(riff((b"fmt ", fmt_body(kind, 4, 100)), (b"data", payload)))
         samples, _ = read_wav(path)
