@@ -357,18 +357,22 @@ def walk_moments(slabs, length: int, start=0, end=math.inf):
     """Yield each (4, frames) slab of ``slabs`` with the ``block_moments`` of its whole ``length``-sample blocks, counted
     from the clip start (a block cut at a slab's end joins the next slab), then the leftover samples and the whole moment:
     the blocks in order, then the leftover, the same sum however the clip was cut. Samples outside ``[start, end)`` are
-    multiplied by 0; a slab wholly outside is skipped. The leftover is a copy: no slab is viewed once the next is taken."""
+    multiplied by 0; a slab wholly outside is skipped, unless it lies after the window and continues an open block. A
+    leftover with samples is a copy: no slab is viewed once the next is taken."""
     moments, tail, offset = [], np.zeros((4, 0)), 0
     for slab in slabs:
         lo, offset = offset, offset + slab.shape[1]
-        if offset <= start or end <= lo:  # zeros before the window still set where the next block starts
+        # Zeros before the window still set where the next block starts; after it, a slab is skipped only once no
+        # block is open: a block cut short by a skip is summed as a shorter leftover, whose bits can differ.
+        if offset <= start or (end <= lo and not tail.shape[1]):
             tail = np.zeros((4, offset % length)) if offset <= start else tail
             continue
         if lo < start or end < offset:  # a copy, times 1 inside the window and 0 outside
             slab = slab * ((start <= np.arange(lo, offset)) & (np.arange(lo, offset) < end))
         joined = np.concatenate([tail, slab], axis=1) if tail.shape[1] else slab
         moments.append(block_moments(joined, length))
-        tail = joined[:, len(moments[-1]) * length :].copy()
+        tail = joined[:, len(moments[-1]) * length :]
+        tail = tail.copy() if tail.shape[1] else tail  # an empty view holds no sample to overwrite
         yield slab, moments[-1]
     yield tail, np.concatenate(moments).sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
 

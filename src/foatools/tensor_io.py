@@ -368,21 +368,36 @@ def _wav_slabs(handle, header: WavHeader, size: int):
     """Decode the data chunk ``size`` frames at a time into float64 (channels, frames)
     slabs, channel-major (C-contiguous) as ``foa.block_moments`` wants them. The one
     finiteness check of WAV input: a slab holding a non-finite sample is refused,
-    naming the file, before it is yielded."""
+    naming the file, before it is yielded, and so is a data chunk cut short after the
+    header was read. Each slab is read into one raw buffer and cast into one float64
+    buffer, both made once per call: a slab is valid only until the next is taken."""
+    pcm24, channels = header.dtype == "<i3", header.channels
+    most = min(size, header.frames) * channels
+    raw = np.empty(most, "<i4" if pcm24 else header.dtype)
+    ok = np.empty(most, bool) if raw.dtype.kind == "f" else None
+    flat = np.empty(most)
+    wide = np.zeros((most, 4), np.uint8) if pcm24 else None
+    width = (3 if pcm24 else raw.itemsize) * channels  # bytes per frame in the file
     handle.seek(header.offset)
     for start in range(0, header.frames, size):
-        count = min(size, header.frames - start) * header.channels
-        if header.dtype == "<i3":
-            # Each 3-byte sample goes to the top of an int32; the shift back keeps its sign.
-            wide = np.zeros((count, 4), np.uint8)
-            wide[:, 1:] = np.fromfile(handle, np.uint8, 3 * count).reshape(count, 3)
-            raw = wide.view("<i4")[:, 0] >> 8
-        else:
-            raw = np.fromfile(handle, dtype=header.dtype, count=count)
+        n = min(size, header.frames - start)
+        count = n * channels
+        got = handle.readinto(raw.view(np.uint8)[: n * width])
+        if got != n * width:
+            raise WavFormatError(f"{handle.name}: data chunk cut short: {start + got // width} of {header.frames} frames")
+        if pcm24:
+            # The samples were read into raw's first bytes. Each goes to the top of an int32 of wide (whose low
+            # byte stays 0), and the shift back into raw keeps its sign.
+            wide[:count, 1:] = raw.view(np.uint8)[: 3 * count].reshape(count, 3)
+            np.right_shift(wide[:count].view("<i4")[:, 0], 8, out=raw[:count])
         # Float samples only (PCM is always finite), before the cast, which a signalling NaN would flag.
-        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw)):
+        if ok is not None and not np.isfinite(raw[:count], out=ok[:count]).all():
             raise WavFormatError(f"{handle.name}: samples must be finite")
-        samples = raw.reshape(-1, header.channels).T.astype(np.float64, order="C")
+        # A float64 sample past the float32 range would overflow the moment sums and a float32 output.
+        if raw.itemsize == 8 and np.abs(raw[:count], out=flat[:count]).max() > np.finfo(np.float32).max:
+            raise WavFormatError(f"{handle.name}: samples must lie within the float32 range")
+        samples = flat[:count].reshape(channels, n)  # C-contiguous, the short last slab too
+        np.copyto(samples, raw[:count].reshape(n, channels).T)
         if header.scale != 1.0:
             samples /= header.scale
         yield samples
@@ -406,6 +421,7 @@ def describe_file(path) -> dict:
         if head[:4] == b"RIFF" or head[8:] == b"WAVE":
             header = _parse_wav_header(path, handle)
             return {
+                "encoding": ("float" if header.dtype[1] == "f" else "pcm") + str(8 * int(header.dtype[2])),
                 "format": "wav",
                 "n_channels": header.channels,
                 "n_samples": header.frames,
@@ -437,7 +453,9 @@ def read_wav_slabs(path, channels: int):
     file and ``slabs``, an iterator that decodes the data chunk in order as
     float64 (channels, frames) slabs of ``_SLAB_SECONDS`` whole seconds each,
     the last one shorter. Iterate inside the ``with`` block; a slab holding a
-    non-finite sample is refused when it is taken."""
+    non-finite sample is refused when it is taken, and so is a data chunk cut
+    short. The slabs share one buffer: each is valid only until the next one is
+    taken, so ``list(slabs)`` keeps views that later slabs overwrote."""
     with open(path, "rb") as handle:
         header = _parse_wav_header(path, handle, channels)
         yield header, _wav_slabs(handle, header, _SLAB_SECONDS * header.sample_rate)

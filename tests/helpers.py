@@ -84,6 +84,43 @@ def pcm24_wav(ints, sample_rate):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+def riff(*chunks):
+    """A RIFF/WAVE file holding ``chunks`` (id, body) in order, odd bodies padded."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1) for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_body(kind, channels, rate):
+    """The fmt chunk body of a ``float32``, ``float64``, ``pcm16``, ``pcm24`` or ``pcm32`` file,
+    plain or 0xFFFE (``ext-``)."""
+    formats = {"float32": (3, 32), "float64": (3, 64), "pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32)}
+    tag, bits = formats[kind.rpartition("-")[2]]
+    align = channels * bits // 8
+    if not kind.startswith("ext"):
+        return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+    return struct.pack(
+        "<HHIIHHHHIIHH", 0xFFFE, channels, rate, rate * align, align, bits, 22, bits, 0, tag, 0, 0x10
+    ) + bytes.fromhex("800000aa00389b71")
+
+
+WAV_KINDS = [
+    "float32", "float64", "pcm16", "pcm24", "pcm32", "ext-float32", "ext-float64", "ext-pcm16", "ext-pcm24", "ext-pcm32"
+]
+
+
+def random_payload(rng, kind, frames):
+    """A data chunk of ``frames`` random 4-channel frames in the sample format of ``kind``."""
+    if "float" in kind:
+        return rng.normal(size=(frames, 4)).astype("<f4" if kind.endswith("32") else "<f8").tobytes()
+    if kind.endswith("pcm24"):
+        return pcm24_bytes(rng.integers(-(2**23), 2**23, size=(frames, 4)))
+    if kind.endswith("pcm32"):
+        return rng.integers(-(2**31), 2**31, size=(frames, 4)).astype("<i4").tobytes()
+    return rng.integers(-32768, 32768, size=(frames, 4)).astype("<i2").tobytes()
+
+
 def curation_stats_oracle(clip):
     """Per-second mean |amplitude| (4, seconds) and mean squared W (seconds,)
     of a clip's whole seconds, each from one expression over the whole clip.

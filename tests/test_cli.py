@@ -1,5 +1,7 @@
 import ast
 import concurrent.futures
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foatools import (
     CodeMatrix,
@@ -43,10 +45,14 @@ from foatools.tensor_io import (
     write_wav,
 )
 from helpers import (
+    WAV_KINDS,
     extensible_wav,
+    fmt_body,
     generate_allocating,
     patch_scores_clamped,
     pcm24_wav,
+    random_payload,
+    riff,
     set_float32_sample,
     write_foa_wav,
 )
@@ -536,6 +542,72 @@ class TestSignallingNan:
         assert (code, stdout) == (2, "")
         assert err == f"error: {message.replace('BAD', str(bad)).replace('GOOD', str(good))}\n"
         assert not out.exists()
+
+
+# Every command that reads a 4-channel WAV, with OUT for its output file, IN for the
+# mangled file and SEED for the intact file it was made from.
+WAV_COMMANDS = {
+    "info": ["info", "IN"],
+    "energy-map": ["energy-map", "--grid", "4x8", "IN"],
+    "eval-spatial": ["eval-spatial", "--grid", "4x8", "IN", "SEED"],
+    "curate": ["curate", "--grid", "4x8", "--rms-threshold", "0.01", "--manifest", "MANIFEST", "--out", "OUT"],
+    "rotate": ["rotate", "--z-quarters", "1", "IN", "OUT"],
+    "decode": ["decode", "--dir", "0,0", "IN", "OUT"],
+}
+
+
+def mangle_wav(blob, data_at, how, at, value):
+    """``blob``, a WAV whose samples start at byte ``data_at``, with one fault: a header byte
+    or u32 field (at a 4-aligned offset) set to ``value``, a cut at byte ``at``, a payload byte
+    set, or a signalling NaN written as the first sample."""
+    blob = bytearray(blob)
+    if how == "header byte":
+        blob[at % data_at] = value & 0xFF
+    elif how == "u32 field":
+        at = 4 * (at % (data_at // 4))
+        blob[at : at + 4] = struct.pack("<I", value)
+    elif how == "truncation":
+        del blob[at % len(blob) :]
+    elif how == "payload byte":
+        blob[data_at + at % (len(blob) - data_at)] = value & 0xFF
+    else:  # a float32 sNaN; in a float64 or PCM file, just another sample value
+        blob[data_at : data_at + 4] = struct.pack("<I", 0x7F800001)
+    return bytes(blob)
+
+
+class TestWavExitCodes:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(WAV_KINDS),
+        how=st.sampled_from(["header byte", "u32 field", "truncation", "payload byte", "signalling nan"]),
+        at=st.integers(0, 2**16),
+        value=st.sampled_from([0, 1, 3, 0xFF, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    )
+    @example(kind="float32", how="signalling nan", at=0, value=0)
+    def test_every_wav_command_exits_0_1_or_2(self, tmp_path_factory, kind, how, at, value):
+        # 2.5 s at 20 Hz: three slabs, two whole seconds for curate. Each example gets a
+        # directory of its own, so a temp file left or an output written there shows.
+        root = tmp_path_factory.mktemp("mangled")
+        seed = riff((b"fmt ", fmt_body(kind, 4, 20)), (b"data", random_payload(np.random.default_rng(at), kind, 50)))
+        paths = {"IN": root / "in.wav", "SEED": root / "seed.wav", "MANIFEST": root / "m.ndjson"}
+        paths["IN"].write_bytes(mangle_wav(seed, seed.index(b"data") + 8, how, at, value))
+        paths["SEED"].write_bytes(seed)
+        paths["MANIFEST"].write_text(json.dumps({"path": str(paths["IN"])}) + "\n")
+        for command, argv in WAV_COMMANDS.items():
+            paths["OUT"] = (root / command).with_suffix(".out")
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([str(paths.get(arg, arg)) for arg in argv])
+            assert [str(w.message) for w in caught] == [], command
+            assert code in (0, 1, 2), command
+            if code == 2:  # the writer names OUT when a header value read from IN does not fit its field
+                message = err.getvalue()
+                assert message.startswith("error: ") and (str(paths["IN"]) in message or str(paths["OUT"]) in message)
+            assert not list(root.glob(".tmp-*~")), command
+            if code and command != "curate":  # a manifest run writes its rows, the failed record's too
+                assert out.getvalue() == "" and not paths["OUT"].exists(), command
 
 
 class TestPatternCommands:

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import foatools
@@ -380,6 +380,9 @@ class TestEnergyMap:
         edges=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
         seed=st.integers(0, 2**32 - 1),
     )
+    # A slab after the window that completes an open block: skipping it left a 2-sample leftover where
+    # the one-slab walk takes a 6-sample block, whose moment differs in its last bits.
+    @example(length=6, frames=60, cuts=[6, 25, 25], edges=(405, 25), seed=59)
     def test_walk_moments_does_not_depend_on_the_cuts(self, length, frames, cuts, edges, seed):
         # Slabs of any width, empty ones too, so blocks straddle slab edges and skipped slabs.
         rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
 import struct
@@ -54,10 +55,14 @@ from foatools.tensor_io import (
     write_wav_slabs,
 )
 from helpers import (
+    WAV_KINDS,
     curation_stats_oracle,
     extensible_wav,
+    fmt_body,
     pcm24_bytes,
     pcm24_wav,
+    random_payload,
+    riff,
     set_float32_sample,
     write_foa_wav,
 )
@@ -350,7 +355,8 @@ class TestWav:
             frames[0] = [-(2**31), 2**31 - 1, 0, -1]  # both extremes, zero and the sign boundary
             want = frames.T / 2147483647.0
         else:
-            tag, frames = 3, rng.normal(size=(7, 4)) * np.array([1.0, 1e-300, 1e300, -3.5])
+            # Beyond float32's precision and its smallest exponents; the largest it allows is about 3.4e38.
+            tag, frames = 3, rng.normal(size=(7, 4)) * np.array([1.0, 1e-300, 1e38, -3.5])
             want = frames.T
         fmt = struct.pack("<HHIIHH", tag, 4, 48000, 48000 * 4 * bits // 8, 4 * bits // 8, bits)
         body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -363,6 +369,7 @@ class TestWav:
             assert rate == 48000 and np.array_equal(samples, want)
             assert np.array_equal(read_foa_wav(path).samples, want)
             assert describe_file(path) == {
+                "encoding": f"{'pcm' if bits == 32 else 'float'}{bits}",
                 "format": "wav", "n_channels": 4, "n_samples": 7, "path": path, "sample_rate": 48000,
             }
             out = io.StringIO()
@@ -385,6 +392,22 @@ class TestWav:
             with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: samples must be finite$"):
                 reader(path)
         assert describe_file(path)["n_samples"] == 300  # info reads the header only
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e300])
+    def test_float64_sample_past_the_float32_range_names_file(self, tmp_path, value):
+        # Its square would overflow the moment sums (1e300), or it could not be written as float32 (3.5e38).
+        frames = np.zeros((300, 4))
+        frames[129, 2] = value
+        path = tmp_path / "huge64.wav"
+        path.write_bytes(riff((b"fmt ", fmt_body("float64", 4, 1000)), (b"data", frames.tobytes())))
+        want = f"{path}: samples must lie within the float32 range"
+        for reader in (read_wav, *FOA_READERS.values()):
+            with pytest.raises(WavFormatError, match=f"^{re.escape(want)}$"):
+                reader(path)
+        frames[129, 2] = np.copysign(float(np.finfo(np.float32).max), value)  # the edge itself is read
+        path.write_bytes(riff((b"fmt ", fmt_body("float64", 4, 1000)), (b"data", frames.tobytes())))
+        assert read_wav(path)[0][2, 129] == frames[129, 2]
+        assert np.all(np.isfinite(read_foa_summary(path, window_moments).whole))
 
     def test_other_formats_list_the_supported_ones(self, tmp_path):
         path = tmp_path / "pcm8.wav"
@@ -437,43 +460,6 @@ class TestWavExtensible:
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         with pytest.raises(WavFormatError, match="ext_short.wav.*subformat"):
             read_wav(path)
-
-
-def riff(*chunks):
-    """A RIFF/WAVE file holding ``chunks`` (id, body) in order, odd bodies padded."""
-    body = b"WAVE" + b"".join(
-        cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1) for cid, data in chunks
-    )
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def fmt_body(kind, channels, rate):
-    """The fmt chunk body of a ``float32``, ``float64``, ``pcm16``, ``pcm24`` or ``pcm32`` file,
-    plain or 0xFFFE (``ext-``)."""
-    formats = {"float32": (3, 32), "float64": (3, 64), "pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32)}
-    tag, bits = formats[kind.rpartition("-")[2]]
-    align = channels * bits // 8
-    if not kind.startswith("ext"):
-        return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
-    return struct.pack(
-        "<HHIIHHHHIIHH", 0xFFFE, channels, rate, rate * align, align, bits, 22, bits, 0, tag, 0, 0x10
-    ) + bytes.fromhex("800000aa00389b71")
-
-
-WAV_KINDS = [
-    "float32", "float64", "pcm16", "pcm24", "pcm32", "ext-float32", "ext-float64", "ext-pcm16", "ext-pcm24", "ext-pcm32"
-]
-
-
-def random_payload(rng, kind, frames):
-    """A data chunk of ``frames`` random 4-channel frames in the sample format of ``kind``."""
-    if "float" in kind:
-        return rng.normal(size=(frames, 4)).astype("<f4" if kind.endswith("32") else "<f8").tobytes()
-    if kind.endswith("pcm24"):
-        return pcm24_bytes(rng.integers(-(2**23), 2**23, size=(frames, 4)))
-    if kind.endswith("pcm32"):
-        return rng.integers(-(2**31), 2**31, size=(frames, 4)).astype("<i4").tobytes()
-    return rng.integers(-32768, 32768, size=(frames, 4)).astype("<i2").tobytes()
 
 
 def moments_oracle(samples, rate):
@@ -539,6 +525,38 @@ class TestWavWalker:
         assert len(decoded) == 4
         for got in decoded:
             assert got.dtype == np.float64 and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", WAV_KINDS)
+    def test_slabs_reuse_one_buffer_and_whole_reads_are_fresh(self, tmp_path, kind):
+        # 25 frames at 10 Hz: two whole slabs, then a short one, each taken before the next is decoded.
+        path = tmp_path / "clip.wav"
+        payload = random_payload(np.random.default_rng(8), kind, 25)
+        path.write_bytes(riff((b"fmt ", fmt_body(kind, 4, 10)), (b"data", payload)))
+        samples, _ = read_wav(path)
+        with read_wav_slabs(path, 4) as (_, slabs):
+            taken = []
+            for slab in slabs:
+                assert not taken or np.shares_memory(slab, taken[-1])
+                assert np.array_equal(slab, samples[:, 10 * len(taken) : 10 * len(taken) + 10])
+                taken.append(slab)
+        assert [slab.shape for slab in taken] == [(4, 10), (4, 10), (4, 5)] and taken[-1].flags.c_contiguous
+        for read in (lambda p: read_wav(p)[0], lambda p: read_foa_wav(p).samples):
+            first, second = read(path), read(path)
+            assert not np.shares_memory(first, second) and not np.shares_memory(first, samples)
+
+    @pytest.mark.parametrize("kind", ["float32", "pcm16", "ext-pcm24"])
+    def test_file_cut_short_while_read_names_file(self, tmp_path, kind):
+        # 24,000 frames at 8 kHz, cut to 15,900 after the first slab is taken: the header was
+        # checked against the whole file, so only the short read can see it.
+        path = tmp_path / "cut.wav"
+        payload = random_payload(np.random.default_rng(9), kind, 24000)
+        path.write_bytes(riff((b"fmt ", fmt_body(kind, 4, 8000)), (b"data", payload)))
+        with read_wav_slabs(path, 4) as (header, slabs):
+            assert next(slabs).shape == (4, 8000)
+            os.truncate(path, header.offset + len(payload) // 24000 * 15900)
+            want = f"{path}: data chunk cut short: 15900 of 24000 frames"
+            with pytest.raises(WavFormatError, match=f"^{re.escape(want)}$"):
+                next(slabs)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -657,9 +675,11 @@ class TestWavWalker:
         def reusing(handle, header, size):
             # A decoder that reuses its buffer: the slab it yielded last turns to NaN when
             # the next is taken, so a summary that keeps a view of it past that point shows.
+            # Each slab is copied first, as the real decoder's own buffer is the next slab.
             walks.append(size)
             previous = None
             for slab in decode(handle, header, size):
+                slab = slab.copy()
                 if previous is not None:
                     previous.fill(np.nan)
                 yield slab
