@@ -353,38 +353,36 @@ def second_sums(seconds: np.ndarray) -> np.ndarray:
 WindowSums = namedtuple("WindowSums", "window whole sums")
 
 
-def walk_moments(slabs, length: int, start=0, end=math.inf):
+def walk_moments(slabs, length: int):
     """Yield each (4, frames) slab of ``slabs`` with the ``block_moments`` of its whole ``length``-sample blocks, counted
     from the clip start (a block cut at a slab's end joins the next slab), then the leftover samples and the whole moment:
-    the blocks in order, then the leftover, the same sum however the clip was cut. Samples outside ``[start, end)`` are
-    multiplied by 0; a slab wholly outside is skipped, unless it lies after the window and continues an open block. A
-    leftover with samples is a copy: no slab is viewed once the next is taken."""
-    moments, tail, offset = [], np.zeros((4, 0)), 0
+    the blocks in order, then the leftover, the same sum however the clip was cut. The leftover is a copy: no slab is
+    viewed once the next is taken."""
+    moments, tail = [], np.zeros((4, 0))
     for slab in slabs:
-        lo, offset = offset, offset + slab.shape[1]
-        # Zeros before the window still set where the next block starts; after it, a slab is skipped only once no
-        # block is open: a block cut short by a skip is summed as a shorter leftover, whose bits can differ.
-        if offset <= start or (end <= lo and not tail.shape[1]):
-            tail = np.zeros((4, offset % length)) if offset <= start else tail
-            continue
-        if lo < start or end < offset:  # a copy, times 1 inside the window and 0 outside
-            slab = slab * ((start <= np.arange(lo, offset)) & (np.arange(lo, offset) < end))
         joined = np.concatenate([tail, slab], axis=1) if tail.shape[1] else slab
         moments.append(block_moments(joined, length))
-        tail = joined[:, len(moments[-1]) * length :]
-        tail = tail.copy() if tail.shape[1] else tail  # an empty view holds no sample to overwrite
+        tail = joined[:, len(moments[-1]) * length :].copy()
         yield slab, moments[-1]
     yield tail, np.concatenate(moments).sum(axis=0) + block_moments(tail, max(1, tail.shape[1])).sum(axis=0)
 
 
 def window_sums(slabs, n_samples: int, sample_rate: int, window=None) -> WindowSums:
-    """The WindowSums of a clip that ``slabs`` yields in order as (4, frames) slabs of whole seconds, the last one
-    shorter; the window is checked before a slab is taken. ``whole`` is ``walk_moments``' over seconds (with no window,
-    ``curation.clip_stats``'s); the channel sums add the seconds in order, then the leftover: both sum the clip times
-    its 0/1 window mask, but for the sign of an exact-zero sum: sequential adds of a skipped slab's zeros could move it."""
+    """The WindowSums of a clip that ``slabs`` yields in order as (4, frames) slabs of whole seconds, the last shorter;
+    the window is checked before a slab is taken. A slab wholly outside ``[start, end)`` is skipped, and one the window
+    cuts is multiplied by its 0/1 mask (a copy). ``whole`` is ``walk_moments``' over the rest, whose 1 s blocks no skip
+    moves (with no window, ``curation.clip_stats``'s); the channel sums add the seconds in order, then the leftover:
+    both sum the clip times its mask, but for the sign of an exact-zero sum, which adds of skipped zeros could move."""
     start, end = _resolve_window(window, n_samples)
+
+    def inside(offset=0):
+        for slab in slabs:
+            lo, offset = offset, offset + slab.shape[1]
+            cut = lo < start or end < offset  # a slab the window cuts is a copy, times 1 inside it and 0 outside
+            if start < offset and lo < end:
+                yield slab * ((start <= np.arange(lo, offset)) & (np.arange(lo, offset) < end)) if cut else slab
     sums = []
-    for part, whole in walk_moments(slabs, sample_rate, start, end):
+    for part, whole in walk_moments(inside(), sample_rate):
         k = part.shape[1] // sample_rate
         sums.append(second_sums(part[:, : k * sample_rate].reshape(4, k, sample_rate)))
     return WindowSums((start, end), whole, np.concatenate(sums).sum(axis=0) + second_sums(part[:, None])[0])

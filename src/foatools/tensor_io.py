@@ -72,14 +72,12 @@ _PATTERN_IDS = {
 }
 _PATTERNS_BY_ID = {v: k for k, v in _PATTERN_IDS.items()}
 
-# Encoding -> (format tag, bits per sample) of the files the writers make.
-_WAV_ENCODINGS = {"float32": (3, 32), "pcm16": (1, 16)}
-WAV_ENCODINGS = tuple(_WAV_ENCODINGS)
-_PCM_SCALE = 32767.0
-# (format tag, bits per sample) -> sample dtype and the scale that maps it to [-1, 1];
+# Encoding -> format tag, bits per sample, sample dtype and the scale that maps it to [-1, 1];
 # numpy has no 24-bit dtype, so "<i3" is widened to int32 by the slab decoder.
-_WAV_DTYPES = {(1, 16): ("<i2", _PCM_SCALE), (1, 24): ("<i3", 8388607.0), (1, 32): ("<i4", 2147483647.0),
-               (3, 32): ("<f4", 1.0), (3, 64): ("<f8", 1.0)}
+_WAV_KINDS = {"pcm16": (1, 16, "<i2", 32767.0), "pcm24": (1, 24, "<i3", 8388607.0),
+              "pcm32": (1, 32, "<i4", 2147483647.0), "float32": (3, 32, "<f4", 1.0), "float64": (3, 64, "<f8", 1.0)}
+_WAV_BY_FORMAT = {kind[:2]: encoding for encoding, kind in _WAV_KINDS.items()}  # (format tag, bits) -> encoding
+WAV_ENCODINGS = ("float32", "pcm16")  # the encodings the writers make
 _WAVE_EXTENSIBLE = 0xFFFE
 # The PCM and IEEE-float subformat GUIDs of WAVE_FORMAT_EXTENSIBLE, as stored.
 _SUBFORMATS = {struct.pack("<IHH", t, 0, 0x10) + bytes.fromhex("800000aa00389b71"): t for t in (1, 3)}
@@ -242,7 +240,7 @@ def read_code_matrix(path):
 def _wav_header(channels: int, sample_rate: int, frames: int, encoding: str) -> bytes:
     """Every byte the writers put before the samples: RIFF, fmt (and for float
     a fact chunk), then the data chunk header."""
-    fmt_tag, bits = _WAV_ENCODINGS[encoding]
+    fmt_tag, bits, _, _ = _WAV_KINDS[encoding]
     block_align = channels * bits // 8
     fmt_body = struct.pack(
         "<HHIIHH", fmt_tag, channels, int(sample_rate), int(sample_rate) * block_align,
@@ -261,21 +259,23 @@ def _wav_header(channels: int, sample_rate: int, frames: int, encoding: str) -> 
 def write_wav_slabs(
     slabs, channels: int, sample_rate: int, frames: int, path, encoding: str = "float32"
 ) -> None:
-    """Write RIFF/WAVE from (channels, n) float64 ``slabs`` in order, ``frames`` in all.
-    The slabs must be finite: the caller checks them, as ``write_wav`` does."""
+    """Write RIFF/WAVE from (channels, n) float64 ``slabs`` in order, ``frames`` in all. The slabs must be finite: the
+    caller checks them, as ``write_wav`` does. A float32 file refuses, naming ``path``, a slab past the float32 range."""
     if encoding not in WAV_ENCODINGS:
         raise ValueError(f"encoding must be one of {WAV_ENCODINGS}, got {encoding!r}")
     try:
         header = _wav_header(channels, sample_rate, frames, encoding)
     except struct.error as exc:
         raise ValueError(f"{path}: WAV header field out of range: {exc}") from None
-    dtype = _WAV_DTYPES[_WAV_ENCODINGS[encoding]][0]
+    _, _, dtype, scale = _WAV_KINDS[encoding]
     with atomic_write(path) as handle:
         handle.write(header)
         for slab in slabs:
             if encoding == "pcm16":  # in a frame-major buffer, so the int16 cast is not a ~3x slower transposing one
-                slab = np.multiply(slab.T, _PCM_SCALE, out=np.empty(slab.shape[::-1])).T
+                slab = np.multiply(slab.T, scale, out=np.empty(slab.shape[::-1])).T
                 np.clip(np.rint(slab, out=slab), -32768, 32767, out=slab)
+            elif max(slab.max(), -slab.min()) > np.finfo(np.float32).max:  # the float32 cast would write inf
+                raise ValueError(f"{path}: samples past the float32 range cannot be written")
             handle.write(slab.T.astype(dtype, order="C"))
             frames -= slab.shape[1]
         if frames:
@@ -295,7 +295,7 @@ def write_wav(samples, sample_rate: int, path, encoding: str = "float32") -> Non
 
 
 # What a WAV file's chunk headers say about its data chunk, which starts at byte offset.
-WavHeader = namedtuple("WavHeader", "channels sample_rate frames dtype scale offset")
+WavHeader = namedtuple("WavHeader", "channels sample_rate frames encoding offset")
 
 
 def _parse_wav_header(path, handle, want=None) -> WavHeader:
@@ -343,7 +343,7 @@ def _parse_wav_header(path, handle, want=None) -> WavHeader:
         raise WavFormatError(f"{path}: channel count {channels} invalid")
     if sample_rate < 1:
         raise WavFormatError(f"{path}: sample rate {sample_rate} invalid")
-    if (fmt_tag, bits) not in _WAV_DTYPES:
+    if (fmt_tag, bits) not in _WAV_BY_FORMAT:
         raise WavFormatError(
             f"{path}: unsupported format tag {fmt_tag} with {bits} bits "
             "(need 16-, 24- or 32-bit PCM or 32- or 64-bit float)"
@@ -361,7 +361,7 @@ def _parse_wav_header(path, handle, want=None) -> WavHeader:
         raise WavFormatError(f"{path}: data chunk holds no frames")
     if want is not None and channels != want:
         raise WavFormatError(f"{path}: " + _CHANNEL_ERRORS[want].format(channels))
-    return WavHeader(channels, sample_rate, frames, *_WAV_DTYPES[fmt_tag, bits], start)
+    return WavHeader(channels, sample_rate, frames, _WAV_BY_FORMAT[fmt_tag, bits], start)
 
 
 def _wav_slabs(handle, header: WavHeader, size: int):
@@ -371,9 +371,10 @@ def _wav_slabs(handle, header: WavHeader, size: int):
     naming the file, before it is yielded, and so is a data chunk cut short after the
     header was read. Each slab is read into one raw buffer and cast into one float64
     buffer, both made once per call: a slab is valid only until the next is taken."""
-    pcm24, channels = header.dtype == "<i3", header.channels
+    _, _, dtype, scale = _WAV_KINDS[header.encoding]
+    pcm24, channels = dtype == "<i3", header.channels
     most = min(size, header.frames) * channels
-    raw = np.empty(most, "<i4" if pcm24 else header.dtype)
+    raw = np.empty(most, "<i4" if pcm24 else dtype)
     ok = np.empty(most, bool) if raw.dtype.kind == "f" else None
     flat = np.empty(most)
     wide = np.zeros((most, 4), np.uint8) if pcm24 else None
@@ -398,8 +399,8 @@ def _wav_slabs(handle, header: WavHeader, size: int):
             raise WavFormatError(f"{handle.name}: samples must lie within the float32 range")
         samples = flat[:count].reshape(channels, n)  # C-contiguous, the short last slab too
         np.copyto(samples, raw[:count].reshape(n, channels).T)
-        if header.scale != 1.0:
-            samples /= header.scale
+        if scale != 1.0:
+            samples /= scale
         yield samples
 
 
@@ -421,7 +422,7 @@ def describe_file(path) -> dict:
         if head[:4] == b"RIFF" or head[8:] == b"WAVE":
             header = _parse_wav_header(path, handle)
             return {
-                "encoding": ("float" if header.dtype[1] == "f" else "pcm") + str(8 * int(header.dtype[2])),
+                "encoding": header.encoding,
                 "format": "wav",
                 "n_channels": header.channels,
                 "n_samples": header.frames,

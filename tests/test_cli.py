@@ -486,6 +486,23 @@ class TestNonFiniteSamples:
             assert out.read_bytes() == b"kept"
             assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.wav", "out"]
 
+    @pytest.mark.parametrize("argv", [["rotate", "--z-degrees", "45"], ["decode", "--dir", "0,0"]], ids=lambda a: a[0])
+    def test_output_past_the_float32_range_names_output(self, capsys, tmp_path, argv):
+        # Input samples of 3e38 from the second slab on: in range, but rotation grows a component
+        # by up to sqrt(3) and decoding by up to 1 + sqrt(3), so a float32 cast would write inf.
+        src, dst = tmp_path / "big.wav", tmp_path / "out.wav"
+        samples = np.full((4, 250), 0.1)
+        samples[:, 150:] = 3e38
+        write_wav(samples, 100, src)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, src, dst)
+        assert caught == []
+        assert (code, out, err) == (2, "", f"error: {dst}: samples past the float32 range cannot be written\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.wav"]
+        # 16-bit PCM output clips, so the same input is written.
+        assert run(capsys, *argv, "--encoding", "pcm16", src, dst)[0] == 0
+
 
 # A float32 signalling NaN; converting it to float64 raises numpy's "invalid" flag.
 SIGNALLING_NAN = struct.pack("<I", 0x7F800001)
@@ -556,8 +573,8 @@ WAV_COMMANDS = {
 }
 
 
-def mangle_wav(blob, data_at, how, at, value):
-    """``blob``, a WAV whose samples start at byte ``data_at``, with one fault: a header byte
+def mangle(blob, data_at, how, at, value):
+    """``blob``, a file whose payload starts at byte ``data_at``, with one fault: a header byte
     or u32 field (at a 4-aligned offset) set to ``value``, a cut at byte ``at``, a payload byte
     set, or a signalling NaN written as the first sample."""
     blob = bytearray(blob)
@@ -575,6 +592,27 @@ def mangle_wav(blob, data_at, how, at, value):
     return bytes(blob)
 
 
+def check_mangled_run(argv, root, named, manifest_run):
+    """Run ``main(argv)`` on a mangled input and check the five rules: no warning; exit 0, 1
+    or 2; an exit-2 message that names one of ``named``; no temp file left in ``root``; and
+    after a failure no stdout and no ``OUT``, but for a manifest run, which writes its rows,
+    the failed record's too."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == [], argv
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        message = err.getvalue()
+        # An OSError shows its path as a repr, control characters escaped.
+        assert message.startswith("error: ") and any(n in message or repr(n)[1:-1] in message for n in named), argv
+    assert not list(root.glob(".tmp-*~")), argv
+    if code and not manifest_run:
+        assert out.getvalue() == "" and not (root / "OUT").exists(), argv
+
+
 class TestWavExitCodes:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -589,25 +627,85 @@ class TestWavExitCodes:
         # directory of its own, so a temp file left or an output written there shows.
         root = tmp_path_factory.mktemp("mangled")
         seed = riff((b"fmt ", fmt_body(kind, 4, 20)), (b"data", random_payload(np.random.default_rng(at), kind, 50)))
-        paths = {"IN": root / "in.wav", "SEED": root / "seed.wav", "MANIFEST": root / "m.ndjson"}
-        paths["IN"].write_bytes(mangle_wav(seed, seed.index(b"data") + 8, how, at, value))
+        paths = {"IN": root / "in.wav", "SEED": root / "seed.wav", "MANIFEST": root / "m.ndjson", "OUT": root / "OUT"}
+        paths["IN"].write_bytes(mangle(seed, seed.index(b"data") + 8, how, at, value))
         paths["SEED"].write_bytes(seed)
         paths["MANIFEST"].write_text(json.dumps({"path": str(paths["IN"])}) + "\n")
+        # The writer names OUT when a header value read from IN does not fit its field.
+        named = (str(paths["IN"]), str(paths["OUT"]))
         for command, argv in WAV_COMMANDS.items():
-            paths["OUT"] = (root / command).with_suffix(".out")
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = main([str(paths.get(arg, arg)) for arg in argv])
-            assert [str(w.message) for w in caught] == [], command
-            assert code in (0, 1, 2), command
-            if code == 2:  # the writer names OUT when a header value read from IN does not fit its field
-                message = err.getvalue()
-                assert message.startswith("error: ") and (str(paths["IN"]) in message or str(paths["OUT"]) in message)
-            assert not list(root.glob(".tmp-*~")), command
-            if code and command != "curate":  # a manifest run writes its rows, the failed record's too
-                assert out.getvalue() == "" and not paths["OUT"].exists(), command
+            check_mangled_run([str(paths.get(arg, arg)) for arg in argv], root, named, command == "curate")
+            with contextlib.suppress(FileNotFoundError):
+                paths["OUT"].unlink()
+
+
+def manifest_paths(blob):
+    """Every string value of the records of a (mangled) NDJSON manifest that still parse."""
+    found = set()
+    for line in blob.decode("utf-8", "surrogateescape").splitlines():
+        with contextlib.suppress(ValueError, RecursionError):
+            record = json.loads(line)
+            found |= {v for v in record.values() if isinstance(v, str)} if isinstance(record, dict) else set()
+    return found
+
+
+# The commands that read tensor, code matrix and NDJSON manifest files; each example
+# mangles one file and runs the commands that name it, and ``info`` on it.
+FILE_COMMANDS = {
+    "patch-energy": ["patch-energy", "EMB", "OUT"],
+    "eval-semantic": ["eval-semantic", "--gen-features", "GEN", "--gt-features", "GT",
+                      "--gen-probs", "PGEN", "--gt-probs", "PGT"],
+    "eval-semantic --manifest": ["eval-semantic", "--manifest", "SEMANTIC", "--out", "OUT"],
+    "pattern pack": ["pattern", "pack", "RAW", "OUT"],
+    "pattern unpack": ["pattern", "unpack", "PACKED", "OUT"],
+    "generate": ["generate", "--table", "RAW", "--argmax", "OUT"],
+    "eval-spatial --manifest": ["eval-spatial", "--grid", "4x8", "--manifest", "SPATIAL", "--out", "OUT"],
+    "curate": ["curate", "--grid", "4x8", "--rms-threshold", "0.01", "--manifest", "CURATE", "--out", "OUT"],
+}
+
+
+def seed_files(root):
+    """Good inputs for FILE_COMMANDS in ``root``: {name: (path, byte where its payload starts)}.
+    A manifest's first record counts as its header, the second as its payload."""
+    rng = np.random.default_rng(0)
+    paths = {name: root / name.lower() for name in ("EMB", "GEN", "GT", "PGEN", "PGT", "RAW", "PACKED", "WAV")}
+    for name, values in [("EMB", rng.normal(size=(2, 3, 3, 4))), ("GEN", rng.normal(size=(8, 3))),
+                         ("GT", rng.normal(size=(8, 3))), ("PGEN", np.full((2, 4), 0.25)), ("PGT", np.full((2, 4), 0.25))]:
+        write_tensor(values.astype(np.float32), paths[name])
+    matrix = CodeMatrix(rng.integers(0, 8, size=(4, 3)), 1, 8)
+    write_code_matrix(matrix, paths["RAW"])
+    write_code_matrix(pack(matrix, Pattern.PROPOSED), paths["PACKED"])
+    write_wav(rng.normal(size=(4, 50)) * 0.1, 20, paths["WAV"])
+    for name, records in [("SEMANTIC", [{"gen_features": "GEN", "gt_features": "GT"}, {"gen_probs": "PGEN", "gt_probs": "PGT"}]),
+                          ("SPATIAL", [{"gen": "WAV", "gt": "WAV"}] * 2), ("CURATE", [{"path": "WAV"}] * 2)]:
+        paths[name] = root / f"{name.lower()}.ndjson"
+        lines = [json.dumps({key: str(paths[value]) for key, value in record.items()}) for record in records]
+        paths[name].write_text("\n".join(lines) + "\n")
+    starts = {"RAW": 17, "PACKED": 17}  # past the <4sIIIB header
+    return {name: (path, starts.get(name) or path.read_bytes().index(b"\n") + 1) for name, path in paths.items()}
+
+
+class TestFileExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["EMB", "GEN", "PGEN", "RAW", "PACKED", "SEMANTIC", "SPATIAL", "CURATE"]),
+        how=st.sampled_from(["header byte", "u32 field", "truncation", "payload byte"]),
+        at=st.integers(0, 2**16),
+        value=st.sampled_from([0, 1, 3, 0x0A, 0x22, 0xFF, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    )
+    def test_every_file_command_exits_0_1_or_2(self, tmp_path_factory, name, how, at, value):
+        # Each example gets a directory of its own, so a temp file left or an output written there shows.
+        root = tmp_path_factory.mktemp("mangled")
+        files = seed_files(root)
+        path, data_at = files[name]
+        path.write_bytes(mangle(path.read_bytes(), data_at, how, at, value))
+        named = {str(path), str(root / "OUT"), *(manifest_paths(path.read_bytes()) if path.suffix == ".ndjson" else ())}
+        runs = [argv for argv in FILE_COMMANDS.values() if name in argv] + [["info", name]]
+        for argv in runs:
+            argv = [str(files[arg][0]) if arg in files else str(root / "OUT") if arg == "OUT" else arg for arg in argv]
+            check_mangled_run(argv, root, named, "--manifest" in argv)
+            with contextlib.suppress(FileNotFoundError):
+                (root / "OUT").unlink()
 
 
 class TestPatternCommands:

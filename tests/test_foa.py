@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foatools
@@ -377,29 +377,22 @@ class TestEnergyMap:
         length=st.integers(1, 9),
         frames=st.integers(1, 120),
         cuts=st.lists(st.integers(0, 25), max_size=12),
-        edges=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
         seed=st.integers(0, 2**32 - 1),
     )
-    # A slab after the window that completes an open block: skipping it left a 2-sample leftover where
-    # the one-slab walk takes a 6-sample block, whose moment differs in its last bits.
-    @example(length=6, frames=60, cuts=[6, 25, 25], edges=(405, 25), seed=59)
-    def test_walk_moments_does_not_depend_on_the_cuts(self, length, frames, cuts, edges, seed):
-        # Slabs of any width, empty ones too, so blocks straddle slab edges and skipped slabs.
+    def test_walk_moments_does_not_depend_on_the_cuts(self, length, frames, cuts, seed):
+        # Slabs of any width, empty ones too, so blocks straddle slab edges.
         rng = np.random.default_rng(seed)
         samples = rng.normal(size=(4, frames)) * np.exp(rng.uniform(-10, 8, size=(4, frames)))
         bounds = [0, *(int(end) for end in np.cumsum(cuts) if end < frames), frames]
-        start = edges[0] % frames
-        window = (start, start + 1 + edges[1] % (frames - start))
-        for limits in ((), window):
-            *one, (leftover, whole) = walk_moments([samples], length, *limits)
-            *cut, (cut_leftover, cut_whole) = walk_moments(
-                (samples[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])), length, *limits
-            )
-            assert np.array_equal(cut_whole, whole)
-            if not limits:  # every slab is yielded as it came, with the blocks that end in it
-                assert np.array_equal(cut_leftover, leftover)
-                assert np.array_equal(np.concatenate([m for _, m in cut]), one[0][1])
-                assert np.array_equal(np.concatenate([s for s, _ in cut], axis=1), samples)
+        *one, (leftover, whole) = walk_moments([samples], length)
+        *cut, (cut_leftover, cut_whole) = walk_moments(
+            (samples[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])), length
+        )
+        assert np.array_equal(cut_whole, whole)
+        # Every slab is yielded as it came, with the blocks that end in it.
+        assert np.array_equal(cut_leftover, leftover)
+        assert np.array_equal(np.concatenate([m for _, m in cut]), one[0][1])
+        assert np.array_equal(np.concatenate([s for s, _ in cut], axis=1), samples)
 
     def test_argmax_is_nearest_cell(self):
         rng = np.random.default_rng(10)

@@ -864,8 +864,8 @@ def test_tensor_io_imports_no_metric_module():
 
 
 def test_summaries_leave_the_slab_walk_to_walk_moments():
-    # foa.walk_moments alone joins, masks and skips slabs and adds up the whole moment, so a
-    # summary that takes block moments of its own would keep a second copy of that rule.
+    # foa.walk_moments alone joins slabs and adds up the whole moment, so a summary that
+    # takes block moments of its own would keep a second copy of that rule.
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "foatools"
     modules = ("curation.py", "foa.py", "spatial_metrics.py")
     trees = {module: ast.parse((package / module).read_text()) for module in modules}
@@ -888,6 +888,21 @@ def test_summaries_leave_the_slab_walk_to_walk_moments():
     assert "block_moments(slab, sample_rate)" in ast.unparse(branch.body)
     for module, summary in zip(modules, ("clip_stats", "window_sums", "window_moments")):
         assert [function for function, _ in calls(trees[module], "walk_moments")] == [summary]
+    # The walk takes no window: window_sums alone skips and masks its slabs, by comparing
+    # sample positions (np.arange) with the window's ends.
+    functions = [node for node in ast.walk(trees["foa.py"]) if isinstance(node, ast.FunctionDef)]
+    (walk,) = [function for function in functions if function.name == "walk_moments"]
+    assert [arg.arg for arg in walk.args.args] == ["slabs", "length"]
+    assert not (walk.args.vararg or walk.args.kwonlyargs or walk.args.kwarg)
+    assert not any(isinstance(node, ast.Continue) for node in ast.walk(walk))
+    nested = {inner for outer in functions for inner in ast.walk(outer) if inner is not outer and inner in functions}
+    masks = [
+        function.name
+        for function in functions
+        if function not in nested
+        and any(isinstance(node, ast.Compare) and "arange" in ast.unparse(node) for node in ast.walk(function))
+    ]
+    assert masks == ["window_sums"]
 
 
 def test_wav_samples_are_checked_in_one_place():
