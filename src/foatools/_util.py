@@ -22,6 +22,8 @@ def top_p_mask(p: np.ndarray, top_p: float, desc: np.ndarray, csum: np.ndarray) 
     ``top_p`` is kept, together with every entry tied with the boundary
     probability, so exact ties never break nondeterministically.
     """
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
     # Ties cannot change the sorted values, so no argsort is needed.
     np.copyto(desc, p)
     desc.sort(axis=-1)

@@ -115,12 +115,11 @@ def combine(
 
     Only the logit sets the mode consumes must be provided.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    variants = GuidanceConfig(mode).variants
     base = _checked("full", full, None)
     sets = {"direction_only": direction_only, "visual_only": visual_only, "unconditional": unconditional}
     for name in ("unconditional", "direction_only", "visual_only"):
-        if name in _VARIANTS_BY_MODE[mode]:
+        if name in variants:
             sets[name] = _checked(name, sets[name], base.shape)
     return _combine(mode, base, **sets, omega=omega, omega2=omega2)
 
@@ -132,8 +131,6 @@ def _sample(logits: np.ndarray, temperature, top_p, rng, argmax, scratch) -> np.
         return np.argmax(logits, axis=1)
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
     if rng is None:
         raise ValueError("sampling requires a seeded numpy Generator")
     probs = softmax(np.divide(logits, temperature, out=logits), axis=1)

@@ -107,8 +107,6 @@ def energy_from_scores(
         raise ValueError("scores must be finite")
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError(f"top_p must lie in (0, 1], got {top_p}")
 
     n_time, n_rows, n_cols = s.shape
     flat_s = s.reshape(n_time, -1)

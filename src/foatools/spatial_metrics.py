@@ -49,10 +49,14 @@ class SpatialReport:
         return asdict(self)
 
 
-def _check_grids(gen: EnergyMap, gt: EnergyMap) -> SphereGrid:
+def _one_row(rows_of, gen: EnergyMap, gt: EnergyMap, undefined: str, *args) -> float:
+    """``rows_of``'s one row for two maps on one grid; UndefinedMetricError(``undefined``) where it reads NaN."""
     if gen.grid != gt.grid:
         raise GridMismatchError(f"maps use different grids: {gen.grid} vs {gt.grid}")
-    return gen.grid
+    value = float(rows_of(gen.values[None], gt.values[None], gen.grid.weights, *args)[0])
+    if np.isnan(value):
+        raise UndefinedMetricError(undefined)
+    return value
 
 
 def correlation_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -74,16 +78,10 @@ def correlation_rows(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray) -> np
 def correlation(gen: EnergyMap, gt: EnergyMap) -> float:
     """Area-weighted Pearson correlation of two maps on the same grid.
 
-    Raises UndefinedMetricError when either map is constant, so callers can
-    decide whether to skip the window.
+    Raises UndefinedMetricError where ``correlation_rows`` reads NaN (either map
+    constant or of zero weighted variance), so callers can decide whether to skip the window.
     """
-    grid = _check_grids(gen, gt)
-    if np.ptp(gen.values) == 0.0 or np.ptp(gt.values) == 0.0:
-        raise UndefinedMetricError("correlation undefined for a constant map")
-    cc = correlation_rows(gen.values[None], gt.values[None], grid.weights)[0]
-    if np.isnan(cc):
-        raise UndefinedMetricError("correlation undefined for zero weighted variance")
-    return float(cc)
+    return _one_row(correlation_rows, gen, gt, "correlation undefined for a constant map or zero weighted variance")
 
 
 def _sorted_thresholds(gt: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
@@ -160,18 +158,12 @@ def auc(
 ) -> float:
     """ROC AUC of ``gen`` values against fixations from the top of ``gt``.
 
-    Cells with gt value at or above the weighted ``fixation_percentile`` of
-    the gt map are positives; every cell contributes its area weight to the
-    true/false positive rates, and gen-score ties are split 50/50 (the
-    trapezoidal segment over each tie group).
+    Cells with gt value at or above the weighted ``fixation_percentile`` of the gt map are positives;
+    every cell contributes its area weight to the true/false positive rates, and gen-score ties are
+    split 50/50 (the trapezoidal segment over each tie group). A reference map with no fixation split
+    (a constant one among them) raises UndefinedMetricError, where ``auc_rows`` reads NaN.
     """
-    grid = _check_grids(gen, gt)
-    if np.ptp(gt.values) == 0.0:
-        raise UndefinedMetricError("fixations undefined for a constant reference map")
-    roc = auc_rows(gen.values[None], gt.values[None], grid.weights, fixation_percentile)[0]
-    if np.isnan(roc):
-        raise UndefinedMetricError("reference map yields no usable fixation split")
-    return float(roc)
+    return _one_row(auc_rows, gen, gt, "reference map yields no usable fixation split", fixation_percentile)
 
 
 # Summed 4x4 second moments of a clip: ``whole`` (4, 4) over every sample,

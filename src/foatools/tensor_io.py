@@ -338,7 +338,7 @@ def _parse_wav_header(path, handle, want=None) -> WavHeader:
         raise WavFormatError(f"{path}: missing fmt chunk")
     if data is None:
         raise WavFormatError(f"{path}: missing data chunk")
-    fmt_tag, channels, sample_rate, _, block_align, bits = fmt
+    fmt_tag, channels, sample_rate, byte_rate, block_align, bits = fmt
     if channels < 1:
         raise WavFormatError(f"{path}: channel count {channels} invalid")
     if sample_rate < 1:
@@ -351,6 +351,8 @@ def _parse_wav_header(path, handle, want=None) -> WavHeader:
     start, size = data
     if block_align != channels * bits // 8:
         raise WavFormatError(f"{path}: block align {block_align} inconsistent with format")
+    if byte_rate != sample_rate * block_align:
+        raise WavFormatError(f"{path}: byte rate {byte_rate} inconsistent with format")
     if size % block_align:
         raise WavFormatError(
             f"{path}: data chunk at byte {start - 8} holds {size} bytes, "

@@ -124,6 +124,7 @@ class TestExitCodes:
                 (["encode", "--dir", "1,x", "IN", "OUT"], "direction components must be numbers, got '1,x'"),
                 (["decode", "--dir", "0,2", "IN", "OUT"], "elevation must lie in [-pi/2, pi/2], got 2.0"),
                 (["rotate", "--matrix", "1,2", "IN", "OUT"], "matrix needs 9 comma-separated row-major entries"),
+                (["rotate", "--matrix", "1,0,0,0,1,0,0,0,x", "IN", "OUT"], "matrix entries must be numbers"),
                 (["rotate", "--matrix", "1,0,0,0,1,0,0,0,2", "IN", "OUT"],
                  "not a proper rotation (orthogonality error 3.000e+00, determinant error 1.000e+00)"),
                 (["rotate", "--matrix", "2,0,0,0,2,0,0,0,2", "IN", "OUT"],
@@ -258,15 +259,23 @@ class TestEncodeDecode:
 
 
     def test_header_field_past_u32_names_the_output(self, capsys, tmp_path):
-        # A 4,294,967,295 Hz mono input: the output's byte rate does not fit u32.
+        # A mono pcm16 input at 2**30 Hz holds its byte rate, 2**31; the 4-channel output's does not fit u32.
         src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
-        write_wav(np.zeros(16), 8000, src)
-        blob = bytearray(src.read_bytes())
-        blob[24:28] = (0xFFFFFFFF).to_bytes(4, "little")
-        src.write_bytes(bytes(blob))
+        src.write_bytes(riff((b"fmt ", fmt_body("pcm16", 1, 2**30)), (b"data", bytes(32))))
         code, out, err = run(capsys, "encode", "--dir", "0,0", src, dst)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {dst}: WAV header field out of range")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
+
+    @pytest.mark.parametrize("argv", [["info"], ["rotate", "--z-quarters", "1"], ["decode", "--dir", "0,0"]])
+    def test_inconsistent_byte_rate_names_the_input(self, capsys, tmp_path, argv):
+        # A byte rate one past sample rate x block align: read from the input, refused before any output.
+        src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
+        fmt = fmt_body("pcm16", 4, 8000)
+        src.write_bytes(riff((b"fmt ", fmt[:8] + struct.pack("<I", 8000 * 8 + 1) + fmt[12:]), (b"data", bytes(64))))
+        code, out, err = run(capsys, *argv, src, *([dst] if argv != ["info"] else []))
+        assert (code, out) == (2, "")
+        assert err == f"error: {src}: byte rate 64001 inconsistent with format\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
 
 
@@ -631,8 +640,7 @@ class TestWavExitCodes:
         paths["IN"].write_bytes(mangle(seed, seed.index(b"data") + 8, how, at, value))
         paths["SEED"].write_bytes(seed)
         paths["MANIFEST"].write_text(json.dumps({"path": str(paths["IN"])}) + "\n")
-        # The writer names OUT when a header value read from IN does not fit its field.
-        named = (str(paths["IN"]), str(paths["OUT"]))
+        named = (str(paths["IN"]),)
         for command, argv in WAV_COMMANDS.items():
             check_mangled_run([str(paths.get(arg, arg)) for arg in argv], root, named, command == "curate")
             with contextlib.suppress(FileNotFoundError):
@@ -681,6 +689,10 @@ def seed_files(root):
         paths[name] = root / f"{name.lower()}.ndjson"
         lines = [json.dumps({key: str(paths[value]) for key, value in record.items()}) for record in records]
         paths[name].write_text("\n".join(lines) + "\n")
+    # The channels JSON: its W entry on the first line, the header; X, Y and Z on the second.
+    paths["CHANNELS"] = root / "channels.json"
+    entries = [json.dumps({c: {"gen": str(paths["GEN"]), "gt": str(paths["GT"])}})[1:-1] for c in "WXYZ"]
+    paths["CHANNELS"].write_text("{" + entries[0] + ",\n" + ", ".join(entries[1:]) + "}\n")
     starts = {"RAW": 17, "PACKED": 17}  # past the <4sIIIB header
     return {name: (path, starts.get(name) or path.read_bytes().index(b"\n") + 1) for name, path in paths.items()}
 
@@ -706,6 +718,27 @@ class TestFileExitCodes:
             check_mangled_run(argv, root, named, "--manifest" in argv)
             with contextlib.suppress(FileNotFoundError):
                 (root / "OUT").unlink()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["CHANNELS", "GEN", "GT"]),
+        how=st.sampled_from(["header byte", "truncation", "payload byte"]),
+        at=st.integers(0, 2**16),
+        value=st.sampled_from([0, 0x0A, 0x22, 0x2C, 0x3A, 0x5C, 0x7B, 0x7D, 0xFF]) | st.integers(0, 255),
+    )
+    def test_channels_run_exits_0_1_or_2(self, tmp_path_factory, name, how, at, value):
+        # eval-semantic --channels on a mangled channels JSON, or on a mangled feature file that it names.
+        root = tmp_path_factory.mktemp("mangled")
+        files = seed_files(root)
+        path, data_at = files[name]
+        path.write_bytes(mangle(path.read_bytes(), data_at, how, at, value))
+        named = {str(path)}
+        with contextlib.suppress(ValueError, RecursionError):  # the paths that a mangled JSON still names
+            mapping = json.loads(path.read_bytes()) if name == "CHANNELS" else {}
+            entries = mapping.values() if isinstance(mapping, dict) else ()
+            named |= {v for entry in entries if isinstance(entry, dict) for v in entry.values() if isinstance(v, str)}
+        check_mangled_run(["eval-semantic", "--channels", str(files["CHANNELS"][0])], root, named, False)
 
 
 class TestPatternCommands:

@@ -205,3 +205,7 @@ class TestRelevanceFilter:
     def test_needs_two_scores(self):
         with pytest.raises(ValueError):
             relevance_filter([1.0])
+
+    def test_refuses_non_finite_scores(self):
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            relevance_filter([1.0, float("nan"), 2.0])

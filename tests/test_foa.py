@@ -410,6 +410,17 @@ class TestEnergyMap:
         expected = ((1.0 + 1.0 / SQRT2) / (1.0 - 1.0 / SQRT2)) ** 2
         assert ratio == pytest.approx(expected, rel=1e-9)
 
+    def test_literal_linear_directional_energy_is_the_decoded_mean(self):
+        rng = np.random.default_rng(14)
+        clip = random_clip(rng, n_samples=300)
+        for window in (None, (40, 250)):
+            start, end = window or (0, 300)
+            for _ in range(5):
+                d = random_direction(rng)
+                want = sum(decode_to_mono(clip, d)[start:end]) / (end - start)
+                got = directional_energy(clip, d, window=window, mode="literal-linear")
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
     def test_invalid_windows(self):
         clip = FoaClip(np.zeros((4, 100)), 44100)
         grid = SphereGrid(4, 8)

@@ -95,6 +95,13 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine("extra", np.zeros((1, 2)))
 
+    def test_unknown_mode_message(self):
+        want = "mode must be one of ('none', 'directional', 'visual', 'joint', 'dual'), got 'bogus'"
+        for make in (lambda: combine("bogus", np.zeros((1, 2))), lambda: GuidanceConfig("bogus")):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == want
+
     def test_row_constant_shift_keeps_distribution(self):
         # When variants differ from the conditional by per-row constants the
         # combined logits shift by per-row constants too, so the sampling
@@ -166,6 +173,11 @@ class TestTopPMask:
         assert top_p_mask_of(probs, 1.0).tolist() == [[True, True, True, False]]
         assert top_p_mask_of(np.ones((3, 1)), 0.2).tolist() == [[True]] * 3
         assert top_p_mask_of(np.array([0.1, 0.6, 0.3]), 0.6).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("top_p", [0.0, 1.5, float("nan")])
+    def test_refuses_top_p_outside_0_1(self, top_p):
+        with pytest.raises(ValueError, match=r"^top_p must lie in \(0, 1\], got "):
+            top_p_mask_of(np.array([[0.5, 0.5]]), top_p)
 
 
 class EdgeRng:
@@ -251,6 +263,16 @@ class TestSampleStep:
             sample_step(logits, top_p=0.0, rng=rng)
         with pytest.raises(ValueError):
             sample_step(logits)  # sampling without an rng
+
+    @pytest.mark.parametrize(
+        "logits, message",
+        [(np.zeros(3), "logits must be a (rows x vocabulary) matrix"), ([[0.0, np.nan]], "logits must be finite")],
+    )
+    def test_refuses_bad_logits(self, logits, message):
+        for argmax in (False, True):
+            with pytest.raises(ValueError) as info:
+                sample_step(logits, rng=np.random.default_rng(0), argmax=argmax)
+            assert str(info.value) == message
 
 
 class TestGenerate:

@@ -364,6 +364,37 @@ class TestRowKernels:
         want = auc_bruteforce(EnergyMap(grid, gen[0], (0, 1)), EnergyMap(grid, gt[0], (0, 1)), 50.0)
         assert auc_rows(gen, gt, grid.weights, 50.0)[0] == pytest.approx(want, abs=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.tuples(*[st.sampled_from(["random", "tied", "sparse", "constant"])] * 2),
+        percentile=st.sampled_from([50.0, 95.0, 99.0]),
+    )
+    def test_one_map_functions_are_one_row_of_the_kernels(self, seed, kinds, percentile):
+        rng = np.random.default_rng(seed)
+        gen, gt = (
+            {
+                "random": values,
+                "tied": np.round(values * 3) / 3,
+                "sparse": np.where(values < 0.97, 0.0, values),  # mostly zero: often no fixation split
+                "constant": np.full(GRID.n_cells, values[0]),
+            }[kind]
+            for kind, values in zip(kinds, rng.random((2, GRID.n_cells)))
+        )
+        for value, one, undefined in [
+            (correlation_rows(gen[None], gt[None], GRID.weights)[0], lambda: correlation(one_map(gen), one_map(gt)),
+             "correlation undefined for a constant map or zero weighted variance"),
+            (auc_rows(gen[None], gt[None], GRID.weights, percentile)[0],
+             lambda: auc(one_map(gen), one_map(gt), percentile), "reference map yields no usable fixation split"),
+        ]:
+            if np.isnan(value):
+                with pytest.raises(UndefinedMetricError) as info:
+                    one()
+                assert str(info.value) == undefined
+            else:
+                got = one()
+                assert type(got) is float and np.float64(got).tobytes() == value.tobytes()
+
     def test_no_split_message(self):
         _, gt = self.batch(24)
         with pytest.raises(UndefinedMetricError, match="no usable fixation split"):

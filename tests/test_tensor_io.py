@@ -326,6 +326,17 @@ class TestWav:
         write_wav_slabs((samples[:, i : i + 100] for i in range(0, 301, 100)), 4, 100, 301, cut, encoding)
         assert cut.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [(np.zeros((1, 2, 3)), "samples must be (channels, frames) with at least one frame"),
+         (np.array([0.0, np.inf]), "samples must be finite")],
+    )
+    def test_write_wav_refuses_bad_samples(self, tmp_path, samples, message):
+        with pytest.raises(ValueError) as info:
+            write_wav(samples, 100, tmp_path / "bad.wav")
+        assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
+
     def test_slabs_short_of_the_header_leave_no_file(self, tmp_path):
         path = tmp_path / "short.wav"
         with pytest.raises(ValueError, match="frames the header announced"):
@@ -504,6 +515,7 @@ HEADER_MUTATIONS = [
     ("24-bit", lambda b: b[:34] + struct.pack("<H", 24) + b[36:]),
     ("64-bit pcm", lambda b: b[:20] + struct.pack("<H", 1) + b[22:34] + struct.pack("<H", 64) + b[36:]),
     ("block align", lambda b: b[:32] + struct.pack("<H", 12) + b[34:]),
+    ("byte rate", lambda b: b[:28] + struct.pack("<I", 44100 * 16 + 1) + b[32:]),
     ("ragged data", lambda b: with_data_size(b, 4 * 16 - 2)),
     ("empty data", lambda b: with_data_size(b, 0)),
     ("short extensible fmt", lambda b: b[:20] + struct.pack("<H", 0xFFFE) + b[22:]),
@@ -810,6 +822,13 @@ class TestExportsAndAtomicity:
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n4 3\n255\n")
         assert len(blob) == len(b"P5\n4 3\n255\n") + 12
+
+    @pytest.mark.parametrize("value", [0.0, -2.5])
+    def test_pgm_of_a_flat_map_is_black(self, tmp_path, value):
+        # A silent map (or any constant one at or below zero) has no span to scale.
+        path = tmp_path / "map.pgm"
+        write_pgm(np.full((3, 4), value), path)
+        assert path.read_bytes() == b"P5\n4 3\n255\n" + bytes(12)
 
     def test_energy_map_pgm_row_per_band(self, tmp_path):
         grid = SphereGrid(4, 8)
