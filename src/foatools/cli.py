@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from functools import partial
 
@@ -311,6 +311,17 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
     return 2 if failed else 0
 
 
+def _manifest_mode(args, single_inputs, both: str) -> bool:
+    """Whether eval-spatial or eval-semantic ``args`` ask for a manifest run: UsageError(``both``)
+    for ``single_inputs`` given with --manifest, and a UsageError for --out or --jobs given without it."""
+    if args.manifest and single_inputs:
+        raise UsageError(both)
+    unpaired = [flag for flag in ("out", "jobs") if getattr(args, flag) is not None]
+    if unpaired and not args.manifest:
+        raise UsageError(f"--{unpaired[0]} goes with --manifest only")
+    return bool(args.manifest)
+
+
 @contextmanager
 def _naming(where: str):
     """Re-raise a data error of the block as its own type, its message led by ``where``."""
@@ -325,22 +336,17 @@ def _spatial_one(record, grid, fixation_percentile) -> dict:
     gen_moments, gt_moments = (read_foa_summary(path, spatial_metrics.window_moments) for path in (gen, gt))
     with _naming(f"{gen} vs {gt}"):
         report = spatial_metrics.evaluate_windows(gen_moments, gt_moments, grid, fixation_percentile)
-    return {"gen": gen, "gt": gt, **report.to_dict()}
+    return {"gen": gen, "gt": gt, **asdict(report)}
 
 
 def cmd_eval_spatial(args) -> int:
     one = partial(_spatial_one, grid=args.grid, fixation_percentile=args.fixation_percentile)
-    if args.manifest:
-        if args.gen or args.gt:
-            raise UsageError("give either a gen/gt pair or --manifest, not both")
+    if not (args.manifest or (args.gen and args.gt)):
+        raise UsageError("need generated and reference WAV paths (or --manifest)")
+    if _manifest_mode(args, args.gen or args.gt, "give either a gen/gt pair or --manifest, not both"):
         if args.csv:
             raise UsageError("--csv goes with a gen/gt pair, not --manifest")
         return _run_manifest(args, one, lambda _, rows: {"n_pairs": len(rows)}, ("gen", "gt"))
-    if not (args.gen and args.gt):
-        raise UsageError("need generated and reference WAV paths (or --manifest)")
-    for flag in ("out", "jobs"):
-        if getattr(args, flag) is not None:
-            raise UsageError(f"--{flag} goes with --manifest only")
     report = one({"gen": args.gen, "gt": args.gt})
     del report["gen"], report["gt"]
     if args.csv:
@@ -397,13 +403,9 @@ def _semantic_one(record, args) -> dict:
 
 def cmd_eval_semantic(args) -> int:
     one = partial(_semantic_one, args=args)
-    if args.manifest:
-        if args.channels or any(getattr(args, key) for key in _SEMANTIC_KEYS):
-            raise UsageError("give either feature, probability or channel inputs or --manifest, not both")
+    inputs = args.channels or any(getattr(args, key) for key in _SEMANTIC_KEYS)
+    if _manifest_mode(args, inputs, "give either feature, probability or channel inputs or --manifest, not both"):
         return _run_manifest(args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS)
-    for flag in ("out", "jobs"):
-        if getattr(args, flag) is not None:
-            raise UsageError(f"--{flag} goes with --manifest only")
     record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
     for kind in ("features", "probs"):
         if (f"gen_{kind}" in record) != (f"gt_{kind}" in record):
@@ -540,11 +542,11 @@ def _curate_one(record, args) -> dict:
 
 
 def _score(manifest, record) -> float:
-    try:
-        return float(record["score"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        got = json.dumps(record["score"])
-        raise FoaToolsError(f"{manifest}: {record['path']}: score must be a number, got {got}") from exc
+    score = record["score"]
+    with suppress(TypeError, ValueError, OverflowError):  # a value float() refuses
+        if not isinstance(score, bool) and math.isfinite(float(score)):
+            return float(score)
+    raise FoaToolsError(f"{manifest}: {record['path']}: score must be a number, got {json.dumps(score)}")
 
 
 def _curate_decide(manifest, records, rows) -> dict:

@@ -61,18 +61,6 @@ class Direction:
             ]
         )
 
-    @classmethod
-    def from_unit_vector(cls, vector) -> "Direction":
-        """Direction of a nonzero 3-vector (normalized internally)."""
-        v = np.asarray(vector, dtype=np.float64)
-        if v.shape != (3,) or not np.all(np.isfinite(v)):
-            raise ValueError("expected a finite 3-vector")
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("zero vector has no direction")
-        x, y, z = v / norm
-        return cls(math.atan2(y, x), math.asin(min(1.0, max(-1.0, z))))
-
 
 @dataclass(frozen=True)
 class Rotation:
@@ -94,10 +82,6 @@ class Rotation:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
-
-    @classmethod
     def about_z(cls, angle: float) -> "Rotation":
         """Counterclockwise rotation about the vertical axis by ``angle`` radians."""
         c, s = math.cos(angle), math.sin(angle)
@@ -111,10 +95,6 @@ class Rotation:
         negates channels bit-exactly: (W, X, Y, Z) -> (W, -Y, X, Z).
         """
         return cls(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-
-    def apply(self, direction: Direction) -> Direction:
-        """Rotate a direction."""
-        return Direction.from_unit_vector(self.matrix @ direction.unit_vector())
 
 
 @dataclass(frozen=True)
@@ -140,27 +120,6 @@ class FoaClip:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.n_samples / self.sample_rate
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.samples[0]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.samples[1]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.samples[2]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.samples[3]
 
 
 class SphereGrid:

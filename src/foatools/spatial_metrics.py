@@ -11,7 +11,7 @@ over the usable windows of each granularity.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class SpatialReport:
     auc_5fps: float
     windows_used: dict = field(default_factory=dict)
     windows_skipped: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _one_row(rows_of, gen: EnergyMap, gt: EnergyMap, undefined: str, *args) -> float:

@@ -97,7 +97,10 @@ _CHANNEL_ERRORS = {
 def atomic_write(path):
     """Open a temp file beside ``path`` and rename it into place on success."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:  # named by ``path``, not by a random temp name
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle

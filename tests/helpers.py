@@ -31,6 +31,13 @@ def random_direction(rng):
     return Direction(rng.uniform(0.0, 2.0 * np.pi), math.asin(rng.uniform(-1.0, 1.0)))
 
 
+def turned(rotation, direction):
+    """``direction`` turned by ``rotation``: the Direction of its rotated unit vector."""
+    v = rotation.matrix @ direction.unit_vector()
+    x, y, z = v / np.linalg.norm(v)
+    return Direction(math.atan2(y, x), math.asin(min(1.0, max(-1.0, z))))
+
+
 def random_clip(rng, n_samples=512, sample_rate=44100):
     return FoaClip(rng.normal(size=(4, n_samples)), sample_rate)
 
@@ -272,8 +279,8 @@ def evaluate_windows_bruteforce(gen, gt, grid, percentile=95.0):
 
     Maps come from per-cell decoding, CC and AUC from the direct-summation
     oracles. A window is skipped when either map is constant or the
-    reference gives no fixation split. Returns the ``SpatialReport.to_dict``
-    layout.
+    reference gives no fixation split. Returns the dict that
+    ``dataclasses.asdict`` makes of a ``SpatialReport``.
     """
     rate, n = gen.sample_rate, gen.n_samples
     weights = list(grid.weights)
@@ -381,7 +388,7 @@ def auc_rows_sorted(gen: np.ndarray, gt: np.ndarray, weights: np.ndarray, percen
 def evaluate_windows_whole(gen, gt, grid, percentile=95.0):
     """The windowed evaluation over whole-clip (windows x cells) map arrays:
     one (windows, 16) @ (16, cells) product per clip, then CC and AUC over
-    every row at once. Returns the ``SpatialReport.to_dict`` layout."""
+    every row at once. Returns the dict that ``dataclasses.asdict`` makes of a ``SpatialReport``."""
     if gen.n_samples != gt.n_samples or gen.sample_rate != gt.sample_rate:
         raise IncompatibleClipsError(
             f"clips differ: {gen.n_samples}@{gen.sample_rate} vs "

@@ -45,10 +45,10 @@ def test_c01_rotation_identity():
         for _ in range(200):
             clip = random_clip(rng, n_samples=int(rng.integers(8, 400)))
             turned = ft.rotate(clip, quarter)
-            assert np.array_equal(turned.w, clip.w)
-            assert np.array_equal(turned.x, -clip.y)
-            assert np.array_equal(turned.y, clip.x)
-            assert np.array_equal(turned.z, clip.z)
+            assert np.array_equal(turned.samples[0], clip.samples[0])
+            assert np.array_equal(turned.samples[1], -clip.samples[2])
+            assert np.array_equal(turned.samples[2], clip.samples[1])
+            assert np.array_equal(turned.samples[3], clip.samples[3])
             full = turned
             for _ in range(3):
                 full = ft.rotate(full, quarter)

@@ -139,6 +139,9 @@ class TestExitCodes:
                 (["eval-spatial", "--manifest", "IN", "--out", "OUT", "--csv", "OUT"],
                  "--csv goes with a gen/gt pair, not --manifest"),
                 (["eval-spatial", "IN", "IN", "--out", "OUT"], "--out goes with --manifest only"),
+                (["eval-spatial", "IN", "--out", "OUT"], "need generated and reference WAV paths (or --manifest)"),
+                (["eval-spatial", "--manifest", "IN", "--out", "OUT", "IN", "--csv", "OUT"],
+                 "give either a gen/gt pair or --manifest, not both"),
                 (["eval-semantic", "--manifest", "IN", "--out", "OUT",
                   "--gen-features", "IN", "--gt-features", "IN"],
                  "give either feature, probability or channel inputs or --manifest, not both"),
@@ -147,6 +150,7 @@ class TestExitCodes:
                 (["eval-semantic", "--gen-probs", "IN", "--gt-probs", "IN", "--out", "OUT"],
                  "--out goes with --manifest only"),
                 (["eval-semantic", "--channels", "IN", "--out", "OUT"], "--out goes with --manifest only"),
+                (["eval-semantic", "--out", "OUT"], "--out goes with --manifest only"),
                 (["eval-spatial", "IN", "IN", "--jobs", "4"], "--jobs goes with --manifest only"),
                 (["eval-semantic", "--gen-probs", "IN", "--gt-probs", "IN", "--jobs", "1"],
                  "--jobs goes with --manifest only"),
@@ -697,6 +701,24 @@ def seed_files(root):
     return {name: (path, starts.get(name) or path.read_bytes().index(b"\n") + 1) for name, path in paths.items()}
 
 
+# Every command that writes a file, its output named MISSING: a path in a directory that does
+# not exist. The inputs are seed_files' and MONO, a mono WAV.
+WRITING_COMMANDS = {
+    "encode": ["encode", "--dir", "0,0", "MONO", "MISSING"],
+    "decode": ["decode", "--dir", "0,0", "WAV", "MISSING"],
+    "rotate": ["rotate", "--z-quarters", "1", "WAV", "MISSING"],
+    "energy-map --csv": ["energy-map", "--grid", "4x8", "--csv", "MISSING", "WAV"],
+    "energy-map --pgm": ["energy-map", "--grid", "4x8", "--pgm", "MISSING", "WAV"],
+    "pattern": ["pattern", "pack", "RAW", "MISSING"],
+    "generate": ["generate", "--table", "RAW", "--argmax", "MISSING"],
+    "patch-energy": ["patch-energy", "EMB", "MISSING"],
+    "eval-spatial --csv": ["eval-spatial", "--grid", "4x8", "--csv", "MISSING", "WAV", "WAV"],
+    "eval-spatial --out": ["eval-spatial", "--grid", "4x8", "--manifest", "SPATIAL", "--out", "MISSING"],
+    "eval-semantic --out": ["eval-semantic", "--manifest", "SEMANTIC", "--out", "MISSING"],
+    "curate": ["curate", "--grid", "4x8", "--rms-threshold", "0.01", "--manifest", "CURATE", "--out", "MISSING"],
+}
+
+
 class TestFileExitCodes:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -739,6 +761,15 @@ class TestFileExitCodes:
             entries = mapping.values() if isinstance(mapping, dict) else ()
             named |= {v for entry in entries if isinstance(entry, dict) for v in entry.values() if isinstance(v, str)}
         check_mangled_run(["eval-semantic", "--channels", str(files["CHANNELS"][0])], root, named, False)
+
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS)
+    def test_output_in_a_missing_directory_names_the_output(self, capsys, tmp_path, argv):
+        paths = {name: path for name, (path, _) in seed_files(tmp_path).items()}
+        paths["MONO"], paths["MISSING"] = tmp_path / "mono.wav", tmp_path / "absent" / "out"
+        write_wav(np.zeros(40), 20, paths["MONO"])
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(paths["MISSING"]) in err and ".tmp-" not in err
 
 
 class TestPatternCommands:
@@ -1262,7 +1293,7 @@ class TestCurate:
         assert "score" in err
         assert not (tmp_path / "o.ndjson").exists()
 
-    @pytest.mark.parametrize("score", [None, "abc", [1.0], 10**400])
+    @pytest.mark.parametrize("score", [None, "abc", [1.0], 10**400, float("nan"), float("inf"), "-inf", True])
     def test_non_numeric_score_rejected(self, capsys, tmp_path, monkeypatch, score):
         path = tmp_path / "c.wav"
         write_foa_wav(FoaClip(np.ones((4, 5 * 1000)), 1000), path)

@@ -1,13 +1,16 @@
-"""Dead-code guard over the package source: no unused import, no unreferenced private name."""
+"""Dead-code guard over the package source: no unused import, no unreferenced private name,
+no class member that only tests read."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "foatools"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
+README = PACKAGE.parents[1] / "README.md"
 
 
 def names_read(tree):
@@ -41,3 +44,18 @@ def test_every_private_module_name_is_referenced(module):
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     read = {name for tree in TREES.values() for name in names_read(tree)}
     assert sorted(private - read) == []
+
+
+def test_every_class_member_is_read_in_src_or_named_in_the_readme():
+    # Python calls the dunder methods itself; every other method or property is
+    # library code only if the package reads it or the README documents it.
+    used = {name for tree in TREES.values() for name in names_read(tree)} | set(re.findall(r"\w+", README.read_text()))
+    members = [
+        f"{cls.name}.{node.name}"
+        for tree in TREES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in used
+    ]
+    assert members == []

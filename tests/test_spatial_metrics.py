@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -229,7 +230,7 @@ class TestEvaluateWindows:
         sr = 4410
         gt = encoded_noise(rng, Direction(2.0, 0.4), n_samples=sr, sample_rate=sr)
         report = evaluate_windows(gt, gt, GRID)
-        payload = report.to_dict()
+        payload = asdict(report)
         assert set(payload) == {
             "cc_all",
             "cc_1fps",
@@ -269,7 +270,7 @@ class TestEvaluateWindowsOracle:
     def test_matches_per_window_loop(self, sr):
         gen_clip, gt_clip = oracle_pair(sr)
         grid = SphereGrid(8, 16)
-        assert_matches_bruteforce(evaluate_windows(gen_clip, gt_clip, grid).to_dict(), gen_clip, gt_clip, grid)
+        assert_matches_bruteforce(asdict(evaluate_windows(gen_clip, gt_clip, grid)), gen_clip, gt_clip, grid)
 
     @pytest.mark.parametrize("sr", [4410, 4411])
     def test_file_moments_match_the_clip_api(self, tmp_path, sr):
@@ -278,8 +279,8 @@ class TestEvaluateWindowsOracle:
             write_foa_wav(clip, path)
         gen_clip, gt_clip = (read_foa_wav(path) for path in paths)
         grid = SphereGrid(8, 16)
-        got = evaluate_windows(*(read_foa_summary(path, window_moments) for path in paths), grid).to_dict()
-        assert got == evaluate_windows(gen_clip, gt_clip, grid).to_dict()  # bit for bit
+        got = asdict(evaluate_windows(*(read_foa_summary(path, window_moments) for path in paths), grid))
+        assert got == asdict(evaluate_windows(gen_clip, gt_clip, grid))  # bit for bit
         assert_matches_bruteforce(got, gen_clip, gt_clip, grid)
 
     def test_interleaved_layout_gives_same_report(self):
@@ -290,7 +291,7 @@ class TestEvaluateWindowsOracle:
         gt = encoded_noise(rng, Direction(2.0, -0.3), n_samples=2 * sr + 100, sample_rate=sr)
         gen = FoaClip(gt.samples + 0.2 * rng.normal(size=gt.samples.shape), sr)
         fortran = FoaClip(np.asfortranarray(gen.samples), sr)
-        assert evaluate_windows(fortran, gt, GRID).to_dict() == evaluate_windows(gen, gt, GRID).to_dict()
+        assert asdict(evaluate_windows(fortran, gt, GRID)) == asdict(evaluate_windows(gen, gt, GRID))
 
     def test_bad_percentile(self):
         rng = np.random.default_rng(20)
@@ -439,7 +440,7 @@ class TestBlockedWindows:
         reports = []
         for rows in sorted({1, 7, n - 1, n}):
             with mock.patch.object(spatial_metrics, "_BLOCK_ROWS", rows):
-                reports.append(report_or_error(lambda: evaluate_windows(*moments, GRID).to_dict()))
+                reports.append(report_or_error(lambda: asdict(evaluate_windows(*moments, GRID))))
         assert all(report == reports[0] for report in reports)  # bit for bit
         want = report_or_error(lambda: evaluate_windows_whole(*moments, GRID))
         if isinstance(want, str):
