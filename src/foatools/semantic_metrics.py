@@ -49,19 +49,14 @@ class GaussianStats:
         return self.mean.size
 
 
-def _as_features(features) -> np.ndarray:
+def gaussian_stats(features) -> GaussianStats:
+    """Sample mean and unbiased covariance of a feature matrix."""
     with np.errstate(invalid="ignore"):  # a float32 signalling NaN; checked just below
         x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D (samples x dims) matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    return x
-
-
-def gaussian_stats(features) -> GaussianStats:
-    """Sample mean and unbiased covariance of a feature matrix."""
-    x = _as_features(features)
     n, d = x.shape
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 rows, got {n}")

@@ -104,7 +104,10 @@ def atomic_write(path):
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # an existing directory at ``path``, say
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)

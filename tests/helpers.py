@@ -427,7 +427,8 @@ def evaluate_windows_whole(gen, gt, grid, percentile=95.0):
 
 
 def patch_scores_bruteforce(emb, spatial_window, temporal_window):
-    """Nested-loop spatial/temporal distinctiveness scores."""
+    """Nested-loop spatial/temporal distinctiveness scores, in float64."""
+    emb = np.asarray(emb, dtype=np.float64)
     n_time, n_rows, n_cols, _ = emb.shape
 
     def cos_sim(a, b):
@@ -463,7 +464,9 @@ def patch_scores_clamped(embeddings, spatial_window, temporal_window):
     """The clamped-index patch scores, with the library's checks and zero-norm
     warning: each neighborhood sum adds fancy-indexed copies of the tensor in
     offset order (spatial rows, then columns; then time), then divides once.
-    The library's edge-padded sums must equal these bit for bit."""
+    The library's sums, block by block of frames, must equal these bit for bit."""
+    if spatial_window < 0 or temporal_window < 0:
+        raise ValueError("window sizes must be nonnegative")
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 4 or min(x.shape) < 1:
         raise ValueError("embeddings must be a (time, rows, cols, dim) tensor")
@@ -471,8 +474,6 @@ def patch_scores_clamped(embeddings, spatial_window, temporal_window):
         raise ValueError("embeddings must be finite")
     if np.any(np.linalg.norm(x, axis=-1) == 0.0):
         raise ValueError("all-zero embedding vectors make cosine similarity undefined")
-    if spatial_window < 0 or temporal_window < 0:
-        raise ValueError("window sizes must be nonnegative")
     n_time, n_rows, n_cols, _ = x.shape
 
     def cosine_scores(neighborhood_mean):

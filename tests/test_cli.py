@@ -771,6 +771,17 @@ class TestFileExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(paths["MISSING"]) in err and ".tmp-" not in err
 
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS)
+    def test_output_that_is_a_directory_names_the_output(self, capsys, tmp_path, argv):
+        paths = {name: path for name, (path, _) in seed_files(tmp_path).items()}
+        paths["MONO"], paths["MISSING"] = tmp_path / "mono.wav", tmp_path / "outdir"
+        write_wav(np.zeros(40), 20, paths["MONO"])
+        paths["MISSING"].mkdir()
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(paths["MISSING"]) in err and ".tmp-" not in err
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+
 
 class TestPatternCommands:
     def test_pack_unpack_bit_identical(self, capsys, tmp_path):

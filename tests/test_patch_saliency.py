@@ -1,29 +1,36 @@
+import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from foatools import energy_from_scores, patch_scores
+from foatools import energy_from_scores, patch_saliency, patch_scores
 from helpers import patch_energy_bruteforce, patch_scores_bruteforce, patch_scores_clamped
 
 
 @st.composite
 def embeddings(draw):
     shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6)))
-    # Small integers cancel inside windows, so zero-norm means (and their warning) occur.
-    elements = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-1e3, 1e3)]))
-    emb = draw(hnp.arrays(np.float64, shape, elements=elements))
+    # float32 is what the CLI reads. Small integers cancel inside windows, so zero-norm
+    # means (and their warning) occur.
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    width = np.finfo(dtype).bits
+    elements = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-1e3, 1e3, width=width)]))
+    emb = draw(hnp.arrays(dtype, shape, elements=elements))
     emb[np.linalg.norm(emb, axis=-1) == 0.0, 0] = 1.0  # all-zero vectors are rejected
     return emb
 
 
 def scores_and_warnings(scores, emb, spatial_window, temporal_window):
+    """The scores, and (message, file, line) of each warning: the line that calls ``scores``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = scores(emb, spatial_window, temporal_window)
-    return result, [str(w.message) for w in caught]
+    return result, [(str(w.message), w.filename, w.lineno) for w in caught]
 
 
 class TestPatchScores:
@@ -108,6 +115,58 @@ class TestPatchScores:
             assert np.array_equal(got_scores, want_scores)
             assert np.allclose(got_scores, brute_scores, atol=1e-6)
         assert got_warnings == want_warnings
+
+    @settings(max_examples=150, deadline=None)
+    @given(emb=embeddings(), spatial_window=st.integers(0, 3), temporal_window=st.integers(0, 3))
+    def test_every_block_size_is_bit_identical(self, emb, spatial_window, temporal_window):
+        # Blocks of 1 frame, 2 frames and the whole tensor give the clamped-index scores and warnings.
+        want, want_warnings = scores_and_warnings(patch_scores_clamped, emb, spatial_window, temporal_window)
+        assert all(filename == __file__ for _, filename, _ in want_warnings)
+        frame_bytes = 8 * math.prod(emb.shape[1:])
+        for frames in (1, 2, len(emb)):
+            with mock.patch.object(patch_saliency, "_BLOCK_BYTES", frames * frame_bytes):
+                got, got_warnings = scores_and_warnings(patch_scores, emb, spatial_window, temporal_window)
+            for got_scores, want_scores in zip(got, want):
+                assert np.array_equal(got_scores, want_scores)
+            assert got_warnings == want_warnings
+
+    @settings(max_examples=60, deadline=None)
+    @given(emb=embeddings(), data=st.data(), value=st.sampled_from([np.nan, np.inf, -np.inf]),
+           temporal_window=st.integers(0, 3))
+    def test_non_finite_value_comes_first_at_every_block_size(self, emb, data, value, temporal_window):
+        # Also past an all-zero vector in frame 0, and with no warning from the sums.
+        emb[0, 0, 0] = 0.0
+        emb[tuple(data.draw(st.integers(0, n - 1)) for n in emb.shape)] = value
+        frame_bytes = 8 * math.prod(emb.shape[1:])
+        for frames in (1, 2, len(emb)):
+            with mock.patch.object(patch_saliency, "_BLOCK_BYTES", frames * frame_bytes):
+                with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError, match="finite"):
+                    warnings.simplefilter("always")
+                    patch_scores(emb, 1, temporal_window)
+            assert caught == []
+
+    def test_peak_memory_does_not_grow_with_the_frames(self):
+        # Only the two (time, rows, cols) float64 outputs span the frames: 28 more frames of
+        # 8x8x1024 float32 (7.3 MB) may add their 28 KB, and a margin for Python's free lists.
+        rng = np.random.default_rng(6)
+        peaks = []
+        for n_time in (4, 32):
+            emb = rng.normal(size=(n_time, 8, 8, 1024)).astype(np.float32)
+            patch_scores(emb)
+            tracemalloc.start()
+            try:
+                patch_scores(emb)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        outputs = 2 * 28 * 8 * 8 * 8
+        assert peaks[1] - peaks[0] <= outputs + 32_000, peaks
+
+    def test_window_sizes_are_checked_first(self):
+        with pytest.raises(ValueError, match="window sizes must be nonnegative"):
+            patch_scores(np.full((2, 2, 2, 3), np.nan), temporal_window=-1)
+        with pytest.raises(ValueError, match="window sizes must be nonnegative"):
+            patch_scores(np.ones((2, 2, 3)), spatial_window=-1)
 
     def test_rejects_bad_embeddings(self):
         with pytest.raises(ValueError):
