@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoEnergyError
-from .foa import Direction, SphereGrid, WindowSums, energy_map, second_sums, walk_moments
+from .foa import Direction, EnergyMap, SphereGrid, power_maps, second_sums, summary, walk_moments, whole_seconds
 
 DEFAULT_AMPLITUDE_FLOOR = 1e-20
 
@@ -45,21 +45,14 @@ ClipStats = namedtuple("ClipStats", "n_samples abs_means w_squares whole")
 
 
 def clip_stats(slabs, n_samples: int, sample_rate: int) -> ClipStats:
-    """The ClipStats of a clip that ``slabs`` yields in order as (4, frames)
-    slabs of whole seconds, the last one shorter; ``whole`` is ``foa.walk_moments``'."""
+    """The ClipStats of a clip that ``slabs`` yields as ``foa.whole_seconds`` checks
+    them; ``whole`` is ``foa.walk_moments``'."""
     abs_means, w_squares = [], []
-    for slab, whole in walk_moments(slabs, sample_rate):
+    for slab, whole in walk_moments(whole_seconds(slabs, n_samples, sample_rate), sample_rate):
         k = slab.shape[1] // sample_rate
         abs_means.append(second_sums(np.abs(slab[:, : k * sample_rate]).reshape(4, k, sample_rate)).T / sample_rate)
         w_squares.append((slab[0, : k * sample_rate].reshape(k, sample_rate) ** 2).mean(axis=1))
     return ClipStats(n_samples, np.concatenate(abs_means, axis=1), np.concatenate(w_squares), whole)
-
-
-def _stats(clip) -> ClipStats:
-    """``clip`` if it is a ClipStats, else the ClipStats of the FoaClip as one slab."""
-    if isinstance(clip, ClipStats):
-        return clip
-    return clip_stats([clip.samples], clip.n_samples, clip.sample_rate)
 
 
 def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
@@ -67,9 +60,9 @@ def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
 
     ``clip`` is a ClipStats (as ``tensor_io.read_foa_summary(path, clip_stats)``
     reads it) or a FoaClip, here and in ``segment_mask`` and ``fov_center``; a
-    FoaClip's whole ClipStats is built first, as one slab.
+    FoaClip's whole ClipStats is built first, through ``foa.summary``.
     """
-    abs_means = _stats(clip).abs_means
+    abs_means = summary(clip, clip_stats).abs_means
     if abs_means.shape[1] < 1:
         raise ValueError("amplitude gate needs at least one full second of audio")
     return bool(np.all(abs_means >= threshold))
@@ -79,7 +72,7 @@ def segment_mask(clip, rms_threshold: float) -> np.ndarray:
     """Per-second validity: RMS of the W channel at or above the threshold."""
     if rms_threshold < 0.0:
         raise ValueError("rms_threshold must be nonnegative")
-    return np.sqrt(_stats(clip).w_squares) >= rms_threshold
+    return np.sqrt(summary(clip, clip_stats).w_squares) >= rms_threshold
 
 
 def select_windows(mask) -> list:
@@ -99,8 +92,8 @@ def fov_center(clip, grid: SphereGrid) -> Direction:
 
     Exact ties resolve to the lowest (elevation band, azimuth index) cell.
     """
-    n, _, _, whole = _stats(clip)
-    emap = energy_map(WindowSums((0, n), whole, None), grid)
+    n, _, _, whole = summary(clip, clip_stats)
+    emap = EnergyMap(grid, power_maps(grid, whole[None] / n)[0], (0, n))
     if emap.values.max() <= 0.0:
         raise NoEnergyError("clip carries no energy; argmax direction undefined")
     return grid.direction(emap.argmax_cell())

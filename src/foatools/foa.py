@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -312,6 +313,18 @@ def second_sums(seconds: np.ndarray) -> np.ndarray:
 WindowSums = namedtuple("WindowSums", "window whole sums")
 
 
+def whole_seconds(slabs, n_samples: int, sample_rate: int):
+    """The summaries' slab contract: ``slabs`` as they come, refusing one after a partial second or a total not n_samples."""
+    taken = 0
+    for slab in slabs:
+        if taken % sample_rate:
+            raise ValueError(f"slab at sample {taken} follows a partial second of {sample_rate} samples")
+        taken += slab.shape[1]
+        yield slab
+    if taken != n_samples:
+        raise ValueError(f"slabs hold {taken} samples, not {n_samples}")
+
+
 def walk_moments(slabs, length: int):
     """Yield each (4, frames) slab of ``slabs`` with the ``block_moments`` of its whole ``length``-sample blocks, counted
     from the clip start (a block cut at a slab's end joins the next slab), then the leftover samples and the whole moment:
@@ -327,15 +340,15 @@ def walk_moments(slabs, length: int):
 
 
 def window_sums(slabs, n_samples: int, sample_rate: int, window=None) -> WindowSums:
-    """The WindowSums of a clip that ``slabs`` yields in order as (4, frames) slabs of whole seconds, the last shorter;
-    the window is checked before a slab is taken. A slab wholly outside ``[start, end)`` is skipped, and one the window
+    """The WindowSums of a clip that ``slabs`` yields as ``whole_seconds`` checks them; the window is checked
+    before a slab is taken. A slab wholly outside ``[start, end)`` is skipped, and one the window
     cuts is multiplied by its 0/1 mask (a copy). ``whole`` is ``walk_moments``' over the rest, whose 1 s blocks no skip
     moves (with no window, ``curation.clip_stats``'s); the channel sums add the seconds in order, then the leftover:
     both sum the clip times its mask, but for the sign of an exact-zero sum, which adds of skipped zeros could move."""
     start, end = _resolve_window(window, n_samples)
 
     def inside(offset=0):
-        for slab in slabs:
+        for slab in whole_seconds(slabs, n_samples, sample_rate):
             lo, offset = offset, offset + slab.shape[1]
             cut = lo < start or end < offset  # a slab the window cuts is a copy, times 1 inside it and 0 outside
             if start < offset and lo < end:
@@ -347,6 +360,12 @@ def window_sums(slabs, n_samples: int, sample_rate: int, window=None) -> WindowS
     return WindowSums((start, end), whole, np.concatenate(sums).sum(axis=0) + second_sums(part[:, None])[0])
 
 
+def summary(clip, build):
+    """``build([clip.samples], clip.n_samples, clip.sample_rate)``, the summary of a FoaClip
+    as one slab; any other ``clip`` is a summary already and comes back unchanged."""
+    return build([clip.samples], clip.n_samples, clip.sample_rate) if isinstance(clip, FoaClip) else clip
+
+
 def energy_map(
     clip,
     grid: SphereGrid,
@@ -355,7 +374,7 @@ def energy_map(
 ) -> EnergyMap:
     """Acoustic energy of ``clip`` at every grid cell over a sample window.
 
-    ``clip`` is a FoaClip, summarized as one slab, or its ``window_sums``,
+    ``clip`` is a FoaClip, taken through ``summary``, or its ``window_sums``,
     which carry their window (``window`` is then None); both give one map.
 
     In ``power`` mode each cell holds the time mean of the squared decoded
@@ -370,11 +389,9 @@ def energy_map(
     """
     if mode not in ENERGY_MODES:
         raise ValueError(f"mode must be one of {ENERGY_MODES}, got {mode!r}")
-    if not isinstance(clip, WindowSums):
-        clip = window_sums([clip.samples], clip.n_samples, clip.sample_rate, window)
-    elif window is not None:
+    if isinstance(clip, WindowSums) and window is not None:
         raise ValueError("WindowSums carry their window; pass window=None")
-    (start, end), whole, sums = clip
+    (start, end), whole, sums = summary(clip, partial(window_sums, window=window))
     if mode == ENERGY_MODE_POWER:
         values = power_maps(grid, whole[None] / (end - start))[0]
     else:

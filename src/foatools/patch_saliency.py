@@ -47,30 +47,32 @@ def patch_scores(embeddings, spatial_window: int = DEFAULT_WINDOW, temporal_wind
     if x.ndim != 4 or min(x.shape) < 1:
         raise ValueError("embeddings must be a (time, rows, cols, dim) tensor")
     n_time, n_rows, n_cols, dim = x.shape
-    rows, cols = (np.clip(np.arange(-spatial_window, n + spatial_window), 0, n - 1) for n in (n_rows, n_cols))
+    windows = np.array([[0, spatial_window, spatial_window, 0], [temporal_window, 0, 0, 0]])  # spatial, temporal
+    pads = np.minimum(windows, np.array(x.shape) - 1)  # past its pad, an offset reads only edge patches
+    rows, cols = (np.clip(np.arange(-p, n + p), 0, n - 1) for n, p in zip(x.shape[1:3], pads[0, 1:3]))
     step = max(1, _BLOCK_BYTES // (8 * n_rows * n_cols * dim))
     scores = np.empty((2, n_time, n_rows, n_cols))  # spatial, temporal
     n_undefined = [0, 0]
     any_zero = False
     for t0 in range(0, n_time, step):
         t1 = min(t0 + step, n_time)
-        frames = np.clip(np.arange(t0 - temporal_window, t1 + temporal_window), 0, n_time - 1)
+        frames = np.clip(np.arange(t0 - pads[1, 0], t1 + pads[1, 0]), 0, n_time - 1)
         with np.errstate(invalid="ignore"):  # a float32 signalling NaN; checked just below
             halo = x[frames].astype(np.float64)
-        # A later halo's first 2T frames were checked as the last ones of the halo before.
-        if not np.all(np.isfinite(halo[2 * temporal_window if t0 else 0 :])):
+        # A later halo's first 2P frames (P its temporal pad) were checked as the last ones of the halo before.
+        if not np.all(np.isfinite(halo[2 * pads[1, 0] if t0 else 0 :])):
             raise ValueError("embeddings must be finite")
-        block = halo[temporal_window : temporal_window + t1 - t0]
+        block = halo[pads[1, 0] : pads[1, 0] + t1 - t0]
         block_norms = np.linalg.norm(block, axis=-1)
         any_zero |= bool(np.any(block_norms == 0.0))
         for kind, padded in enumerate((block[:, rows[:, None], cols], halo)):
-            # Each patch's window mean: the block-shaped slices of ``padded`` (its border patches
-            # clamped), added in offset order (rows, then columns; time) to zeros, divided once.
-            widths = [size - want + 1 for size, want in zip(padded.shape, block.shape)]
+            # Each patch's window mean: the block-shaped slices of ``padded`` (its border patches clamped)
+            # at clip(o, -P, P) per offset o, added in offset order (rows, then columns; time) to zeros, divided once.
+            starts = [np.clip(np.arange(-w, w + 1), -p, p) + p for w, p in zip(windows[kind], pads[kind])]
             mean = np.zeros(block.shape)
-            for offsets in itertools.product(*map(range, widths)):
+            for offsets in itertools.product(*starts):
                 mean += padded[tuple(slice(start, start + want) for start, want in zip(offsets, block.shape))]
-            mean /= math.prod(widths)
+            mean /= math.prod(map(len, starts))
             norms = block_norms * np.linalg.norm(mean, axis=-1)
             mean *= block  # the products of the dots, in place
             undefined = norms == 0.0

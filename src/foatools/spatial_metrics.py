@@ -21,7 +21,7 @@ from .errors import (
     NoUsableWindowsError,
     UndefinedMetricError,
 )
-from .foa import EnergyMap, SphereGrid, block_moments, power_maps, walk_moments
+from .foa import EnergyMap, SphereGrid, block_moments, power_maps, summary, walk_moments, whole_seconds
 
 GRANULARITIES = ("all", "1fps", "5fps")
 
@@ -169,12 +169,12 @@ WindowMoments = namedtuple("WindowMoments", "n_samples sample_rate whole seconds
 
 
 def window_moments(slabs, n_samples: int, sample_rate: int) -> WindowMoments:
-    """Window moments of a clip that ``slabs`` yields in order as (4, frames) slabs of whole seconds,
-    the last one shorter, walked once by ``foa.walk_moments`` in 200 ms blocks. 1000 ms windows add
-    five blocks when the rate divides by 5; else each slab's seconds are taken as they come."""
+    """Window moments of a clip that ``slabs`` yields as ``foa.whole_seconds`` checks them, walked once
+    by ``foa.walk_moments`` in 200 ms blocks. 1000 ms windows add five blocks when the rate divides
+    by 5; else each slab's seconds are taken as they come."""
     length, split = max(1, sample_rate // 5), sample_rate % 5
     walked, seconds = [], []
-    for slab, moments in walk_moments(slabs, length):
+    for slab, moments in walk_moments(whole_seconds(slabs, n_samples, sample_rate), length):
         walked.append(moments)
         if split:
             seconds.append(block_moments(slab, sample_rate))
@@ -210,10 +210,7 @@ def evaluate_windows(
             f"{gt.n_samples}@{gt.sample_rate}"
         )
 
-    gen, gt = (
-        m if isinstance(m, WindowMoments) else window_moments([m.samples], m.n_samples, m.sample_rate)
-        for m in (gen, gt)
-    )
+    gen, gt = (summary(m, window_moments) for m in (gen, gt))
     counts, length = (1, gen.seconds.shape[0], gen.blocks.shape[0]), max(1, gen.sample_rate // 5)
     # Mean moments of every window, whole clip first, then the 1000 ms and the 200 ms ones.
     gen_means, gt_means = (

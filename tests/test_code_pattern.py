@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,22 @@ class TestValidation:
     def test_bad_schedule_length(self):
         with pytest.raises(MalformedPatternError):
             ReorgMatrix(np.zeros((8, 4), dtype=np.int64), Pattern.PROPOSED, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: group_of(1, 0), "n_codebooks_per_channel must be at least 1"),
+        (lambda: pattern_steps(Pattern.PROPOSED, 0, 3), "need at least one codebook and one frame"),
+        (lambda: pattern_steps(Pattern.SEQUENTIAL_DELAY, 2, 0), "need at least one codebook and one frame"),
+        (lambda: CodeMatrix(np.zeros((8, 3)), 2, 5), "codes must be a 2-D integer matrix"),
+        (lambda: CodeMatrix(np.zeros(8, dtype=np.int64), 2, 5), "codes must be a 2-D integer matrix"),
+        (lambda: CodeMatrix(np.zeros((8, 3), dtype=np.int64), 0, 5), "need positive codebook count and vocabulary size"),
+        (lambda: ReorgMatrix(np.zeros((8, 7), dtype=np.int64), Pattern.PROPOSED, 2, 0),
+         "need positive codebook count and vocabulary size"),
+    ],
+    ids=["group-of-no-codebook", "steps-no-codebook", "steps-no-frame", "float-codes", "1-d-codes", "no-codebook", "no-vocab"],
+)
+def test_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

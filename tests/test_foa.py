@@ -1,8 +1,10 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from foatools import (
 from foatools.curation import clip_stats
 from foatools.errors import InvalidRotationError, InvalidWindowError
 from foatools.foa import ENERGY_MODES, block_moments, power_maps, walk_moments, window_sums
+from foatools.spatial_metrics import window_moments
 from helpers import (
     block_moments_bruteforce,
     encoded_noise,
@@ -385,6 +388,46 @@ class TestEnergyMap:
         assert np.array_equal(np.concatenate([m for _, m in cut]), one[0][1])
         assert np.array_equal(np.concatenate([s for s, _ in cut], axis=1), samples)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rate=st.integers(1, 12),
+        frames=st.integers(1, 60),
+        cuts=st.lists(st.integers(0, 60), max_size=6),
+        claimed=st.integers(-3, 3),
+        edges=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_summaries_refuse_slabs_that_break_their_contract(self, rate, frames, cuts, claimed, edges, seed):
+        # Slabs cut anywhere, claiming a total near theirs. Each summary refuses them unless every
+        # slab but the last holds whole seconds and all hold the claimed total; then it is the
+        # one-slab summary, bit for bit.
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(4, frames)) * np.exp(rng.uniform(-10, 8, size=(4, frames)))
+        bounds = [0, *sorted(cut for cut in cuts if cut < frames), frames]
+        n_samples = max(1, frames + claimed)
+        kept = n_samples == frames and all((hi - lo) % rate == 0 for lo, hi in zip(bounds[:-2], bounds[1:-1]))
+        start = edges[0] % min(frames, n_samples)
+        window = (start, start + 1 + edges[1] % (min(frames, n_samples) - start))
+        for build in (window_moments, clip_stats, window_sums, partial(window_sums, window=window)):
+            slabs = (samples[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+            if not kept:
+                with pytest.raises(ValueError, match="follows a partial second|samples, not"):
+                    build(slabs, n_samples, rate)
+                continue
+            got, want = build(slabs, n_samples, rate), build([samples], frames, rate)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_slab_contract_messages(self):
+        # A clip of 45 samples at rate 10: slabs cut at 15 and 30 break the first second
+        # apart, and one slab of 45 does not hold 44, 30 or 40 samples.
+        x = np.random.default_rng(17).normal(size=(4, 45))
+        for build in (window_moments, clip_stats, window_sums):
+            with pytest.raises(ValueError, match=r"^slab at sample 15 follows a partial second of 10 samples$"):
+                build([x[:, :15], x[:, 15:30], x[:, 30:]], 45, 10)
+        for build, n_samples in ((window_sums, 44), (clip_stats, 30), (window_moments, 40)):
+            with pytest.raises(ValueError, match=rf"^slabs hold 45 samples, not {n_samples}$"):
+                build([x], n_samples, 10)
+
     def test_argmax_is_nearest_cell(self):
         rng = np.random.default_rng(10)
         grid = SphereGrid(16, 32)
@@ -446,3 +489,20 @@ class TestEnergyMap:
             clip = encoded_noise(rng, d, n_samples=400)
             emap = energy_map(clip, grid)
             assert directional_energy(clip, d) >= emap.values.max() - 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Rotation(np.eye(2)), InvalidRotationError, "rotation must be a finite 3x3 matrix"),
+        (lambda: Rotation(np.diag([1.0, 1.0, np.nan])), InvalidRotationError, "rotation must be a finite 3x3 matrix"),
+        (lambda: EnergyMap(SphereGrid(2, 2), [0.0, np.inf], (0, 1)), ValueError, "energy values must be finite"),
+        (lambda: EnergyMap(SphereGrid(2, 2), [0.0, -1e-300], (0, 1)), ValueError, "power-mode energies must be nonnegative"),
+        (lambda: directional_energy(FoaClip(np.ones((4, 3)), 3), Direction(0.0, 0.0), mode="rms"), ValueError,
+         "mode must be one of ('power', 'literal-linear'), got 'rms'"),
+    ],
+    ids=["rotation-shape", "rotation-nan", "energy-inf", "power-negative", "directional-mode"],
+)
+def test_refusals_name_the_bad_argument(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

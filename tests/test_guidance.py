@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,3 +477,12 @@ class TestAllocatingOracles:
         later = predictor(np.zeros((8, 3), dtype=np.int64), "full")
         assert later is not first[0]
         assert predictor.n_queries == 5
+
+
+@pytest.mark.parametrize("name", ["full", "direction_only", "unconditional"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_combine_refuses_non_finite_logits(name, value):
+    sets = {variant: np.zeros((2, 3)) for variant in ("full", "direction_only", "unconditional")}
+    sets[name][1, 2] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(name))} logits must be finite$"):
+        combine("directional", **sets)

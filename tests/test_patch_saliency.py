@@ -162,6 +162,25 @@ class TestPatchScores:
         outputs = 2 * 28 * 8 * 8 * 8
         assert peaks[1] - peaks[0] <= outputs + 32_000, peaks
 
+    @pytest.mark.parametrize(
+        "kind, shape, small",
+        [("spatial_window", (2, 2, 2, 64), 1), ("spatial_window", (2, 6, 6, 64), 5), ("temporal_window", (2, 6, 6, 64), 1)],
+    )
+    def test_peak_memory_does_not_grow_past_the_tensor(self, kind, shape, small):
+        # An axis is padded by at most its size - 1 patches, so window 40 pads as the window of that
+        # size does: window 1 on an axis of 2 patches. A 40-patch pad would take 2-7 MB here.
+        emb = np.random.default_rng(8).normal(size=shape).astype(np.float32)
+        peaks = []
+        for window in (small, 40):
+            patch_scores(emb, **{kind: window})
+            tracemalloc.start()
+            try:
+                patch_scores(emb, **{kind: window})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16_000, peaks
+
     def test_window_sizes_are_checked_first(self):
         with pytest.raises(ValueError, match="window sizes must be nonnegative"):
             patch_scores(np.full((2, 2, 2, 3), np.nan), temporal_window=-1)
@@ -214,3 +233,12 @@ class TestEnergyFromScores:
             energy_from_scores(scores, scores, top_p=1.5)
         with pytest.raises(ValueError):
             energy_from_scores(scores, np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_energy_from_scores_refuses_non_finite_scores(kind, value):
+    scores = [np.ones((1, 2, 2)), np.ones((1, 2, 2))]
+    scores[kind][0, 1, 0] = value
+    with pytest.raises(ValueError, match="^scores must be finite$"):
+        energy_from_scores(*scores)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,3 +190,26 @@ class TestFadAvg:
         pairs = {name: (rng.normal(size=(10, 2)), rng.normal(size=(10, 2))) for name in "WXY"}
         with pytest.raises(ValueError, match="Z"):
             fad_avg(pairs)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GaussianStats(np.zeros((2, 2)), np.eye(2)), ValueError, "mean must be a 1-D vector"),
+        (lambda: GaussianStats(np.zeros(2), np.eye(3)), ValueError, "covariance must be 2x2, got (3, 3)"),
+        (lambda: GaussianStats([0.0, np.nan], np.eye(2)), ValueError, "statistics must be finite"),
+        (lambda: GaussianStats(np.zeros(2), np.diag([1.0, np.inf])), ValueError, "statistics must be finite"),
+        (lambda: gaussian_stats(np.ones(5)), ValueError, "features must be a 2-D (samples x dims) matrix"),
+        # Eigenvalues of -9e-9 pass the -1e-8 check, but 200 of them sum past the -1e-6 clamp.
+        (lambda: frechet_distance(*[GaussianStats(np.zeros(100), -9e-9 * np.eye(100))] * 2), NotPositiveSemidefiniteError,
+         "distance -1.800e-06 is negative beyond rounding tolerance"),
+        (lambda: kld(np.full((2, 2), 0.25), [1.0]), ValueError, "gen must be a nonempty 1-D probability vector"),
+        (lambda: kld([1.0], []), ValueError, "gt must be a nonempty 1-D probability vector"),
+        (lambda: kld([1.0], [1.0], epsilon=0.0), ValueError, "epsilon must be positive"),
+    ],
+    ids=["mean-2-d", "covariance-shape", "mean-nan", "covariance-inf", "features-1-d", "negative-distance",
+         "gen-2-d", "gt-empty", "epsilon-zero"],
+)
+def test_refusals_name_the_bad_argument(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -924,6 +924,39 @@ def test_summaries_leave_the_slab_walk_to_walk_moments():
     assert masks == ["window_sums"]
 
 
+def test_a_clip_reaches_its_summary_through_foa_summary():
+    # foa.summary alone summarizes a FoaClip as one slab, ``[clip.samples]``; the map and the
+    # metric, and the three curation filters, call it, and curation builds no WindowSums of its own.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "foatools"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    functions = [(name, node) for name, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def one_slab(node):
+        return [
+            item
+            for item in ast.walk(node)
+            if isinstance(item, ast.List) and len(item.elts) == 1 and getattr(item.elts[0], "attr", None) == "samples"
+        ]
+
+    (home,) = [node for name, node in functions if name == "foa.py" and node.name == "summary"]
+    assert [ast.unparse(item) for tree in trees.values() for item in one_slab(tree)] == ["[clip.samples]"]
+    assert one_slab(home)
+    callers = sorted(
+        (name, node.name)
+        for name, node in functions
+        if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "summary" for call in ast.walk(node))
+    )
+    assert callers == [
+        ("curation.py", "amplitude_gate"),
+        ("curation.py", "fov_center"),
+        ("curation.py", "segment_mask"),
+        ("foa.py", "energy_map"),
+        ("spatial_metrics.py", "evaluate_windows"),
+    ]
+    # Neither imported (an alias's name) nor read (a Name's id).
+    assert "WindowSums" not in {getattr(node, "id", getattr(node, "name", None)) for node in ast.walk(trees["curation.py"])}
+
+
 def test_wav_samples_are_checked_in_one_place():
     # The slab decoder refuses a non-finite sample before its cast, so the format layer
     # needs no numpy error state, and the CLI checks no sample itself.
@@ -941,3 +974,30 @@ def test_wav_samples_are_checked_in_one_place():
 
     assert "isfinite" in numpy_names("tensor_io.py") and "errstate" not in numpy_names("tensor_io.py")
     assert "isfinite" not in numpy_names("cli.py")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda path: write_tensor(np.zeros((2, 0)), path), ValueError,
+         "tensors must have at least one element along every axis"),
+        (lambda path: write_tensor(np.float32(1.0), path), ValueError,
+         "tensors must have at least one element along every axis"),
+        (lambda path: write_tensor(np.ones(3, dtype=bool), path), ValueError, "unsupported tensor dtype bool"),
+        (lambda path: write_tensor(np.ones(3, dtype=complex), path), ValueError, "unsupported tensor dtype complex128"),
+        (lambda path: write_code_matrix("codes", path), TypeError, "expected CodeMatrix or ReorgMatrix, got <class 'str'>"),
+        (lambda path: write_wav(np.zeros((4, 3)), 10, path, encoding="pcm24"), ValueError,
+         "encoding must be one of ('float32', 'pcm16'), got 'pcm24'"),
+        (lambda path: write_wav_slabs([np.zeros((4, 3))], 4, 10, 3, path, "f32"), ValueError,
+         "encoding must be one of ('float32', 'pcm16'), got 'f32'"),
+        (lambda path: write_pgm(np.zeros(3), path), ValueError, "PGM export needs a nonempty 2-D array"),
+        (lambda path: write_pgm(np.zeros((0, 3)), path), ValueError, "PGM export needs a nonempty 2-D array"),
+    ],
+    ids=["tensor-empty-axis", "tensor-0-d", "tensor-bool", "tensor-complex", "code-matrix-type", "wav-encoding",
+         "wav-slabs-encoding", "pgm-1-d", "pgm-empty"],
+)
+def test_writers_refuse_before_they_write(tmp_path, call, error, message):
+    path = tmp_path / "out"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(path)
+    assert list(tmp_path.iterdir()) == []
