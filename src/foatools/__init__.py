@@ -7,6 +7,8 @@ guided autoregressive sampling; corpus curation filters; and the bit-exact
 file formats tying them together.
 """
 
+from types import ModuleType as _ModuleType
+
 from .code_pattern import (
     CodeMatrix,
     Group,
@@ -47,48 +49,6 @@ from .spatial_metrics import SpatialReport, auc, correlation, evaluate_windows
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClipWindow",
-    "CodeMatrix",
-    "Direction",
-    "ENERGY_MODE_LINEAR",
-    "ENERGY_MODE_POWER",
-    "EnergyMap",
-    "FoaClip",
-    "FoaToolsError",
-    "GaussianStats",
-    "Group",
-    "GuidanceConfig",
-    "Pattern",
-    "ReorgMatrix",
-    "Rotation",
-    "SpatialReport",
-    "SphereGrid",
-    "TablePredictor",
-    "amplitude_gate",
-    "auc",
-    "combine",
-    "correlation",
-    "decode_to_mono",
-    "directional_energy",
-    "encode_mono",
-    "energy_from_scores",
-    "energy_map",
-    "evaluate_windows",
-    "fad_avg",
-    "fov_center",
-    "frechet_distance",
-    "gaussian_stats",
-    "generate",
-    "group_of",
-    "kld",
-    "pack",
-    "patch_scores",
-    "pattern_steps",
-    "relevance_filter",
-    "rotate",
-    "sample_step",
-    "segment_mask",
-    "select_windows",
-    "unpack",
-]
+# The public names are the ones bound above: no leading "_", and no submodule.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

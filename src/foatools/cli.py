@@ -43,7 +43,7 @@ from .foa import (
 )
 from .tensor_io import (
     WAV_ENCODINGS,
-    atomic_write,
+    _write_bytes,
     describe_file,
     read_code_matrix,
     read_foa_summary,
@@ -304,7 +304,7 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
     failed = [message for message in messages if message is not None]
     summary = summarize(records, rows)
     lines = [json.dumps({"schema_version": SCHEMA_VERSION, **row}, sort_keys=True) for row in rows]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
     for message in failed:
         print(f"error: {message}", file=sys.stderr)
     _print_json({**summary, "output": args.out})
@@ -351,7 +351,7 @@ def cmd_eval_spatial(args) -> int:
     del report["gen"], report["gt"]
     if args.csv:
         row = ",".join(f"{report[c]:.17g}" for c in SPATIAL_CSV_COLUMNS)
-        _write_text(args.csv, row + "\n")
+        _write_bytes(args.csv, (row + "\n").encode())
     _print_json(report)
     return 0
 
@@ -575,11 +575,6 @@ def cmd_curate(args) -> int:
 def cmd_info(args) -> int:
     _print_json({"files": [describe_file(path) for path in args.paths]})
     return 0
-
-
-def _write_text(path, text: str) -> None:
-    with atomic_write(path) as handle:
-        handle.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

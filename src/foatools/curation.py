@@ -62,6 +62,8 @@ def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
     reads it) or a FoaClip, here and in ``segment_mask`` and ``fov_center``; a
     FoaClip's whole ClipStats is built first, through ``foa.summary``.
     """
+    if not threshold >= 0.0:
+        raise ValueError("threshold must be nonnegative")
     abs_means = summary(clip, clip_stats).abs_means
     if abs_means.shape[1] < 1:
         raise ValueError("amplitude gate needs at least one full second of audio")
@@ -70,7 +72,7 @@ def amplitude_gate(clip, threshold: float = DEFAULT_AMPLITUDE_FLOOR) -> bool:
 
 def segment_mask(clip, rms_threshold: float) -> np.ndarray:
     """Per-second validity: RMS of the W channel at or above the threshold."""
-    if rms_threshold < 0.0:
+    if not rms_threshold >= 0.0:
         raise ValueError("rms_threshold must be nonnegative")
     return np.sqrt(summary(clip, clip_stats).w_squares) >= rms_threshold
 

@@ -129,7 +129,7 @@ def _sample(logits: np.ndarray, temperature, top_p, rng, argmax, scratch) -> np.
     ``scratch`` holds two more arrays shaped like it, to sort and sum into."""
     if argmax:
         return np.argmax(logits, axis=1)
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if rng is None:
         raise ValueError("sampling requires a seeded numpy Generator")
@@ -234,7 +234,6 @@ class TablePredictor:
 
     def __init__(self, matrix: CodeMatrix, pattern: Pattern):
         self.pattern = Pattern(pattern)
-        self.matrix = matrix
         self._packed = pack(matrix, self.pattern).codes
         self.vocab_size = matrix.vocab_size
         self.n_queries = 0

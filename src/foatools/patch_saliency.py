@@ -111,7 +111,7 @@ def energy_from_scores(
         raise ValueError("score tensors must share one (time, rows, cols) shape")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
         raise ValueError("scores must be finite")
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
 
     spatial_p, temporal_p = (softmax(scores.reshape(len(s), -1) / temperature, axis=1) for scores in (s, t))

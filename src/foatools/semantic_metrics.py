@@ -133,7 +133,7 @@ def kld(gen, gt, epsilon: float = 1e-6) -> float:
     p_gt = _as_distribution(gt, "gt")
     if p_gen.size != p_gt.size:
         raise ValueError(f"length mismatch: {p_gen.size} vs {p_gt.size}")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     q = np.maximum(p_gen, epsilon)
     q /= q.sum()

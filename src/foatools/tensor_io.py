@@ -63,14 +63,8 @@ _TENSOR_DTYPES = {"f32": "<f4", "u16": "<u2"}
 CODE_MAGIC = b"ACM1"
 _CODE_HEADER = struct.Struct("<4sIIIB")
 
-_PATTERN_IDS = {
-    None: 0,
-    Pattern.PROPOSED: 1,
-    Pattern.SEQUENTIAL_DELAY: 2,
-    Pattern.RESIDUAL_ONLY: 3,
-    Pattern.SPATIAL_ONLY: 4,
-}
-_PATTERNS_BY_ID = {v: k for k, v in _PATTERN_IDS.items()}
+# The pattern of each code-file pattern id, indexed by the id; None (id 0) is a raw matrix.
+_PATTERNS = (None, Pattern.PROPOSED, Pattern.SEQUENTIAL_DELAY, Pattern.RESIDUAL_ONLY, Pattern.SPATIAL_ONLY)
 
 # Encoding -> format tag, bits per sample, sample dtype and the scale that maps it to [-1, 1];
 # numpy has no 24-bit dtype, so "<i3" is widened to int32 by the slab decoder.
@@ -86,7 +80,7 @@ _SUBFORMATS = {struct.pack("<IHH", t, 0, 0x10) + bytes.fromhex("800000aa00389b71
 # noise but held 2% more peak memory in rotate and curate, and 25 s slabs (35 MB of
 # float64 each) rotate and curate 1.5x more slowly.
 _SLAB_SECONDS = 1
-# What the WAV header parser says of a file with another channel count, by the count wanted (1 or 4).
+# The WAV header parser's message for another channel count, by the count wanted; others get a generic one.
 _CHANNEL_ERRORS = {
     1: "expected mono audio, found {} channels",
     4: "ambisonic audio needs 4 channels, found {}",
@@ -114,6 +108,14 @@ def atomic_write(path):
         raise
 
 
+def _write_bytes(path, *parts) -> None:
+    """The one whole-file writer: ``parts`` in order, each bytes or a C-contiguous array
+    written from its buffer, through ``atomic_write``."""
+    with atomic_write(path) as handle:
+        for part in parts:
+            handle.write(part)
+
+
 # ---------------------------------------------------------------------------
 # Tensor files
 
@@ -135,10 +137,7 @@ def write_tensor(tensor, path) -> None:
         sort_keys=True,
         separators=(",", ":"),
     )
-    payload = np.ascontiguousarray(arr).astype(_TENSOR_DTYPES[name]).tobytes()
-    with atomic_write(path) as handle:
-        handle.write(header.encode("ascii") + b"\n")
-        handle.write(payload)
+    _write_bytes(path, header.encode("ascii") + b"\n", arr.astype(_TENSOR_DTYPES[name], order="C"))
 
 
 def _tensor_header(path, handle) -> tuple:
@@ -190,19 +189,16 @@ def _check_size(path, handle, dtype: str, shape, what: str) -> None:
 def write_code_matrix(matrix, path) -> None:
     """Serialize a CodeMatrix (pattern id 0) or ReorgMatrix."""
     if isinstance(matrix, CodeMatrix):
-        pattern_id = _PATTERN_IDS[None]
+        pattern_id = 0
     elif isinstance(matrix, ReorgMatrix):
-        pattern_id = _PATTERN_IDS[matrix.pattern]
+        pattern_id = _PATTERNS.index(matrix.pattern)
     else:
         raise TypeError(f"expected CodeMatrix or ReorgMatrix, got {type(matrix)!r}")
     n, frames, vocab = matrix.n_codebooks_per_channel, matrix.n_frames, matrix.vocab_size
     if vocab > 0xFFFF:
         raise ValueError("vocabulary size must fit the u16 payload (padding stores V)")
     header = _CODE_HEADER.pack(CODE_MAGIC, n, frames, vocab, pattern_id)
-    payload = matrix.codes.astype("<u2").tobytes()
-    with atomic_write(path) as handle:
-        handle.write(header)
-        handle.write(payload)
+    _write_bytes(path, header, matrix.codes.astype("<u2", order="C"))
 
 
 def _code_header(path, handle) -> tuple:
@@ -216,13 +212,13 @@ def _code_header(path, handle) -> tuple:
     magic, n, frames, vocab, pattern_id = _CODE_HEADER.unpack(head)
     if magic != CODE_MAGIC:
         raise HeaderParseError(f"{path}: bad magic {magic!r} at byte 0")
-    if pattern_id not in _PATTERNS_BY_ID:
+    if pattern_id >= len(_PATTERNS):
         raise HeaderParseError(f"{path}: unknown pattern id {pattern_id}")
     if n < 1 or frames < 1 or vocab < 1:
         raise HeaderParseError(f"{path}: degenerate header (N={n}, L={frames}, V={vocab})")
     if vocab > 0xFFFF:
         raise HeaderParseError(f"{path}: vocabulary size {vocab} does not fit the u16 payload")
-    pattern = _PATTERNS_BY_ID[pattern_id]
+    pattern = _PATTERNS[pattern_id]
     shape = (4 * n, frames if pattern is None else pattern_steps(pattern, n, frames))
     _check_size(path, handle, "<u2", shape, "{}x{} u16 codes".format(*shape))
     return n, frames, vocab, pattern, shape
@@ -269,6 +265,10 @@ def write_wav_slabs(
     caller checks them, as ``write_wav`` does. A float32 file refuses, naming ``path``, a slab past the float32 range."""
     if encoding not in WAV_ENCODINGS:
         raise ValueError(f"encoding must be one of {WAV_ENCODINGS}, got {encoding!r}")
+    if not isinstance(sample_rate, (int, np.integer)) or sample_rate <= 0:
+        raise ValueError(f"{path}: sample_rate must be a positive integer, got {sample_rate!r}")
+    if channels < 1:
+        raise ValueError(f"{path}: samples need at least one channel")
     try:
         header = _wav_header(channels, sample_rate, frames, encoding)
     except struct.error as exc:
@@ -306,8 +306,8 @@ WavHeader = namedtuple("WavHeader", "channels sample_rate frames encoding offset
 
 def _parse_wav_header(path, handle, want=None) -> WavHeader:
     """The one WAV header parser: seek from chunk header to chunk header of
-    an open file, reading no body but fmt's; with ``want`` (1 or 4), refuse
-    another channel count."""
+    an open file, reading no body but fmt's; with ``want``, refuse another
+    channel count."""
     end = os.fstat(handle.fileno()).st_size
     head = handle.read(12)
     if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
@@ -368,7 +368,7 @@ def _parse_wav_header(path, handle, want=None) -> WavHeader:
     if frames < 1:
         raise WavFormatError(f"{path}: data chunk holds no frames")
     if want is not None and channels != want:
-        raise WavFormatError(f"{path}: " + _CHANNEL_ERRORS[want].format(channels))
+        raise WavFormatError(f"{path}: " + _CHANNEL_ERRORS.get(want, f"expected {want} channels, found {{}}").format(channels))
     return WavHeader(channels, sample_rate, frames, _WAV_BY_FORMAT[fmt_tag, bits], start)
 
 
@@ -503,13 +503,10 @@ def _scale_to_bytes(values: np.ndarray) -> np.ndarray:
 
 def write_pgm(image, path) -> None:
     """Write a 2-D array as binary PGM (P5), values scaled to 0..255."""
-    arr = np.asarray(image, dtype=np.float64)
+    arr = np.ascontiguousarray(image, dtype=np.float64)  # so the scaled bytes are C-contiguous too
     if arr.ndim != 2 or min(arr.shape) < 1:
         raise ValueError("PGM export needs a nonempty 2-D array")
-    body = _scale_to_bytes(arr)
-    with atomic_write(path) as handle:
-        handle.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        handle.write(body.tobytes())
+    _write_bytes(path, f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"), _scale_to_bytes(arr))
 
 
 def write_energy_map_pgm(emap: EnergyMap, path) -> None:
@@ -529,5 +526,4 @@ def write_energy_map_csv(emap: EnergyMap, path) -> None:
             f"{grid.azimuths[i]:.17g},{grid.elevations[i]:.17g},"
             f"{grid.weights[i]:.17g},{emap.values[i]:.17g}"
         )
-    with atomic_write(path) as handle:
-        handle.write(("\n".join(lines) + "\n").encode("ascii"))
+    _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))

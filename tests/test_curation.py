@@ -53,6 +53,11 @@ class TestAmplitudeGate:
         with pytest.raises(ValueError):
             amplitude_gate(FoaClip(np.ones((4, SR // 2)), SR))
 
+    @pytest.mark.parametrize("threshold", [-0.1, np.nan])
+    def test_negative_or_nan_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+            amplitude_gate(sine_clip(2), threshold)
+
 
 class TestClipStatsOrder:
     @settings(max_examples=60, deadline=None)
@@ -104,6 +109,10 @@ class TestSegmentMask:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             segment_mask(sine_clip(1), -0.1)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="^rms_threshold must be nonnegative$"):
+            segment_mask(sine_clip(1), np.nan)
 
 
 class TestSelectWindows:

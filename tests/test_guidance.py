@@ -261,6 +261,8 @@ class TestSampleStep:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_step(logits, temperature=0.0, rng=rng)
+        with pytest.raises(ValueError, match="^temperature must be positive, got nan$"):
+            sample_step(logits, temperature=np.nan, rng=rng)
         with pytest.raises(ValueError):
             sample_step(logits, top_p=0.0, rng=rng)
         with pytest.raises(ValueError):
@@ -283,6 +285,11 @@ class TestGenerate:
         matrix = generate(predictor, 2, 3, Pattern.PROPOSED, GuidanceConfig("none"), seed=1)
         assert matrix.codes.shape == (8, 3)
         assert predictor.n_queries == pattern_steps(Pattern.PROPOSED, 2, 3) == 7
+
+    def test_nan_temperature_rejected(self):
+        predictor = UniformPredictor(n_rows=8, vocab_size=5)
+        with pytest.raises(ValueError, match="^temperature must be positive, got nan$"):
+            generate(predictor, 2, 3, Pattern.PROPOSED, GuidanceConfig("none"), temperature=np.nan, seed=1)
 
     def test_guided_modes_query_all_variants(self):
         predictor = UniformPredictor(n_rows=8, vocab_size=5)

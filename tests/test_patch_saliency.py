@@ -227,6 +227,8 @@ class TestEnergyFromScores:
         scores = np.ones((1, 2, 2))
         with pytest.raises(ValueError):
             energy_from_scores(scores, scores, temperature=0.0)
+        with pytest.raises(ValueError, match="^temperature must be positive, got nan$"):
+            energy_from_scores(scores, scores, temperature=np.nan)
         with pytest.raises(ValueError):
             energy_from_scores(scores, scores, top_p=0.0)
         with pytest.raises(ValueError):

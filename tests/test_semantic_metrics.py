@@ -206,9 +206,10 @@ class TestFadAvg:
         (lambda: kld(np.full((2, 2), 0.25), [1.0]), ValueError, "gen must be a nonempty 1-D probability vector"),
         (lambda: kld([1.0], []), ValueError, "gt must be a nonempty 1-D probability vector"),
         (lambda: kld([1.0], [1.0], epsilon=0.0), ValueError, "epsilon must be positive"),
+        (lambda: kld([1.0], [1.0], epsilon=float("nan")), ValueError, "epsilon must be positive"),
     ],
     ids=["mean-2-d", "covariance-shape", "mean-nan", "covariance-inf", "features-1-d", "negative-distance",
-         "gen-2-d", "gt-empty", "epsilon-zero"],
+         "gen-2-d", "gt-empty", "epsilon-zero", "epsilon-nan"],
 )
 def test_refusals_name_the_bad_argument(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

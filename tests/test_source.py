@@ -1,11 +1,15 @@
 """Dead-code guard over the package source: no unused import, no unreferenced private name,
-no class member that only tests read."""
+no class member that only tests read; and each fact in one place: the public names, the
+whole-file write and the code-file pattern ids."""
 
 import ast
 import pathlib
 import re
+import types
 
 import pytest
+
+import foatools
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "foatools"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -59,3 +63,52 @@ def test_every_class_member_is_read_in_src_or_named_in_the_readme():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in used
     ]
     assert members == []
+
+
+# The public API, in its order; a name added to or dropped from the package's imports shows here.
+PUBLIC_NAMES = [
+    "ClipWindow", "CodeMatrix", "Direction", "ENERGY_MODE_LINEAR", "ENERGY_MODE_POWER", "EnergyMap", "FoaClip",
+    "FoaToolsError", "GaussianStats", "Group", "GuidanceConfig", "Pattern", "ReorgMatrix", "Rotation",
+    "SpatialReport", "SphereGrid", "TablePredictor", "amplitude_gate", "auc", "combine", "correlation",
+    "decode_to_mono", "directional_energy", "encode_mono", "energy_from_scores", "energy_map", "evaluate_windows",
+    "fad_avg", "fov_center", "frechet_distance", "gaussian_stats", "generate", "group_of", "kld", "pack",
+    "patch_scores", "pattern_steps", "relevance_filter", "rotate", "sample_step", "segment_mask", "select_windows",
+    "unpack",
+]
+
+
+def test_all_is_the_public_api():
+    assert foatools.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from foatools import *", namespace)
+    assert [name for name, value in namespace.items() if isinstance(value, types.ModuleType)] == []
+
+
+def test_every_public_name_is_in_the_readme():
+    words = set(re.findall(r"\w+", README.read_text()))
+    assert [name for name in foatools.__all__ if name not in words] == []
+
+
+def test_only_the_two_writers_open_atomic_write():
+    callers = {
+        function.name
+        for tree in TREES.values()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "atomic_write"
+    }
+    assert callers == {"_write_bytes", "write_wav_slabs"}
+
+
+@pytest.mark.parametrize(
+    "module, second_copy",
+    [("tensor_io.py", "_PATTERN_IDS"), ("tensor_io.py", "_PATTERNS_BY_ID"), ("cli.py", "_write_text"),
+     ("guidance.py", "self.matrix")],
+)
+def test_second_copies_stay_gone(module, second_copy):
+    # One pattern-id table, one whole-file writer, and no TablePredictor member that nothing reads.
+    assert second_copy not in (PACKAGE / module).read_text()

@@ -296,6 +296,12 @@ class TestWav:
         with pytest.raises(WavFormatError, match="4 channels"):
             read_foa_wav(path)
 
+    def test_other_wanted_channel_count_names_the_file(self, tmp_path):
+        path = tmp_path / "four.wav"
+        write_wav(np.zeros((4, 10)), 44100, path)
+        with pytest.raises(WavFormatError, match=f"^{re.escape(str(path))}: expected 2 channels, found 4$"):
+            read_wav(path, 2)
+
     def test_not_riff(self, tmp_path):
         path = tmp_path / "nope.wav"
         path.write_bytes(b"OggS" + b"\x00" * 40)
@@ -335,6 +341,20 @@ class TestWav:
         with pytest.raises(ValueError) as info:
             write_wav(samples, 100, tmp_path / "bad.wav")
         assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "samples, rate, message",
+        [(np.zeros((1, 10)), 0, "sample_rate must be a positive integer, got 0"),
+         (np.zeros((1, 10)), 10.7, "sample_rate must be a positive integer, got 10.7"),
+         (np.zeros((1, 10)), -8000, "sample_rate must be a positive integer, got -8000"),
+         (np.zeros((0, 10)), 10, "samples need at least one channel")],
+        ids=["rate-zero", "rate-fraction", "rate-negative", "no-channel"],
+    )
+    def test_write_wav_refuses_what_read_wav_would(self, tmp_path, samples, rate, message):
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            write_wav(samples, rate, path)
         assert list(tmp_path.iterdir()) == []
 
     def test_slabs_short_of_the_header_leave_no_file(self, tmp_path):
