@@ -1,14 +1,14 @@
 """Command-line surface for scripted pipelines and desk-scale experiments.
 
-Every subcommand maps onto one library operation, prints a JSON result on
-standard output (with a ``schema_version`` field) and is deterministic
-given identical inputs and an explicit ``--seed`` wherever sampling is
-involved. Exit codes: 0 success, 1 usage error, 2 data error (the
-diagnostic names the offending file, with a byte offset when the parser
-knows one). Output files are written atomically, so failures never leave
-partial files behind. A manifest run writes one row per record, in input
-order: a record that fails a data check gets an ``error`` row and the run
-exits 2, but every good row is still written and the output file is complete.
+Every subcommand maps onto one library operation and returns its result, which
+``main`` alone prints as one JSON object on standard output (with a
+``schema_version`` field); it is deterministic given identical inputs and an
+explicit ``--seed`` wherever sampling is involved. Exit codes: 0 success, 1
+usage error, 2 data error (the diagnostic names the offending file, with a byte
+offset when the parser knows one). Output files are written atomically, so
+failures never leave partial files behind. A manifest run writes one row per
+record, in input order, the good rows too: a record that fails a data check gets
+an ``error`` row, counted in ``n_failed``; the run exits 2 exactly when that is above 0.
 ``--jobs N`` maps records on min(N, records) forked processes (fork-with-threads
 caveats apply); ``--jobs 1`` runs them in order in the calling thread.
 """
@@ -96,11 +96,6 @@ _nonnegative_float = _checked(float, lambda value: value >= 0.0, "nonnegative")
 _finite_float = _checked(float, math.isfinite, "finite")
 
 
-def _print_json(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, sort_keys=True))
-
-
 def _parse_angles(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
@@ -163,7 +158,7 @@ def _transform_wav(args, flags):
     return header
 
 
-def cmd_pan(args) -> int:
+def cmd_pan(args) -> dict:
     """``encode`` and ``decode``, which share their flags and stdout keys."""
     azimuth, elevation = args.dir
     if args.degrees:
@@ -173,15 +168,12 @@ def cmd_pan(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     header = _transform_wav(args, direction)
-    _print_json(
-        {
-            "direction": asdict(direction),
-            "n_samples": header.frames,
-            "output": args.output,
-            "sample_rate": header.sample_rate,
-        }
-    )
-    return 0
+    return {
+        "direction": asdict(direction),
+        "n_samples": header.frames,
+        "output": args.output,
+        "sample_rate": header.sample_rate,
+    }
 
 
 def _rotation_from_args(args) -> Rotation:
@@ -200,20 +192,17 @@ def _rotation_from_args(args) -> Rotation:
     return Rotation.about_z(math.radians(args.z_degrees))
 
 
-def cmd_rotate(args) -> int:
+def cmd_rotate(args) -> dict:
     rotation = _rotation_from_args(args)
     header = _transform_wav(args, rotation)
-    _print_json(
-        {
-            "matrix": [[float(v) for v in row] for row in rotation.matrix],
-            "n_samples": header.frames,
-            "output": args.output,
-        }
-    )
-    return 0
+    return {
+        "matrix": [[float(v) for v in row] for row in rotation.matrix],
+        "n_samples": header.frames,
+        "output": args.output,
+    }
 
 
-def cmd_energy_map(args) -> int:
+def cmd_energy_map(args) -> dict:
     sums = read_foa_summary(args.input, partial(window_sums, window=args.window))
     emap = energy_map(sums, args.grid, mode=args.mode)
     if args.csv:
@@ -221,17 +210,14 @@ def cmd_energy_map(args) -> int:
     if args.pgm:
         write_energy_map_pgm(emap, args.pgm)
     argmax = args.grid.direction(emap.argmax_cell())
-    _print_json(
-        {
-            "argmax": asdict(argmax),
-            "mode": emap.mode,
-            "n_cells": args.grid.n_cells,
-            "value_max": float(emap.values.max()),
-            "value_weighted_mean": float(args.grid.weights @ emap.values),
-            "window": list(emap.window),
-        }
-    )
-    return 0
+    return {
+        "argmax": asdict(argmax),
+        "mode": emap.mode,
+        "n_cells": args.grid.n_cells,
+        "value_max": float(emap.values.max()),
+        "value_weighted_mean": float(args.grid.weights @ emap.values),
+        "window": list(emap.window),
+    }
 
 
 def _check_record(record, where, required, optional=()) -> dict:
@@ -279,14 +265,14 @@ def _row_or_error(one, keys, record):
         return {**where, "error": {"message": str(exc), "type": type(exc).__name__}}, str(exc)
 
 
-def _run_manifest(args, one, summarize, required, optional=()) -> int:
+def _run_manifest(args, one, summarize, required, optional=()) -> dict:
     """Write ``one(record)`` for every record: on ``min(args.jobs, records)`` forked processes, or inline.
 
     A record that raises a data error gets the row ``{<its path keys>, "error"}``.
     ``summarize(records, rows)`` may complete the rows or raise before the write,
     and returns the stdout summary. It first runs with no rows before any record,
-    so an error in the manifest stops the run before a file is read. Returns 2
-    if any record failed, else 0.
+    so an error in the manifest stops the run before a file is read. Each failed
+    record's message goes to stderr; returns the summary with ``n_failed`` and ``output``.
     """
     if not args.out:
         raise UsageError("--manifest mode needs --out for the NDJSON results")
@@ -307,8 +293,7 @@ def _run_manifest(args, one, summarize, required, optional=()) -> int:
     _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
     for message in failed:
         print(f"error: {message}", file=sys.stderr)
-    _print_json({**summary, "output": args.out})
-    return 2 if failed else 0
+    return {**summary, "n_failed": len(failed), "output": args.out}
 
 
 def _manifest_mode(args, single_inputs, both: str) -> bool:
@@ -339,7 +324,7 @@ def _spatial_one(record, grid, fixation_percentile) -> dict:
     return {"gen": gen, "gt": gt, **asdict(report)}
 
 
-def cmd_eval_spatial(args) -> int:
+def cmd_eval_spatial(args) -> dict:
     one = partial(_spatial_one, grid=args.grid, fixation_percentile=args.fixation_percentile)
     if not (args.manifest or (args.gen and args.gt)):
         raise UsageError("need generated and reference WAV paths (or --manifest)")
@@ -352,8 +337,7 @@ def cmd_eval_spatial(args) -> int:
     if args.csv:
         row = ",".join(f"{report[c]:.17g}" for c in SPATIAL_CSV_COLUMNS)
         _write_bytes(args.csv, (row + "\n").encode())
-    _print_json(report)
-    return 0
+    return report
 
 
 def _feature_stats(path) -> semantic_metrics.GaussianStats:
@@ -401,7 +385,7 @@ def _semantic_one(record, args) -> dict:
     return row
 
 
-def cmd_eval_semantic(args) -> int:
+def cmd_eval_semantic(args) -> dict:
     one = partial(_semantic_one, args=args)
     inputs = args.channels or any(getattr(args, key) for key in _SEMANTIC_KEYS)
     if _manifest_mode(args, inputs, "give either feature, probability or channel inputs or --manifest, not both"):
@@ -431,11 +415,10 @@ def cmd_eval_semantic(args) -> int:
         # semantic_metrics.fad_avg's mean, taken here so that each data error names its file.
         distances = [_fad(mapping[c]["gen"], mapping[c]["gt"]) for c in semantic_metrics.CHANNEL_NAMES]
         result["fad_avg"] = float(np.mean(distances))
-    _print_json(result)
-    return 0
+    return result
 
 
-def cmd_patch_energy(args) -> int:
+def cmd_patch_energy(args) -> dict:
     embeddings = read_tensor(args.input)
     if embeddings.ndim != 4:
         raise FoaToolsError(
@@ -444,23 +427,20 @@ def cmd_patch_energy(args) -> int:
     with _naming(args.input):  # a non-finite value or an all-zero embedding vector
         spatial, temporal = patch_saliency.patch_scores(embeddings, args.spatial_window, args.temporal_window)
     energy = patch_saliency.energy_from_scores(spatial, temporal, args.temperature, args.top_p)
-    write_tensor(energy.astype(np.float32), args.output)
+    write_tensor(energy, args.output)
     if args.pgm_dir:
         os.makedirs(args.pgm_dir, exist_ok=True)
         for i in range(energy.shape[0]):
             write_pgm(energy[i], os.path.join(args.pgm_dir, f"frame_{i:04d}.pgm"))
-    _print_json(
-        {
-            "frames": int(energy.shape[0]),
-            "output": args.output,
-            "patch_cols": int(energy.shape[2]),
-            "patch_rows": int(energy.shape[1]),
-        }
-    )
-    return 0
+    return {
+        "frames": int(energy.shape[0]),
+        "output": args.output,
+        "patch_cols": int(energy.shape[2]),
+        "patch_rows": int(energy.shape[1]),
+    }
 
 
-def cmd_pattern(args) -> int:
+def cmd_pattern(args) -> dict:
     if args.action == "unpack" and args.pattern is not None:
         raise UsageError("--pattern goes with pack only; unpack reads it from the file header")
     matrix = read_code_matrix(args.input)
@@ -475,18 +455,15 @@ def cmd_pattern(args) -> int:
         with _naming(args.input):
             raw, reorg = unpack(matrix), matrix
         write_code_matrix(raw, args.output)
-    _print_json(
-        {
-            "n_frames": raw.n_frames,
-            "n_steps": reorg.n_steps,
-            "output": args.output,
-            "pattern": reorg.pattern.value,
-        }
-    )
-    return 0
+    return {
+        "n_frames": raw.n_frames,
+        "n_steps": reorg.n_steps,
+        "output": args.output,
+        "pattern": reorg.pattern.value,
+    }
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> dict:
     table = read_code_matrix(args.table)
     if not isinstance(table, CodeMatrix):
         raise FoaToolsError(f"{args.table}: table predictor needs a raw code matrix")
@@ -505,17 +482,14 @@ def cmd_generate(args) -> int:
         argmax=args.argmax,
     )
     write_code_matrix(generated, args.output)
-    _print_json(
-        {
-            "guidance": config.mode,
-            "n_frames": generated.n_frames,
-            "n_steps": pattern_steps(pattern, table.n_codebooks_per_channel, table.n_frames),
-            "output": args.output,
-            "pattern": pattern.value,
-            "predictor_queries": predictor.n_queries,
-        }
-    )
-    return 0
+    return {
+        "guidance": config.mode,
+        "n_frames": generated.n_frames,
+        "n_steps": pattern_steps(pattern, table.n_codebooks_per_channel, table.n_frames),
+        "output": args.output,
+        "pattern": pattern.value,
+        "predictor_queries": predictor.n_queries,
+    }
 
 
 def _curate_one(record, args) -> dict:
@@ -556,7 +530,8 @@ def _curate_decide(manifest, records, rows) -> dict:
     scores = keep_scores = [None] * len(records)
     if n_scored:
         scores = [_score(manifest, record) for record in records]
-        keep_scores = curation.relevance_filter(scores)
+        with _naming(manifest):
+            keep_scores = curation.relevance_filter(scores)
     for row, score, score_keep in zip(rows, scores, keep_scores):
         if "error" in row:
             continue
@@ -567,14 +542,13 @@ def _curate_decide(manifest, records, rows) -> dict:
     return {"n_clips": len(records), "n_kept": sum(row.get("keep", False) for row in rows)}
 
 
-def cmd_curate(args) -> int:
+def cmd_curate(args) -> dict:
     one = partial(_curate_one, args=args)
     return _run_manifest(args, one, partial(_curate_decide, args.manifest), ("path",))
 
 
-def cmd_info(args) -> int:
-    _print_json({"files": [describe_file(path) for path in args.paths]})
-    return 0
+def cmd_info(args) -> dict:
+    return {"files": [describe_file(path) for path in args.paths]}
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +727,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args) or 0
+        result = args.func(args)
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **result}, sort_keys=True))
+        return 2 if result.get("n_failed", 0) > 0 else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -125,6 +125,8 @@ def write_tensor(tensor, path) -> None:
     if arr.ndim < 1 or min(arr.shape) < 1:
         raise ValueError("tensors must have at least one element along every axis")
     if np.issubdtype(arr.dtype, np.floating):
+        if np.any(np.isfinite(arr) & (np.abs(arr) > np.finfo(np.float32).max)):  # the float32 cast would write inf
+            raise ValueError(f"{path}: values past the float32 range cannot be written")
         name = "f32"
     elif np.issubdtype(arr.dtype, np.integer):
         if arr.min() < 0 or arr.max() > 0xFFFF:
@@ -277,15 +279,17 @@ def write_wav_slabs(
     with atomic_write(path) as handle:
         handle.write(header)
         for slab in slabs:
+            frames -= slab.shape[1]
+            if frames < 0:
+                raise ValueError(f"{path}: slabs hold more than the frames the header announced")
             if encoding == "pcm16":  # in a frame-major buffer, so the int16 cast is not a ~3x slower transposing one
                 slab = np.multiply(slab.T, scale, out=np.empty(slab.shape[::-1])).T
                 np.clip(np.rint(slab, out=slab), -32768, 32767, out=slab)
             elif max(slab.max(), -slab.min()) > np.finfo(np.float32).max:  # the float32 cast would write inf
                 raise ValueError(f"{path}: samples past the float32 range cannot be written")
             handle.write(slab.T.astype(dtype, order="C"))
-            frames -= slab.shape[1]
         if frames:
-            raise ValueError("slabs do not hold the frames the header announced")
+            raise ValueError(f"{path}: slabs hold fewer than the frames the header announced")
 
 
 def write_wav(samples, sample_rate: int, path, encoding: str = "float32") -> None:

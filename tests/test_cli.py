@@ -1322,6 +1322,15 @@ class TestCurate:
         assert err == f"error: {manifest}: {path}: score must be a number, got {json.dumps(score)}\n"
         assert not (tmp_path / "o.ndjson").exists()
 
+    def test_one_scored_record_names_the_manifest(self, capsys, tmp_path, monkeypatch):
+        self.refuse_clip_reads(monkeypatch)
+        manifest, out_path = tmp_path / "in.ndjson", tmp_path / "o.ndjson"
+        manifest.write_text(json.dumps({"path": str(tmp_path / "c.wav"), "score": 1.0}) + "\n")
+        code, out, err = run(capsys, "curate", "--manifest", manifest, "--out", out_path, "--rms-threshold", "0.1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {manifest}: relevance filter needs at least 2 scores\n"
+        assert not out_path.exists()
+
     def test_antipodal_tie_matches_the_clip_api(self, capsys, tmp_path):
         # A pure X figure-of-eight ties the front and back cells of a 1x4 grid
         # exactly; the lower cell index must win on both paths.
@@ -1494,6 +1503,30 @@ class TestManifestRuns:
         if single_bad is not None:
             code, _, single_err = run(capsys, *single_bad)
             assert (code, single_err) == (2, err)
+
+    @pytest.mark.parametrize("n_bad", [0, 1, 3])
+    @pytest.mark.parametrize("command", ["eval-spatial", "eval-semantic", "curate"])
+    def test_n_failed_counts_the_error_rows(self, capsys, tmp_path, command, n_bad):
+        absent = str(tmp_path / "absent")
+        if command == "eval-spatial":
+            clip = _write_clip(tmp_path / "a.wav", 3, 0)
+            argv, good, bad = ["--grid", "8x16"], {"gen": clip, "gt": clip}, {"gen": clip, "gt": absent}
+        elif command == "eval-semantic":
+            probs = _write_probs(tmp_path / "p.t", 0)
+            argv, good, bad = [], {"gen_probs": probs, "gt_probs": probs}, {"gen_probs": probs, "gt_probs": absent}
+        else:
+            argv = ["--grid", "8x16", "--rms-threshold", "0.01"]
+            good, bad = {"path": _write_clip(tmp_path / "a.wav", 6, 0)}, {"path": absent}
+        records = [good, bad, good] if n_bad == 1 else [bad if n_bad else good] * 3
+        manifest, out_path = tmp_path / "m.ndjson", tmp_path / "rows.ndjson"
+        manifest.write_text("".join(json.dumps(record) + "\n" for record in records))
+        code, out, err = run_manifest(capsys, out_path, command, *argv, "--manifest", manifest)
+        n_errors = sum("error" in row for row in read_rows(out_path))
+        assert n_errors == n_bad
+        summary = last_json(out)
+        assert (summary["n_failed"], summary["output"]) == (n_errors, str(out_path))
+        assert code == (2 if n_errors > 0 else 0)
+        assert err.count("error: ") == n_errors
 
     @pytest.mark.parametrize(
         "argv, line, message",

@@ -1,6 +1,6 @@
 """Dead-code guard over the package source: no unused import, no unreferenced private name,
 no class member that only tests read; and each fact in one place: the public names, the
-whole-file write and the code-file pattern ids."""
+whole-file write, the code-file pattern ids, and the CLI's stdout writer and exit-code rule."""
 
 import ast
 import pathlib
@@ -107,8 +107,30 @@ def test_only_the_two_writers_open_atomic_write():
 @pytest.mark.parametrize(
     "module, second_copy",
     [("tensor_io.py", "_PATTERN_IDS"), ("tensor_io.py", "_PATTERNS_BY_ID"), ("cli.py", "_write_text"),
-     ("guidance.py", "self.matrix")],
+     ("guidance.py", "self.matrix"), ("cli.py", "_print_json")],
 )
 def test_second_copies_stay_gone(module, second_copy):
-    # One pattern-id table, one whole-file writer, and no TablePredictor member that nothing reads.
+    # One pattern-id table, one whole-file writer, no TablePredictor member that nothing reads,
+    # and one stdout writer in the CLI.
     assert second_copy not in (PACKAGE / module).read_text()
+
+
+def test_only_cli_main_prints_to_stdout_and_picks_the_exit_code():
+    functions = [node for node in ast.walk(TREES["cli.py"]) if isinstance(node, ast.FunctionDef)]
+    stdout_printers = {
+        function.name
+        for function in functions
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "print"
+        and not any(keyword.arg == "file" for keyword in call.keywords)
+    }
+    assert stdout_printers == {"main"}
+    handlers = [function for function in functions if function.name.startswith("cmd_")]
+    assert handlers
+    int_returns = [
+        function.name
+        for function in handlers
+        for node in ast.walk(function)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, int)
+    ]
+    assert int_returns == []

@@ -150,6 +150,14 @@ class TestTensorFiles:
         with pytest.raises(ValueError):
             write_tensor(np.array([70000]), tmp_path / "big.tensor")
 
+    @pytest.mark.parametrize("value", [1e300, -1e39])
+    def test_refuses_finite_values_past_the_float32_range(self, tmp_path, value):
+        path = tmp_path / "big.tensor"
+        message = f"{path}: values past the float32 range cannot be written"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_tensor(np.array([value, 1.0]), path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMangledFiles:
     @settings(max_examples=200, deadline=None)
@@ -362,6 +370,25 @@ class TestWav:
         with pytest.raises(ValueError, match="frames the header announced"):
             write_wav_slabs([np.zeros((4, 10))], 4, 100, 11, path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_slab_past_the_header_is_refused_before_it_is_written(self, tmp_path):
+        path = tmp_path / "long.wav"
+
+        def slabs():
+            yield np.zeros((4, 6))
+            yield np.zeros((4, 6))  # 12 frames of the 11 announced
+            raise AssertionError("a slab was taken after the one that ran past the header")
+
+        message = f"{path}: slabs hold more than the frames the header announced"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_wav_slabs(slabs(), 4, 100, 11, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_slabs_short_of_the_header_name_the_output(self, tmp_path):
+        path = tmp_path / "short.wav"
+        message = f"{path}: slabs hold fewer than the frames the header announced"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_wav_slabs([np.zeros((4, 10))], 4, 100, 11, path)
 
     def test_pcm24_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)
