@@ -5,9 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``, computed in float ``x``, which it returns."""
-    x -= np.max(x, axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarray:
+    """Numerically stable softmax of ``x / temperature`` along ``axis``, computed in float ``x``, which it
+    returns. ValueError for a ``temperature`` that is not positive or leaves a row maximum not finite."""
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        peak = np.max(x, axis=axis, keepdims=True) / temperature  # the maxima of x / temperature: rounding keeps order
+    if not np.isfinite(peak).all():
+        raise ValueError(f"a row maximum divided by temperature {temperature} is not finite")
+    x /= temperature
+    x -= peak
     np.exp(x, out=x)
     x /= np.sum(x, axis=axis, keepdims=True)
     return x

@@ -64,6 +64,9 @@ _DATA_ERRORS = (FoaToolsError, ValueError, OSError)
 
 SPATIAL_CSV_COLUMNS = ("cc_all", "cc_1fps", "cc_5fps", "auc_all", "auc_1fps", "auc_5fps")
 
+# The largest BANDS x AZIMUTHS that --grid takes: 1024x1024 makes about 670,000 cells, at about 233 bytes each.
+_MAX_GRID_PRODUCT = 1 << 20
+
 
 class UsageError(Exception):
     """Bad flags or flag combinations; mapped to exit code 1."""
@@ -125,6 +128,8 @@ def _parse_grid(text: str) -> SphereGrid:
     bands, azimuths = _int_pair(text.lower(), "x", usage, counts)
     if bands < 1 or azimuths < 1:
         raise UsageError(counts)
+    if bands * azimuths > _MAX_GRID_PRODUCT:
+        raise UsageError(f"grid must have BANDS x AZIMUTHS at most {_MAX_GRID_PRODUCT}, got {text!r}")
     return SphereGrid(bands, azimuths)
 
 
@@ -256,41 +261,42 @@ def _load_manifest(path, required, optional=()) -> list:
     return records
 
 
-def _row_or_error(one, keys, record):
-    """``(one(record), None)``, or for a data error the row ``{<keys>, "error"}`` and its message."""
+def _row_or_error(one, args, keys, record) -> dict:
+    """The manifest row of ``record``: its path keys among ``keys``, then the results of
+    ``one(record, args=args)``, or for a data error ``"error"``. No other code writes either."""
+    row = {key: record[key] for key in keys if key in record}
     try:
-        return one(record), None
+        return {**one(record, args=args), **row}
     except _DATA_ERRORS as exc:
-        where = {key: record[key] for key in keys if key in record}
-        return {**where, "error": {"message": str(exc), "type": type(exc).__name__}}, str(exc)
+        return {**row, "error": {"message": str(exc), "type": type(exc).__name__}}
 
 
 def _run_manifest(args, one, summarize, required, optional=()) -> dict:
-    """Write ``one(record)`` for every record: on ``min(args.jobs, records)`` forked processes, or inline.
+    """Write ``_row_or_error``'s row of each record: on ``min(args.jobs, records)`` forked processes, or inline.
 
-    A record that raises a data error gets the row ``{<its path keys>, "error"}``.
     ``summarize(records, rows)`` may complete the rows or raise before the write,
     and returns the stdout summary. It first runs with no rows before any record,
-    so an error in the manifest stops the run before a file is read. Each failed
-    record's message goes to stderr; returns the summary with ``n_failed`` and ``output``.
+    so an error in the manifest stops the run before a file is read. The message
+    of each row that holds ``error`` goes to stderr, and those rows are counted in
+    ``n_failed``; returns the summary with ``n_failed`` and ``output``.
     """
     if not args.out:
         raise UsageError("--manifest mode needs --out for the NDJSON results")
     records = _load_manifest(args.manifest, required, optional)
     summarize(records, ())
     workers = min(args.jobs or 1, len(records))
-    row_of = partial(_row_or_error, one, (*required, *optional))
+    row_of = partial(_row_or_error, one, args, (*required, *optional))
     if workers == 1:  # in the calling thread, as a worker thread would only add its start and hand-off
-        rows, messages = zip(*map(row_of, records))
+        rows = list(map(row_of, records))
     else:  # imported here, as their ~23 ms import would slow every command's start
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            rows, messages = zip(*pool.map(row_of, records))
-    failed = [message for message in messages if message is not None]
+            rows = list(pool.map(row_of, records))
     summary = summarize(records, rows)
     lines = [json.dumps({"schema_version": SCHEMA_VERSION, **row}, sort_keys=True) for row in rows]
     _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
+    failed = [row["error"]["message"] for row in rows if "error" in row]
     for message in failed:
         print(f"error: {message}", file=sys.stderr)
     return {**summary, "n_failed": len(failed), "output": args.out}
@@ -316,24 +322,22 @@ def _naming(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _spatial_one(record, grid, fixation_percentile) -> dict:
+def _spatial_one(record, args) -> dict:
     gen, gt = record["gen"], record["gt"]
     gen_moments, gt_moments = (read_foa_summary(path, spatial_metrics.window_moments) for path in (gen, gt))
     with _naming(f"{gen} vs {gt}"):
-        report = spatial_metrics.evaluate_windows(gen_moments, gt_moments, grid, fixation_percentile)
-    return {"gen": gen, "gt": gt, **asdict(report)}
+        report = spatial_metrics.evaluate_windows(gen_moments, gt_moments, args.grid, args.fixation_percentile)
+    return asdict(report)
 
 
 def cmd_eval_spatial(args) -> dict:
-    one = partial(_spatial_one, grid=args.grid, fixation_percentile=args.fixation_percentile)
     if not (args.manifest or (args.gen and args.gt)):
         raise UsageError("need generated and reference WAV paths (or --manifest)")
     if _manifest_mode(args, args.gen or args.gt, "give either a gen/gt pair or --manifest, not both"):
         if args.csv:
             raise UsageError("--csv goes with a gen/gt pair, not --manifest")
-        return _run_manifest(args, one, lambda _, rows: {"n_pairs": len(rows)}, ("gen", "gt"))
-    report = one({"gen": args.gen, "gt": args.gt})
-    del report["gen"], report["gt"]
+        return _run_manifest(args, _spatial_one, lambda _, rows: {"n_pairs": len(rows)}, ("gen", "gt"))
+    report = _spatial_one({"gen": args.gen, "gt": args.gt}, args)
     if args.csv:
         row = ",".join(f"{report[c]:.17g}" for c in SPATIAL_CSV_COLUMNS)
         _write_bytes(args.csv, (row + "\n").encode())
@@ -377,28 +381,25 @@ def _semantic_one(record, args) -> dict:
             raise FoaToolsError(f"{gen or gt}: gen_{kind} and gt_{kind} go together")
     if "gen_features" not in record and "gen_probs" not in record:
         raise FoaToolsError(f"{args.manifest}: record carries neither features nor probabilities")
-    row = dict(record)
+    result = {}
     if "gen_features" in record:
-        row["fad"] = _fad(record["gen_features"], record["gt_features"])
+        result["fad"] = _fad(record["gen_features"], record["gt_features"])
     if "gen_probs" in record:
-        row["kld"] = _mean_kld(record["gen_probs"], record["gt_probs"], args.epsilon)
-    return row
+        result["kld"] = _mean_kld(record["gen_probs"], record["gt_probs"], args.epsilon)
+    return result
 
 
 def cmd_eval_semantic(args) -> dict:
-    one = partial(_semantic_one, args=args)
     inputs = args.channels or any(getattr(args, key) for key in _SEMANTIC_KEYS)
     if _manifest_mode(args, inputs, "give either feature, probability or channel inputs or --manifest, not both"):
-        return _run_manifest(args, one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS)
+        return _run_manifest(args, _semantic_one, lambda _, rows: {"n_records": len(rows)}, (), _SEMANTIC_KEYS)
     record = {key: getattr(args, key) for key in _SEMANTIC_KEYS if getattr(args, key)}
     for kind in ("features", "probs"):
         if (f"gen_{kind}" in record) != (f"gt_{kind}" in record):
             raise UsageError(f"--gen-{kind} and --gt-{kind} go together")
     if not (record or args.channels):
         raise UsageError("nothing to evaluate; pass feature, probability or channel inputs")
-    result = {}
-    if record:
-        result = {key: value for key, value in one(record).items() if key not in record}
+    result = _semantic_one(record, args) if record else {}
     if args.channels:
         with open(args.channels, "r", encoding="utf-8") as handle:
             try:
@@ -424,9 +425,9 @@ def cmd_patch_energy(args) -> dict:
         raise FoaToolsError(
             f"{args.input}: patch embeddings must be 4-D, got shape {embeddings.shape}"
         )
-    with _naming(args.input):  # a non-finite value or an all-zero embedding vector
+    with _naming(args.input):  # a non-finite value, an all-zero embedding vector or a too small temperature
         spatial, temporal = patch_saliency.patch_scores(embeddings, args.spatial_window, args.temporal_window)
-    energy = patch_saliency.energy_from_scores(spatial, temporal, args.temperature, args.top_p)
+        energy = patch_saliency.energy_from_scores(spatial, temporal, args.temperature, args.top_p)
     write_tensor(energy, args.output)
     if args.pgm_dir:
         os.makedirs(args.pgm_dir, exist_ok=True)
@@ -470,17 +471,18 @@ def cmd_generate(args) -> dict:
     pattern = Pattern(args.pattern)
     predictor = guidance.TablePredictor(table, pattern)
     config = guidance.GuidanceConfig(args.guidance, args.omega, args.omega2)
-    generated = guidance.generate(
-        predictor,
-        table.n_codebooks_per_channel,
-        table.n_frames,
-        pattern,
-        config,
-        temperature=args.temperature,
-        top_p=args.top_p,
-        seed=args.seed,
-        argmax=args.argmax,
-    )
+    with _naming(args.table):  # a temperature too small for the table's logits
+        generated = guidance.generate(
+            predictor,
+            table.n_codebooks_per_channel,
+            table.n_frames,
+            pattern,
+            config,
+            temperature=args.temperature,
+            top_p=args.top_p,
+            seed=args.seed,
+            argmax=args.argmax,
+        )
     write_code_matrix(generated, args.output)
     return {
         "guidance": config.mode,
@@ -509,7 +511,6 @@ def _curate_one(record, args) -> dict:
     return {
         "amplitude_ok": bool(amplitude_ok),
         "fov_center": center,
-        "path": record["path"],
         "valid_seconds": int(mask.sum()),
         "windows": windows,
     }
@@ -543,8 +544,7 @@ def _curate_decide(manifest, records, rows) -> dict:
 
 
 def cmd_curate(args) -> dict:
-    one = partial(_curate_one, args=args)
-    return _run_manifest(args, one, partial(_curate_decide, args.manifest), ("path",))
+    return _run_manifest(args, _curate_one, partial(_curate_decide, args.manifest), ("path",))
 
 
 def cmd_info(args) -> dict:

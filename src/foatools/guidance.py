@@ -129,11 +129,9 @@ def _sample(logits: np.ndarray, temperature, top_p, rng, argmax, scratch) -> np.
     ``scratch`` holds two more arrays shaped like it, to sort and sum into."""
     if argmax:
         return np.argmax(logits, axis=1)
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    probs = softmax(logits, axis=1, temperature=temperature)
     if rng is None:
         raise ValueError("sampling requires a seeded numpy Generator")
-    probs = softmax(np.divide(logits, temperature, out=logits), axis=1)
     probs *= top_p_mask(probs, top_p, *scratch)
     cdf = np.cumsum(probs, axis=1, out=scratch[1])
     total = cdf[:, -1:]

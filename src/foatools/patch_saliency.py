@@ -111,10 +111,8 @@ def energy_from_scores(
         raise ValueError("score tensors must share one (time, rows, cols) shape")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
         raise ValueError("scores must be finite")
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
 
-    spatial_p, temporal_p = (softmax(scores.reshape(len(s), -1) / temperature, axis=1) for scores in (s, t))
+    spatial_p, temporal_p = (softmax(scores.reshape(len(s), -1).copy(), 1, temperature) for scores in (s, t))
     averaged = (spatial_p + temporal_p) / 2.0
 
     kept = averaged * top_p_mask(averaged, top_p, np.empty_like(averaged), np.empty_like(averaged))

@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from foatools import (
     Pattern,
     ReorgMatrix,
     Rotation,
+    SpatialReport,
     SphereGrid,
     TablePredictor,
     decode_to_mono,
@@ -400,6 +402,17 @@ class TestEnergyMapCommand:
         write_foa_wav(FoaClip(np.ones((4, 100)), 8000), src)
         code, _, err = run(capsys, "energy-map", flag, value, src)
         assert (code, err) == (1, f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("grid, built", [("100000x100000", []), ("1025x1024", []), ("1024x1024", [(1024, 1024)])])
+    def test_grid_past_the_cell_limit_is_refused_before_it_is_built(self, capsys, tmp_path, monkeypatch, grid, built):
+        calls = []
+        monkeypatch.setattr(cli, "SphereGrid", lambda *counts: calls.append(counts))
+        code, _, err = run(capsys, "energy-map", "--grid", grid, tmp_path / "absent.wav")
+        assert calls == built
+        if built:  # the grid passes, and the missing input is a data error
+            assert code == 2
+        else:
+            assert (code, err) == (1, f"usage error: grid must have BANDS x AZIMUTHS at most 1048576, got '{grid}'\n")
 
     def test_literal_linear_mode_and_window(self, capsys, tmp_path):
         src = tmp_path / "clip.wav"
@@ -876,6 +889,19 @@ class TestGenerateCommand:
         write_code_matrix(oracle, want)
         assert out_path.read_bytes() == want.read_bytes()
 
+    def test_temperature_too_small_for_the_table_is_a_data_error(self, capsys, tmp_path):
+        matrix = CodeMatrix(np.random.default_rng(20).integers(0, 16, size=(8, 5)), 2, 16)
+        table, out_path = tmp_path / "table.cmx", tmp_path / "gen.cmx"
+        write_code_matrix(matrix, table)
+        code, out, err = run(capsys, "generate", "--table", table, "--temperature", "5e-324", out_path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {table}: a row maximum divided by temperature 5e-324 is not finite\n"
+        assert not out_path.exists()
+        # argmax never divides by the temperature
+        code, _, err = run(capsys, "generate", "--table", table, "--temperature", "5e-324", "--argmax", out_path)
+        assert (code, err) == (0, "")
+        assert np.array_equal(read_code_matrix(out_path).codes, matrix.codes)
+
 
 class TestEvalSpatial:
     def test_self_comparison_scores_one(self, capsys, tmp_path):
@@ -1156,6 +1182,14 @@ class TestPatchEnergy:
         assert code == 2
         assert err.startswith(f"error: {src}: {message}")
         assert not (tmp_path / "energy.t").exists()
+
+    def test_temperature_too_small_for_the_scores_is_a_data_error(self, capsys, tmp_path):
+        src, dst = tmp_path / "emb.t", tmp_path / "energy.t"
+        write_tensor(np.random.default_rng(21).normal(size=(2, 3, 3, 4)).astype(np.float32), src)
+        code, out, err = run(capsys, "patch-energy", "--temperature", "5e-324", src, dst)
+        assert (code, out) == (2, "")
+        assert err == f"error: {src}: a row maximum divided by temperature 5e-324 is not finite\n"
+        assert not dst.exists()
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -1527,6 +1561,68 @@ class TestManifestRuns:
         assert (summary["n_failed"], summary["output"]) == (n_errors, str(out_path))
         assert code == (2 if n_errors > 0 else 0)
         assert err.count("error: ") == n_errors
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.dictionaries(
+                    st.sampled_from(["error", "schema_version", "fad", "kld", "keep", "note"]),
+                    st.none() | st.booleans() | st.integers(-1, 99) | st.text(max_size=2),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example(picks=[(0, {"error": "x", "schema_version": 99, "fad": 3, "kld": 4, "keep": True, "note": "n"})])
+    @pytest.mark.parametrize("command", ["eval-spatial", "eval-semantic", "curate"])
+    def test_rows_hold_their_path_keys_and_results_only(self, tmp_path_factory, command, picks):
+        # Each record is one of the command's good or failing records plus keys that are not
+        # path keys; no such key reaches a row, however it is named.
+        root = tmp_path_factory.mktemp("rows")
+        clip, absent = _write_clip(root / "a.wav", 6, 0), str(root / "absent")
+        probs = _write_probs(root / "p.t", 0)
+        features = str(root / "f.t")
+        write_tensor(np.random.default_rng(1).normal(size=(8, 3)).astype(np.float32), features)
+        spatial = {field.name for field in dataclasses.fields(SpatialReport)}
+        curated = {"amplitude_ok", "fov_center", "valid_seconds", "windows", "keep"}
+        argv, bases = {  # bases: (record, the keys of its results, or None for an error row)
+            "eval-spatial": (["--grid", "4x8"],
+                             [({"gen": clip, "gt": clip}, spatial), ({"gen": clip, "gt": absent}, None)]),
+            "eval-semantic": ([], [
+                ({"gen_probs": probs, "gt_probs": probs}, {"kld"}),
+                ({"gen_features": features, "gt_features": features}, {"fad"}),
+                ({"gen_probs": probs, "gt_probs": probs, "gen_features": features, "gt_features": features},
+                 {"fad", "kld"}),
+                ({"gen_probs": probs, "gt_probs": absent}, None),
+                ({"gen_features": features}, None),
+            ]),
+            "curate": (["--grid", "4x8", "--rms-threshold", "0.01"],
+                       [({"path": clip}, curated), ({"path": absent}, None)]),
+        }[command]
+        chosen = [bases[pick % len(bases)] for pick, _ in picks]
+        records = [{**extra, **record} for (record, _), (_, extra) in zip(chosen, picks)]
+        manifest = root / "m.ndjson"
+        manifest.write_text("".join(json.dumps(record) + "\n" for record in records))
+        for jobs in (1, 2):
+            out_path = root / f"rows{jobs}.ndjson"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command, *argv, "--manifest", str(manifest), "--out", str(out_path), "--jobs", str(jobs)])
+            rows = read_rows(out_path)
+            assert len(rows) == len(records)
+            for row, (base, results) in zip(rows, chosen):
+                assert set(row) == {"schema_version", *base, *(results or {"error"})}
+                assert {key: row[key] for key in base} == base
+                assert row["schema_version"] == 1
+            n_errors = sum("error" in row for row in rows)
+            assert n_errors == sum(results is None for _, results in chosen)
+            assert last_json(stdout.getvalue())["n_failed"] == n_errors
+            assert stderr.getvalue().count("error: ") == n_errors
+            assert code == (2 if n_errors else 0)
 
     @pytest.mark.parametrize(
         "argv, line, message",

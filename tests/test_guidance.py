@@ -268,6 +268,13 @@ class TestSampleStep:
         with pytest.raises(ValueError):
             sample_step(logits)  # sampling without an rng
 
+    @pytest.mark.parametrize("logits", [[[0.0, 1.0, 2.0]], [[-1.0, -2.0, -3.0]], [[0.0, 0.0], [4.0, 1.0]]])
+    def test_temperature_too_small_for_the_logits_is_refused(self, logits):
+        # 2 / 5e-324 overflows to inf, and -1 / 5e-324 to -inf: softmax would give NaN rows.
+        with pytest.raises(ValueError, match="^a row maximum divided by temperature 5e-324 is not finite$"):
+            sample_step(logits, temperature=5e-324, rng=np.random.default_rng(0))
+        assert sample_step(logits, temperature=5e-324, argmax=True).tolist() == np.argmax(logits, axis=1).tolist()
+
     @pytest.mark.parametrize(
         "logits, message",
         [(np.zeros(3), "logits must be a (rows x vocabulary) matrix"), ([[0.0, np.nan]], "logits must be finite")],
@@ -290,6 +297,12 @@ class TestGenerate:
         predictor = UniformPredictor(n_rows=8, vocab_size=5)
         with pytest.raises(ValueError, match="^temperature must be positive, got nan$"):
             generate(predictor, 2, 3, Pattern.PROPOSED, GuidanceConfig("none"), temperature=np.nan, seed=1)
+
+    def test_temperature_too_small_for_the_table_is_refused(self):
+        table = CodeMatrix(np.random.default_rng(12).integers(0, 9, size=(8, 4)), 2, 9)
+        predictor = TablePredictor(table, Pattern.PROPOSED)
+        with pytest.raises(ValueError, match="^a row maximum divided by temperature 1e-305 is not finite$"):
+            generate(predictor, 2, 4, Pattern.PROPOSED, GuidanceConfig("dual", 1.0, 1.0), temperature=1e-305)
 
     def test_guided_modes_query_all_variants(self):
         predictor = UniformPredictor(n_rows=8, vocab_size=5)
@@ -466,6 +479,16 @@ class TestAllocatingOracles:
         probs = softmax_allocating(np.asarray(logits, dtype=np.float64), axis=1)
         assert same_bits(top_p_mask_of(probs, top_p), top_p_mask_allocating(probs, top_p))
         assert all(same_bits(sets[variant], before[variant]) for variant in VARIANTS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        logits=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=st.floats(-1e6, 1e6)),
+        temperature=st.floats(1e-3, 1e3),
+    )
+    def test_softmax_temperature_matches_dividing_first(self, logits, temperature):
+        # softmax takes the row maxima before it divides: rounding keeps order, so no bit moves.
+        want = softmax_allocating(logits / temperature, axis=1)
+        assert same_bits(softmax(logits.copy(), axis=1, temperature=temperature), want)
 
     def test_sample_step_keeps_its_input(self):
         logits = np.random.default_rng(17).normal(size=(5, 9))

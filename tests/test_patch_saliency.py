@@ -238,6 +238,15 @@ class TestEnergyFromScores:
 
 
 @pytest.mark.parametrize("kind", [0, 1])
+def test_energy_from_scores_refuses_a_temperature_too_small_for_the_scores(kind):
+    # A score of 1 over 5e-324 overflows to inf, and softmax would make the frame NaN.
+    scores = [np.zeros((2, 2, 2)), np.zeros((2, 2, 2))]
+    scores[kind][1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="^a row maximum divided by temperature 5e-324 is not finite$"):
+        energy_from_scores(*scores, temperature=5e-324)
+
+
+@pytest.mark.parametrize("kind", [0, 1])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_energy_from_scores_refuses_non_finite_scores(kind, value):
     scores = [np.ones((1, 2, 2)), np.ones((1, 2, 2))]

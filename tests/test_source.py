@@ -107,11 +107,12 @@ def test_only_the_two_writers_open_atomic_write():
 @pytest.mark.parametrize(
     "module, second_copy",
     [("tensor_io.py", "_PATTERN_IDS"), ("tensor_io.py", "_PATTERNS_BY_ID"), ("cli.py", "_write_text"),
-     ("guidance.py", "self.matrix"), ("cli.py", "_print_json")],
+     ("guidance.py", "self.matrix"), ("cli.py", "_print_json"), ("cli.py", "messages"), ("cli.py", "dict(record)"),
+     ("guidance.py", "temperature must be positive"), ("patch_saliency.py", "temperature must be positive")],
 )
 def test_second_copies_stay_gone(module, second_copy):
     # One pattern-id table, one whole-file writer, no TablePredictor member that nothing reads,
-    # and one stdout writer in the CLI.
+    # one stdout writer in the CLI, one author of manifest rows, and one home of the temperature rule.
     assert second_copy not in (PACKAGE / module).read_text()
 
 
