@@ -10,11 +10,11 @@ def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarr
     returns. ValueError for a ``temperature`` that is not positive or leaves a row maximum not finite."""
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    with np.errstate(over="ignore"):  # an overflow is refused just below
+    with np.errstate(over="ignore"):  # a row maximum's overflow is refused below; a lower entry's is -inf, p = 0
         peak = np.max(x, axis=axis, keepdims=True) / temperature  # the maxima of x / temperature: rounding keeps order
+        x /= temperature
     if not np.isfinite(peak).all():
         raise ValueError(f"a row maximum divided by temperature {temperature} is not finite")
-    x /= temperature
     x -= peak
     np.exp(x, out=x)
     x /= np.sum(x, axis=axis, keepdims=True)

@@ -11,10 +11,10 @@ the conditioning:
     "visual_only"     direction dropped
     "unconditional"   both dropped
 
-Guided logits extrapolate between these variants at scale omega; the
-generation harness walks a pattern's step schedule, sampling only the rows
-active at each step and reading the finished schedule back into a raw code
-matrix.
+Guided logits extrapolate between these variants at scale omega, in the terms
+of the mode's one entry in ``_TERMS``, which its queried variants also read. The
+generation harness walks a pattern's step schedule, sampling only the rows active
+at each step and reading the finished schedule back into a raw code matrix.
 """
 
 from __future__ import annotations
@@ -26,19 +26,20 @@ import numpy as np
 from ._util import softmax, top_p_mask
 from .code_pattern import CodeMatrix, Pattern, _schedule, pack
 
-MODES = ("none", "directional", "visual", "joint", "dual")
-
 DEFAULT_OMEGA = 2.5
 
 VARIANTS = ("full", "direction_only", "visual_only", "unconditional")
 
-_VARIANTS_BY_MODE = {
-    "none": ("full",),
-    "directional": ("full", "direction_only", "unconditional"),
-    "visual": ("full", "visual_only", "unconditional"),
-    "joint": ("full", "unconditional"),
-    "dual": VARIANTS,
+# Each mode's terms: guided = full + omega * (first - unconditional) [+ omega2 * (second - unconditional)].
+_TERMS = {
+    "none": (),
+    "directional": ("direction_only",),
+    "visual": ("visual_only",),
+    "joint": ("full",),
+    "dual": ("direction_only", "visual_only"),
 }
+
+MODES = tuple(_TERMS)
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,9 @@ class GuidanceConfig:
 
     @property
     def variants(self) -> tuple:
-        """Conditioning variants this mode needs from the predictor."""
-        return _VARIANTS_BY_MODE[self.mode]
+        """Conditioning variants this mode needs from the predictor, in ``VARIANTS`` order."""
+        terms = _TERMS[self.mode]
+        return tuple(v for v in VARIANTS if v == "full" or terms and v in (*terms, "unconditional"))
 
 
 def _checked(name: str, logits, shape) -> np.ndarray:
@@ -73,25 +75,16 @@ def _checked(name: str, logits, shape) -> np.ndarray:
     return arr
 
 
-def _combine(mode: str, full, direction_only=None, visual_only=None, unconditional=None,
-             *, omega, omega2) -> np.ndarray:
-    """``combine``'s formulas computed in place, with their operands in their order:
-    ``t = d - u; t *= omega; t += full`` has the bits of ``full + omega * (d - u)``,
-    as rounded sums and products commute. Overwrites one or two of the guidance
-    sets, never ``full``, and returns the guided logits (``full`` in mode none)."""
-    if mode == "none":
-        return full
-    if mode == "joint":
-        guided = np.subtract(full, unconditional, out=unconditional)
-    else:
-        conditioned = visual_only if mode == "visual" else direction_only
-        guided = np.subtract(conditioned, unconditional, out=conditioned)
-    guided *= omega
-    guided += full
-    if mode == "dual":
-        visual = np.subtract(visual_only, unconditional, out=visual_only)
-        visual *= omega2
-        guided += visual
+def _combine(config: GuidanceConfig, sets: dict) -> np.ndarray:
+    """``combine`` in place on ``sets``, each variant's float64 logits by name. Each term ``c`` of
+    the mode, in ``_TERMS`` order, is ``t = c - u; t *= omega; t += guided``: the bits of ``guided
+    + omega * (c - u)``, as rounded sums and products commute. A term overwrites ``c`` (``u`` for
+    ``full``), never ``full``; the last is the guided logits (``full`` itself in mode none)."""
+    guided = sets["full"]
+    for name, scale in zip(_TERMS[config.mode], (config.omega, config.omega2)):
+        term = np.subtract(sets[name], sets["unconditional"], out=sets["unconditional" if name == "full" else name])
+        term *= scale
+        guided = np.add(term, guided, out=term)
     return guided
 
 
@@ -115,13 +108,12 @@ def combine(
 
     Only the logit sets the mode consumes must be provided.
     """
-    variants = GuidanceConfig(mode).variants
+    config = GuidanceConfig(mode, omega, omega2)
     base = _checked("full", full, None)
-    sets = {"direction_only": direction_only, "visual_only": visual_only, "unconditional": unconditional}
-    for name in ("unconditional", "direction_only", "visual_only"):
-        if name in variants:
-            sets[name] = _checked(name, sets[name], base.shape)
-    return _combine(mode, base, **sets, omega=omega, omega2=omega2)
+    # Checked in this order, so a missing unconditional set is named first.
+    given = {"unconditional": unconditional, "direction_only": direction_only, "visual_only": visual_only}
+    sets = {name: _checked(name, logits, base.shape) for name, logits in given.items() if name in config.variants}
+    return _combine(config, {"full": base, **sets})
 
 
 def _sample(logits: np.ndarray, temperature, top_p, rng, argmax, scratch) -> np.ndarray:
@@ -199,7 +191,7 @@ def generate(
         active = {}
         for variant in guidance.variants:
             logits = np.asarray(predictor(generated[:, :step], variant), dtype=np.float64)
-            if logits.ndim != 2 or logits.shape[0] != 4 * n:
+            if logits.ndim != 2 or logits.shape[0] != 4 * n or logits.shape[1] == 0:
                 raise ValueError(
                     f"predictor returned shape {logits.shape}, expected ({4 * n}, V)"
                 )
@@ -214,7 +206,7 @@ def generate(
                 raise ValueError(f"{variant!r} logits must be finite")
             out = work[len(active), : rows.size]
             active[variant] = np.take(logits, rows, axis=0, out=out, mode="clip")
-        guided = _combine(guidance.mode, **active, omega=guidance.omega, omega2=guidance.omega2)
+        guided = _combine(guidance, active)
         buffer[rows, step] = _sample(guided, temperature, top_p, rng, argmax, work[-2:, : rows.size])
     return CodeMatrix(buffer[index], n, vocab_size)
 

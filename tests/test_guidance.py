@@ -89,6 +89,13 @@ class TestCombine:
         with pytest.raises(ValueError, match="unconditional"):
             combine("joint", sets["full"])
 
+    def test_missing_sets_are_named_in_check_order(self):
+        full, unconditional = np.zeros((1, 2)), np.zeros((1, 2))
+        with pytest.raises(ValueError, match="'unconditional'"):
+            combine("dual", full)
+        with pytest.raises(ValueError, match="'direction_only'"):
+            combine("dual", full, unconditional=unconditional)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             combine("joint", np.zeros((2, 3)), unconditional=np.zeros((2, 4)))
@@ -103,6 +110,14 @@ class TestCombine:
             with pytest.raises(ValueError) as info:
                 make()
             assert str(info.value) == want
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scale", ["omega", "omega2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scales_are_refused(self, mode, scale, value):
+        sets = {variant: np.zeros((2, 3)) for variant in VARIANTS}
+        with pytest.raises(ValueError, match="^guidance scales must be finite$"):
+            combine(mode, **sets, **{scale: value})
 
     def test_row_constant_shift_keeps_distribution(self):
         # When variants differ from the conditional by per-row constants the
@@ -275,6 +290,12 @@ class TestSampleStep:
             sample_step(logits, temperature=5e-324, rng=np.random.default_rng(0))
         assert sample_step(logits, temperature=5e-324, argmax=True).tolist() == np.argmax(logits, axis=1).tolist()
 
+    def test_lower_entry_overflowing_under_the_temperature_gets_no_mass(self):
+        # -1e300 / 1e-10 overflows to -inf while the row maximum stays 0: a right
+        # probability of 0, with no overflow warning (an error under this suite's filters).
+        assert softmax(np.array([[0.0, -1e300]]), axis=1, temperature=1e-10).tolist() == [[1.0, 0.0]]
+        assert sample_step([[0.0, -1e300]], temperature=1e-10, rng=np.random.default_rng(0)).tolist() == [0]
+
     @pytest.mark.parametrize(
         "logits, message",
         [(np.zeros(3), "logits must be a (rows x vocabulary) matrix"), ([[0.0, np.nan]], "logits must be finite")],
@@ -341,6 +362,11 @@ class TestGenerate:
 
         with pytest.raises(ValueError, match="shape"):
             generate(predictor, 2, 2, Pattern.PROPOSED, GuidanceConfig("none"))
+
+    @pytest.mark.parametrize("argmax", [False, True])
+    def test_empty_vocabulary_refused(self, argmax):
+        with pytest.raises(ValueError, match=re.escape("predictor returned shape (8, 0), expected (8, V)")):
+            generate(UniformPredictor(8, 0), 2, 2, Pattern.PROPOSED, GuidanceConfig("none"), argmax=argmax)
 
     def test_predictor_changing_vocabulary_raises(self):
         def predictor(prefix, variant):
@@ -479,6 +505,25 @@ class TestAllocatingOracles:
         probs = softmax_allocating(np.asarray(logits, dtype=np.float64), axis=1)
         assert same_bits(top_p_mask_of(probs, top_p), top_p_mask_allocating(probs, top_p))
         assert all(same_bits(sets[variant], before[variant]) for variant in VARIANTS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        rows=st.integers(1, 6),
+        vocab_size=st.integers(1, 40),
+        kind=st.sampled_from(("normal", "tied", "constant")),
+        omegas=st.tuples(scales, scales),
+        seed=st.integers(0, 2**16),
+    )
+    def test_combine_takes_exactly_the_variants_of_its_mode(self, mode, rows, vocab_size, kind, omegas, seed):
+        predictor = SeededPredictor(rows, vocab_size, seed, kind, np.float64)
+        variants = GuidanceConfig(mode).variants
+        sets = {variant: predictor(np.zeros((rows, 0)), variant) for variant in variants}
+        got = combine(mode, **sets, omega=omegas[0], omega2=omegas[1])
+        assert same_bits(got, combine_allocating(mode, **sets, omega=omegas[0], omega2=omegas[1]))
+        for missing in variants:
+            with pytest.raises(ValueError, match=f"^guidance mode requires the {missing!r} logit set$"):
+                combine(mode, **{**sets, missing: None}, omega=omegas[0], omega2=omegas[1])
 
     @settings(max_examples=150, deadline=None)
     @given(

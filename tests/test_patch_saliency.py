@@ -246,6 +246,13 @@ def test_energy_from_scores_refuses_a_temperature_too_small_for_the_scores(kind)
         energy_from_scores(*scores, temperature=5e-324)
 
 
+def test_energy_from_scores_gives_no_mass_to_a_score_overflowing_under_the_temperature():
+    # -4 / 1e-308 overflows to -inf while each frame's maximum stays 0: a right
+    # probability of 0, with no overflow warning (an error under this suite's filters).
+    scores = np.array([[[0.0, -4.0]]])
+    assert energy_from_scores(scores, scores, temperature=1e-308).tolist() == [[[1.0, 0.0]]]
+
+
 @pytest.mark.parametrize("kind", [0, 1])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_energy_from_scores_refuses_non_finite_scores(kind, value):

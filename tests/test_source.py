@@ -108,11 +108,13 @@ def test_only_the_two_writers_open_atomic_write():
     "module, second_copy",
     [("tensor_io.py", "_PATTERN_IDS"), ("tensor_io.py", "_PATTERNS_BY_ID"), ("cli.py", "_write_text"),
      ("guidance.py", "self.matrix"), ("cli.py", "_print_json"), ("cli.py", "messages"), ("cli.py", "dict(record)"),
-     ("guidance.py", "temperature must be positive"), ("patch_saliency.py", "temperature must be positive")],
+     ("guidance.py", "temperature must be positive"), ("patch_saliency.py", "temperature must be positive"),
+     ("guidance.py", "_VARIANTS_BY_MODE"), ("guidance.py", 'mode == "')],
 )
 def test_second_copies_stay_gone(module, second_copy):
     # One pattern-id table, one whole-file writer, no TablePredictor member that nothing reads,
-    # one stdout writer in the CLI, one author of manifest rows, and one home of the temperature rule.
+    # one stdout writer in the CLI, one author of manifest rows, one home of the temperature rule,
+    # and one table of the guidance modes' terms, which no branch on a mode name repeats.
     assert second_copy not in (PACKAGE / module).read_text()
 
 
