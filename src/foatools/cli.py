@@ -144,8 +144,8 @@ def _parse_window(text: str) -> tuple:
 
 # Input channels, output channels and slab transform of each streamed command.
 _SLAB_TRANSFORMS = {
-    "encode": (1, 4, lambda slab, direction: _encode(slab[0], direction)),
-    "decode": (4, 1, lambda slab, direction: _decode(slab, direction)[None]),
+    "encode": (1, 4, _encode),
+    "decode": (4, 1, _decode),
     "rotate": (4, 4, _rotate),
 }
 

@@ -159,12 +159,11 @@ class SphereGrid:
         # telescope, so the weights sum to 1 up to rounding.
         self.weights = (np.diff(sin_edges) / (2.0 * counts))[self.band_index]
         ce = np.cos(self.elevations)
-        self.unit_vectors = np.column_stack(
-            [np.cos(self.azimuths) * ce, np.sin(self.azimuths) * ce, np.sin(self.elevations)]
-        )
         # Power at cell u is b M b^T with b = (1, u); the 16 products b_i b_j
         # per cell turn that quadratic form into one row-times-column product.
-        basis = np.column_stack([np.ones(self.n_cells), self.unit_vectors])
+        basis = np.column_stack(
+            [np.ones(self.n_cells), np.cos(self.azimuths) * ce, np.sin(self.azimuths) * ce, np.sin(self.elevations)]
+        )
         self.quadratic_features = (basis[:, :, None] * basis[:, None, :]).reshape(-1, 16).T
 
     @property
@@ -202,6 +201,8 @@ class EnergyMap:
     mode: str = ENERGY_MODE_POWER
 
     def __post_init__(self) -> None:
+        if self.mode not in ENERGY_MODES:
+            raise ValueError(f"mode must be one of {ENERGY_MODES}, got {self.mode!r}")
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (self.grid.n_cells,):
             raise ValueError("one value per grid cell required")
@@ -235,18 +236,18 @@ def encode_mono(signal, direction: Direction, sample_rate: int = 44100) -> FoaCl
     s = np.asarray(signal, dtype=np.float64)
     if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
         raise ValueError("signal must be a nonempty finite 1-D array")
-    return FoaClip(_encode(s, direction), sample_rate)
+    return FoaClip(_encode(s[None], direction), sample_rate)
 
 
-# The array cores of encode_mono, decode_to_mono and rotate: float64 samples in and
-# out, unchecked, so a streamed caller checks each slab once, where it reads it.
+# The array cores of encode_mono, decode_to_mono and rotate: (channels, n) float64 slabs
+# in and out, unchecked, so a streamed caller checks each slab once, where it reads it.
 def _encode(s: np.ndarray, direction: Direction) -> np.ndarray:
     ux, uy, uz = direction.unit_vector()
     return np.vstack([s / math.sqrt(2.0), ux * s, uy * s, uz * s])
 
 
 def _decode(samples: np.ndarray, direction: Direction) -> np.ndarray:
-    return samples[0] + direction.unit_vector() @ samples[1:]
+    return samples[:1] + direction.unit_vector() @ samples[1:]
 
 
 def _rotate(samples: np.ndarray, rotation: Rotation) -> np.ndarray:
@@ -262,7 +263,7 @@ def decode_to_mono(clip: FoaClip, direction: Direction) -> np.ndarray:
     Returns W + X cos(az)cos(el) + Y sin(az)cos(el) + Z sin(el) per sample,
     the 3-D cardioid pickup at that heading.
     """
-    return _decode(clip.samples, direction)
+    return _decode(clip.samples, direction)[0]
 
 
 def rotate(clip: FoaClip, rotation: Rotation) -> FoaClip:
@@ -387,8 +388,6 @@ def energy_map(
     the 4x4 channel second-moment matrix M, which is what is evaluated here
     (identical to decoding per cell, without the per-cell passes).
     """
-    if mode not in ENERGY_MODES:
-        raise ValueError(f"mode must be one of {ENERGY_MODES}, got {mode!r}")
     if isinstance(clip, WindowSums) and window is not None:
         raise ValueError("WindowSums carry their window; pass window=None")
     (start, end), whole, sums = summary(clip, partial(window_sums, window=window))

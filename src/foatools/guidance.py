@@ -68,6 +68,8 @@ def _checked(name: str, logits, shape) -> np.ndarray:
     if logits is None:
         raise ValueError(f"guidance mode requires the {name!r} logit set")
     arr = np.array(logits, dtype=np.float64)
+    if shape is None and (arr.ndim != 2 or arr.shape[1] == 0):
+        raise ValueError(f"{name!r} logits must be a (rows x vocabulary) matrix")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name!r} logits shaped {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -149,7 +151,7 @@ def sample_step(
     most likely code is taken and no randomness is consumed.
     """
     arr = np.array(logits, dtype=np.float64)
-    if arr.ndim != 2:
+    if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("logits must be a (rows x vocabulary) matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("logits must be finite")
@@ -223,8 +225,7 @@ class TablePredictor:
     PEAK = 1e4
 
     def __init__(self, matrix: CodeMatrix, pattern: Pattern):
-        self.pattern = Pattern(pattern)
-        self._packed = pack(matrix, self.pattern).codes
+        self._packed = pack(matrix, Pattern(pattern)).codes
         self.vocab_size = matrix.vocab_size
         self.n_queries = 0
         self._step = self._logits = None

@@ -196,7 +196,7 @@ def nearest_cell_bruteforce(grid, direction):
     u = direction.unit_vector()
     best, best_cos = -1, -2.0
     for i in range(grid.n_cells):
-        c = float(np.dot(grid.unit_vectors[i], u))
+        c = float(np.dot(grid.direction(i).unit_vector(), u))
         if c > best_cos:
             best, best_cos = i, c
     return best
@@ -223,7 +223,7 @@ def energy_map_bruteforce(clip, grid, window=None, mode="power"):
     values = np.empty(grid.n_cells)
     w, x, y, z = clip.samples
     for i in range(grid.n_cells):
-        ux, uy, uz = grid.unit_vectors[i]
+        ux, uy, uz = grid.direction(i).unit_vector()
         decoded = w[start:end] + ux * x[start:end] + uy * y[start:end] + uz * z[start:end]
         values[i] = np.mean(decoded**2) if mode == "power" else np.mean(decoded)
     return values

@@ -500,8 +500,10 @@ class TestEnergyMap:
         (lambda: EnergyMap(SphereGrid(2, 2), [0.0, -1e-300], (0, 1)), ValueError, "power-mode energies must be nonnegative"),
         (lambda: directional_energy(FoaClip(np.ones((4, 3)), 3), Direction(0.0, 0.0), mode="rms"), ValueError,
          "mode must be one of ('power', 'literal-linear'), got 'rms'"),
+        (lambda: EnergyMap(SphereGrid(4, 8), np.zeros(SphereGrid(4, 8).n_cells), (0, 10), mode="bogus"), ValueError,
+         "mode must be one of ('power', 'literal-linear'), got 'bogus'"),
     ],
-    ids=["rotation-shape", "rotation-nan", "energy-inf", "power-negative", "directional-mode"],
+    ids=["rotation-shape", "rotation-nan", "energy-inf", "power-negative", "directional-mode", "map-mode"],
 )
 def test_refusals_name_the_bad_argument(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -119,6 +119,14 @@ class TestCombine:
         with pytest.raises(ValueError, match="^guidance scales must be finite$"):
             combine(mode, **sets, **{scale: value})
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (1, 2, 3)], ids=["1-D", "no-columns", "3-D"])
+    def test_full_must_be_a_rows_by_vocabulary_matrix(self, mode, shape):
+        # The other sets must match full's shape, so the rule on full covers them too.
+        sets = {variant: np.zeros(shape) for variant in VARIANTS}
+        with pytest.raises(ValueError, match=r"^'full' logits must be a \(rows x vocabulary\) matrix$"):
+            combine(mode, **sets)
+
     def test_row_constant_shift_keeps_distribution(self):
         # When variants differ from the conditional by per-row constants the
         # combined logits shift by per-row constants too, so the sampling
@@ -298,7 +306,8 @@ class TestSampleStep:
 
     @pytest.mark.parametrize(
         "logits, message",
-        [(np.zeros(3), "logits must be a (rows x vocabulary) matrix"), ([[0.0, np.nan]], "logits must be finite")],
+        [(np.zeros(3), "logits must be a (rows x vocabulary) matrix"),
+         (np.zeros((2, 0)), "logits must be a (rows x vocabulary) matrix"), ([[0.0, np.nan]], "logits must be finite")],
     )
     def test_refuses_bad_logits(self, logits, message):
         for argmax in (False, True):

@@ -65,6 +65,34 @@ def test_every_class_member_is_read_in_src_or_named_in_the_readme():
     assert members == []
 
 
+def constructor_state(cls):
+    """Each constructor of ``cls`` (``__init__`` or ``__post_init__``) with every attribute it sets,
+    as ``self.x = ...`` or ``object.__setattr__(self, "x", ...)``."""
+    for init in cls.body:
+        if isinstance(init, ast.FunctionDef) and init.name in ("__init__", "__post_init__"):
+            for node in ast.walk(init):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", "") == "self":
+                    yield init, node.attr
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                    yield init, node.args[1].value
+
+
+def test_every_constructor_set_attribute_is_read_in_src_or_named_in_the_readme():
+    # State a constructor keeps is library code only if the package reads it outside that
+    # constructor or the README documents it. Reads match by name, so another object's .x counts.
+    loads = [node for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)]
+    documented = set(re.findall(r"\w+", README.read_text()))
+    unread = []
+    for tree in TREES.values():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for init, name in constructor_state(cls):
+                inside = set(map(id, ast.walk(init)))
+                if name not in documented and not any(node.attr == name and id(node) not in inside for node in loads):
+                    unread.append(f"{cls.name}.{name}")
+    assert unread == []
+
+
 # The public API, in its order; a name added to or dropped from the package's imports shows here.
 PUBLIC_NAMES = [
     "ClipWindow", "CodeMatrix", "Direction", "ENERGY_MODE_LINEAR", "ENERGY_MODE_POWER", "EnergyMap", "FoaClip",
@@ -109,7 +137,8 @@ def test_only_the_two_writers_open_atomic_write():
     [("tensor_io.py", "_PATTERN_IDS"), ("tensor_io.py", "_PATTERNS_BY_ID"), ("cli.py", "_write_text"),
      ("guidance.py", "self.matrix"), ("cli.py", "_print_json"), ("cli.py", "messages"), ("cli.py", "dict(record)"),
      ("guidance.py", "temperature must be positive"), ("patch_saliency.py", "temperature must be positive"),
-     ("guidance.py", "_VARIANTS_BY_MODE"), ("guidance.py", 'mode == "')],
+     ("guidance.py", "_VARIANTS_BY_MODE"), ("guidance.py", 'mode == "'), ("guidance.py", "self.pattern"),
+     ("cli.py", "lambda slab")],
 )
 def test_second_copies_stay_gone(module, second_copy):
     # One pattern-id table, one whole-file writer, no TablePredictor member that nothing reads,
